@@ -21,6 +21,7 @@ DEFAULT_TABLE_GUARD = 10**8
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
 DEFAULT_CLOSURE_GUARD = 200_000
+HOM_CHECK_BLOCK = 1 << 16   # table entries compared per step by is_homomorphism
 
 
 class GuardExceeded(RuntimeError):
@@ -296,7 +297,11 @@ def mk_algebras(n: int) -> tuple[FiniteAlgebra, ...]:
 
 
 def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """Exhaustively check that the map preserves every operation and constant."""
+    """Exhaustively check that the map preserves every operation and constant.
+
+    Large tables are compared in row blocks, all operations per block, so a
+    failing map is usually rejected after the first block.
+    """
     if A.signature != B.signature:
         raise SignatureMismatch("source and target must share a signature")
     h = np.asarray(mapping, dtype=np.int16)
@@ -307,9 +312,12 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
             return False
     if not np.array_equal(h[A.neg], B.neg[h]):
         return False
-    for op in BINARY_OPS:
-        if not np.array_equal(h[A.tables[op]], B.tables[op][h[:, None], h[None, :]]):
-            return False
+    step = max(1, HOM_CHECK_BLOCK // A.size)
+    for start in range(0, A.size, step):
+        rows = slice(start, start + step)
+        for op in BINARY_OPS:
+            if not np.array_equal(h[A.tables[op][rows]], B.tables[op][h[rows]][:, h]):
+                return False
     return True
 
 
@@ -321,6 +329,7 @@ class _Closure:
         self.known = np.zeros(A.size, dtype=bool)
         self.order: list[int] = []
         self.rules: dict[int, tuple] = {}
+        self.combined = 0   # order[:combined] have been combined with each other
 
     def add_seed(self, x: int):
         if not self.known[x]:
@@ -328,30 +337,34 @@ class _Closure:
             self.order.append(x)
             self.rules[x] = ("seed",)
 
+    def _adopt(self, op: str, left: np.ndarray, right: np.ndarray):
+        """Add the unknown values of op on left x right, each with its first witness pair."""
+        flat = self.A.tables[op][np.ix_(left, right)].ravel()
+        unknown = np.flatnonzero(~self.known[flat])
+        if not unknown.size:
+            return
+        vals, first = np.unique(flat[unknown], return_index=True)
+        for v, pos in zip(vals.tolist(), unknown[first].tolist()):
+            i, j = divmod(pos, len(right))
+            self.known[v] = True
+            self.order.append(v)
+            self.rules[v] = ("bin", op, int(left[i]), int(right[j]))
+
     def saturate(self):
+        """Close under all operations, combining only pairs that involve a new element."""
         A = self.A
-        while True:
-            grew = False
-            kidx = np.flatnonzero(self.known)
+        while self.combined < len(self.order):
+            members = np.array(self.order, dtype=np.int64)
+            old, fresh = members[:self.combined], members[self.combined:]
+            self.combined = len(self.order)
             for op in BINARY_OPS:
-                sub = A.tables[op][np.ix_(kidx, kidx)]
-                vals, first = np.unique(sub, return_index=True)
-                for v, pos in zip(vals.tolist(), first.tolist()):
-                    if not self.known[v]:
-                        i, j = divmod(pos, len(kidx))
-                        self.known[v] = True
-                        self.order.append(v)
-                        self.rules[v] = ("bin", op, int(kidx[i]), int(kidx[j]))
-                        grew = True
-            negs = A.neg[kidx]
-            for src, v in zip(kidx.tolist(), negs.tolist()):
+                self._adopt(op, fresh, members)
+                self._adopt(op, old, fresh)
+            for src, v in zip(fresh.tolist(), A.neg[fresh].tolist()):
                 if not self.known[v]:
                     self.known[v] = True
                     self.order.append(v)
                     self.rules[v] = ("neg", src)
-                    grew = True
-            if not grew:
-                return
 
     def members(self) -> list[int]:
         return sorted(np.flatnonzero(self.known).tolist())
@@ -368,15 +381,58 @@ def closure_indices(A: FiniteAlgebra, generators) -> list[int]:
     return cl.members()
 
 
+class _Stage:
+    """One closure stage S_t of a generating sequence, with the A-side tables its check needs.
+
+    `new` is S_t minus S_{t-1}; `derived` lists the rules that give the images
+    of the new elements once the stage's seed has its image.
+    """
+
+    def __init__(self, cl: _Closure, start: int, end: int, last: bool):
+        A = cl.A
+        self.derived = [(v, cl.rules[v]) for v in cl.order[start:end]
+                        if cl.rules[v][0] != "seed"]
+        if last:
+            return
+        self.new = np.array(cl.order[start:end], dtype=np.int64)
+        self.members = np.array(cl.order[:end], dtype=np.int64)
+        self.old = self.members[:start]
+        self.neg_new = A.neg[self.new]
+        self.new_by_members = [A.tables[op][np.ix_(self.new, self.members)]
+                               for op in BINARY_OPS]
+        self.old_by_new = [A.tables[op][np.ix_(self.old, self.new)] for op in BINARY_OPS]
+
+    def holds(self, h: np.ndarray, B: FiniteAlgebra) -> bool:
+        """Whether h is a homomorphism on S_t, given that it is one on S_{t-1}.
+
+        Only pairs with a new element are compared: S_t is closed, so every
+        product lands where h is defined, and older pairs were compared before.
+        """
+        hn, hm, ho = h[self.new], h[self.members], h[self.old]
+        if not np.array_equal(h[self.neg_new], B.neg[hn]):
+            return False
+        for op, left, right in zip(BINARY_OPS, self.new_by_members, self.old_by_new):
+            tab = B.tables[op]
+            if not (np.array_equal(h[left], tab[hn][:, hm])
+                    and np.array_equal(h[right], tab[ho][:, hn])):
+                return False
+        return True
+
+
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra,
                    generator_hints=()) -> list[tuple[int, ...]]:
     """All homomorphisms A -> B, lexicographically sorted as image tuples.
 
-    Constants pin their images first; a greedy generating sequence with recorded
-    derivations turns each assignment of generator images into a full candidate,
-    which is then verified exhaustively. `generator_hints` are tried as seeds
-    first, which keeps the search at |B|^g for callers that know a small
-    generating set (the result does not depend on the hints).
+    Constants pin their images first. A greedy generating sequence g_1..g_m is
+    recorded with its closure stages: S_0 is the subuniverse the constants
+    generate and S_t the closure of the constants plus g_1..g_t. The search
+    assigns generator images depth first; at level t it derives the images of
+    S_t from the recorded rules and descends only if the partial map is a
+    homomorphism on S_t. The restriction of a homomorphism to a subuniverse is
+    one, so pruning loses no solution. Every map that reaches S_m = A is
+    verified exhaustively by `is_homomorphism`. `generator_hints` are taken
+    first and only shorten the generating sequence; the result does not
+    depend on them.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("source and target must share a signature")
@@ -390,32 +446,46 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra,
         cl.add_seed(ia)
     cl.saturate()
     gens: list[int] = []
-    for g in generator_hints:
-        if not cl.known[g]:
-            gens.append(int(g))
-            cl.add_seed(int(g))
-            cl.saturate()
-    while len(cl.order) < A.size:
-        g = int(np.flatnonzero(~cl.known)[0])
+    ends = [len(cl.order)]
+
+    def add_generator(g: int):
         gens.append(g)
         cl.add_seed(g)
         cl.saturate()
+        ends.append(len(cl.order))
+
+    for g in generator_hints:
+        if not cl.known[g]:
+            add_generator(int(g))
+    while len(cl.order) < A.size:
+        add_generator(int(np.flatnonzero(~cl.known)[0]))
+    stages = [_Stage(cl, start, end, last=end == A.size)
+              for start, end in zip([0] + ends, ends)]
+    btabs = {op: B.tables[op].tolist() for op in BINARY_OPS}
+    bneg = B.neg.tolist()
+    image = [-1] * A.size
+    for ia, ib in forced.items():
+        image[ia] = ib
     results = []
-    for assignment in itertools.product(range(B.size), repeat=len(gens)):
-        h = np.full(A.size, -1, dtype=np.int16)
-        for ia, ib in forced.items():
-            h[ia] = ib
-        for g, b in zip(gens, assignment):
-            h[g] = b
-        for v in cl.order:
-            rule = cl.rules[v]
+
+    def visit(t: int):
+        """Derive S_t from the images of g_1..g_t, then check, record or descend."""
+        for v, rule in stages[t].derived:
             if rule[0] == "bin":
                 _, op, i, j = rule
-                h[v] = B.tables[op][h[i], h[j]]
-            elif rule[0] == "neg":
-                h[v] = B.neg[h[rule[1]]]
-        if is_homomorphism(h, A, B):
-            results.append(tuple(int(x) for x in h))
+                image[v] = btabs[op][image[i]][image[j]]
+            else:
+                image[v] = bneg[image[rule[1]]]
+        h = np.array(image, dtype=np.int16)
+        if t == len(gens):
+            if is_homomorphism(h, A, B):
+                results.append(tuple(image))
+        elif stages[t].holds(h, B):
+            for b in range(B.size):
+                image[gens[t]] = b
+                visit(t + 1)
+
+    visit(0)
     results.sort()
     return results
 

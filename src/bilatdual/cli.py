@@ -73,7 +73,7 @@ def cmd_build(args) -> int:
                 dot = space.poset.to_dot("carrier_space")
         else:
             return _fail_usage(f"unknown kind {args.kind}")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, GuardExceeded) as err:
         return _fail_usage(str(err))
     text = _dump(doc)
     _emit(text, args.out)

@@ -134,14 +134,16 @@ def suite_axioms(n: int, seed: int = DEFAULT_SEED, count: int = 100) -> Verifica
             return quiet, "cross-sort axioms not vacuous at n=1"
         r.check("n1-cross-axioms-vacuous", vacuous)
     structures = structure_corpus(n, count, seed)
-    disagreements = []
-    for i, X in enumerate(structures):
-        ax = check_axioms(X).ok
-        sep = membership_by_separation(X)
-        if ax != sep:
-            disagreements.append((i, ax, sep))
-    r.check(f"axioms-vs-separation:{count}-structures",
-            lambda: (not disagreements, f"disagreements at {disagreements[:3]}"))
+
+    def axioms_vs_separation():
+        disagreements = []
+        for i, X in enumerate(structures):
+            ax = check_axioms(X).ok
+            sep = membership_by_separation(X)
+            if ax != sep:
+                disagreements.append((i, ax, sep))
+        return not disagreements, f"disagreements at {disagreements[:3]}"
+    r.check(f"axioms-vs-separation:{count}-structures", axioms_vs_separation)
     for item in corpus_algebras(n, seed, subalgebras=3):
         r.check(f"dual-satisfies-axioms:{item.label}",
                 lambda item=item: check_axioms(

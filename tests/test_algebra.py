@@ -209,6 +209,30 @@ def test_free_algebra_hom_counts(free1):
         assert len(homs) == expected
 
 
+def test_free_algebra_homs_do_not_depend_on_hints(free1, free2):
+    for k in (0, 1):
+        B = build_mk(1, k)
+        assert enumerate_homs(free1.algebra, B) == enumerate_homs(
+            free1.algebra, B, generator_hints=free1.generator_indices)
+    # without hints F_V2(1) needs several greedy generators
+    m0 = build_mk(2, 0)
+    assert enumerate_homs(free2.algebra, m0) == enumerate_homs(
+        free2.algebra, m0, generator_hints=free2.generator_indices)
+
+
+def test_hintless_search_prunes_before_the_full_check(free1, monkeypatch):
+    from bilatdual import algebra
+    checked = []
+
+    def counting(mapping, A, B):
+        checked.append(mapping)
+        return is_homomorphism(mapping, A, B)
+
+    monkeypatch.setattr(algebra, "is_homomorphism", counting)
+    assert len(enumerate_homs(free1.algebra, build_mk(1, 1))) == 6
+    assert len(checked) <= 100   # a flat search over 5 greedy generators makes 6**5
+
+
 def test_subuniverse_families():
     m0, m1, m2 = mk_algebras(2)
     fam = enumerate_subuniverses(product([m0, m0]))

@@ -2,6 +2,8 @@
 
 import json
 
+from bilatdual import cli, verify
+from bilatdual.algebra import GuardExceeded
 from bilatdual.cli import main
 
 
@@ -69,6 +71,16 @@ def test_build_bad_input_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise GuardExceeded("carrier too large")
+
+    monkeypatch.setattr(cli, "build_carrier_space", refuse)
+    code, out, err = run(capsys, ["build", "carrier-space", "--n", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: carrier too large\n"
+
+
 def test_free_size_all_methods(capsys):
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "all"])
     assert code == 0
@@ -109,6 +121,17 @@ def test_verify_reports_are_byte_identical(capsys):
     doc = json.loads(out1)
     assert doc["overall"] == "pass"
     assert all("elapsed" not in c for c in doc["checks"])
+
+
+def test_separation_guard_trip_is_a_skip(monkeypatch):
+    def refuse(structure):
+        raise GuardExceeded("too many morphisms")
+
+    monkeypatch.setattr(verify, "membership_by_separation", refuse)
+    result = verify.suite_axioms(1, count=3)
+    status = {c.id: c.status for c in result.checks}
+    assert status["axioms-vs-separation:3-structures"] == "skip"
+    assert status["alter-ego-satisfies-axioms"] == "pass"
 
 
 def test_verify_structured_with_timings(capsys):

@@ -1,10 +1,12 @@
 """Dual-route checks: independent construction paths must land on the same answers."""
 
+import itertools
 import random
 
 import numpy as np
 
-from bilatdual.algebra import (algebras_isomorphic, build_jn, build_mk, enumerate_homs,
+from bilatdual.algebra import (algebras_isomorphic, build_jn, build_mk, closure_indices,
+                               enumerate_homs,
                                enumerate_homs_bruteforce, generated_subalgebra,
                                generated_subalgebra_in_product, mk_algebras, product)
 from bilatdual.multisorted import natural_dual, verify_unit_iso
@@ -38,11 +40,44 @@ def test_hom_enumeration_fuzz_against_oracle():
     sq = product([j1, j1])
     targets = [build_mk(1, 0), build_mk(1, 1)]
     for _ in range(8):
-        gens = rng.sample(range(sq.size), rng.randint(1, 2))
+        gens = rng.sample(range(sq.size), rng.randint(1, 3))
         A = generated_subalgebra(sq, gens).algebra
         for B in targets:
             if B.size ** A.size <= 10**7:
                 assert enumerate_homs(A, B) == enumerate_homs_bruteforce(A, B)
+
+
+def _homs_as_functional_graphs(A, B):
+    """Homs A -> B read off the subuniverses of A x B generated by generator/image pairs.
+
+    Such a subuniverse is the graph of a homomorphism exactly when each element
+    of A occurs in it once; every homomorphism arises from its generator images.
+    """
+    gens = []
+    while len(members := closure_indices(A, gens)) < A.size:
+        gens.append(min(set(range(A.size)) - set(members)))
+    AB = product([A, B])
+    out = []
+    for images in itertools.product(range(B.size), repeat=len(gens)):
+        graph = [divmod(x, B.size)
+                 for x in closure_indices(AB, [g * B.size + b for g, b in zip(gens, images)])]
+        if len(graph) == A.size and len({a for a, _ in graph}) == A.size:
+            out.append(tuple(b for _, b in sorted(graph)))
+    return sorted(out)
+
+
+def test_multi_generator_hom_search_against_graph_oracle():
+    # these sources need two greedy generators, beyond the brute-force oracle's reach
+    rng = random.Random(7)
+    for n in (1, 2):
+        mks = mk_algebras(n)
+        for pair in ((0, 0), (0, n), (n, n)):
+            sq = product([mks[pair[0]], mks[pair[1]]])
+            sources = [sq] + [generated_subalgebra(sq, rng.sample(range(sq.size), 2)).algebra
+                              for _ in range(3)]
+            for A in sources:
+                for B in mks:
+                    assert enumerate_homs(A, B) == _homs_as_functional_graphs(A, B)
 
 
 def test_isomorphism_fuzz_against_permutation_oracle():
