@@ -175,14 +175,10 @@ class FiniteAlgebra:
 # order helpers
 
 
-def _closure_of_covers(names, covers) -> np.ndarray:
-    """Reflexive-transitive closure of a cover list given by element names."""
-    n = len(names)
-    idx = {name: i for i, name in enumerate(names)}
-    leq = np.eye(n, dtype=bool)
-    for a, b in covers:
-        leq[idx[a], idx[b]] = True
-    for _ in range(n):
+def reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:
+    """Smallest reflexive and transitive relation containing a square boolean matrix."""
+    leq = rel | np.eye(rel.shape[0], dtype=bool)
+    for _ in range(rel.shape[0]):
         new = leq | (leq @ leq)
         if np.array_equal(new, leq):
             break
@@ -190,7 +186,16 @@ def _closure_of_covers(names, covers) -> np.ndarray:
     return leq
 
 
-def _lattice_tables_from_leq(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def order_from_covers(names, covers) -> np.ndarray:
+    """The order generated by a cover list given by element names."""
+    idx = {name: i for i, name in enumerate(names)}
+    rel = np.zeros((len(names),) * 2, dtype=bool)
+    for a, b in covers:
+        rel[idx[a], idx[b]] = True
+    return reflexive_transitive_closure(rel)
+
+
+def lattice_tables_from_leq(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Meet and join tables of a finite lattice order; raises NotALattice if bounds fail."""
     n = leq.shape[0]
     down = [0] * n
@@ -218,8 +223,8 @@ def _lattice_tables_from_leq(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _algebra_from_orders(sig, elements, k_leq, t_leq, neg_names, const_names) -> FiniteAlgebra:
     idx = {name: i for i, name in enumerate(elements)}
-    meet_k, join_k = _lattice_tables_from_leq(k_leq)
-    meet_t, join_t = _lattice_tables_from_leq(t_leq)
+    meet_k, join_k = lattice_tables_from_leq(k_leq)
+    meet_t, join_t = lattice_tables_from_leq(t_leq)
     neg = [idx[neg_names[name]] for name in elements]
     consts = {sym: idx[name] for sym, name in const_names.items()}
     tables = {"meet_k": meet_k, "join_k": join_k, "meet_t": meet_t, "join_t": join_t}
@@ -242,8 +247,8 @@ def build_jn(n: int) -> FiniteAlgebra:
     t_covers = [(fs[i], fs[i + 1]) for i in range(n)]
     t_covers += [(ts[i + 1], ts[i]) for i in range(n)]
     t_covers += [(fs[n], "top"), (fs[n], "bot"), ("top", ts[n]), ("bot", ts[n])]
-    k_leq = _closure_of_covers(elements, k_covers)
-    t_leq = _closure_of_covers(elements, t_covers)
+    k_leq = order_from_covers(elements, k_covers)
+    t_leq = order_from_covers(elements, t_covers)
     neg = {"bot": "bot", "top": "top"}
     neg.update({fs[i]: ts[i] for i in range(n + 1)})
     neg.update({ts[i]: fs[i] for i in range(n + 1)})
@@ -281,8 +286,8 @@ def build_mk(n: int, k: int) -> FiniteAlgebra:
         for i in range(n + 1):
             consts[f"f_{i}"] = z if i < k else f
             consts[f"t_{i}"] = o if i < k else t
-    k_leq = _closure_of_covers(elements, k_covers)
-    t_leq = _closure_of_covers(elements, t_covers)
+    k_leq = order_from_covers(elements, k_covers)
+    t_leq = order_from_covers(elements, t_covers)
     return _algebra_from_orders(sig, elements, k_leq, t_leq, neg, consts)
 
 

@@ -16,7 +16,7 @@ from .algebra import FiniteAlgebra, lattice_reduct
 from .distlat import priestley_dual_of_lattice
 from .multisorted import MultiMorphism, MultiSortedStructure, build_alter_ego, natural_dual
 from .posets import Poset, are_isomorphic, enumerate_downsets, is_order_isomorphism
-from .ranked import RankedPriestleySpace, functor_F
+from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
 
 
 @dataclass
@@ -26,12 +26,6 @@ class DoubledSpace:
     base: RankedPriestleySpace
     poset: Poset
     m: int
-
-    def plain(self, i: int) -> int:
-        return i
-
-    def hatted(self, i: int) -> int:
-        return self.m + i
 
     def block_masks(self) -> tuple[int, int, int]:
         """Bit masks of the bottom, centre and top blocks."""
@@ -85,14 +79,8 @@ def construct_P(X: MultiSortedStructure) -> DoubledSpace:
 
 def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -> tuple[int, ...]:
     """P(phi): plain to plain, hatted to hatted; checked order-preserving."""
-    flat = []
-    offs = [0]
-    for k in range(phi.target.n + 1):
-        offs.append(offs[-1] + len(phi.target.sorts[k]))
-    for k in range(phi.source.n + 1):
-        for i in range(len(phi.source.sorts[k])):
-            flat.append(offs[k] + phi.maps[k][i])
-    full = tuple(flat) + tuple(PY.m + v for v in flat)
+    flat = flat_map_of_multimorphism(phi)
+    full = flat + tuple(PY.m + v for v in flat)
     for a in range(PX.poset.n):
         for b in range(PX.poset.n):
             if PX.poset.leq[a, b] and not PY.poset.leq[full[a], full[b]]:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .algebra import (FiniteAlgebra, build_jn, generated_subalgebra, mk_algebras,
                       product)
-from .multisorted import MultiSortedStructure, build_alter_ego, enumerate_multimorphisms
+from .multisorted import (MultiSortedStructure, build_alter_ego, enumerate_multimorphisms,
+                          pointwise_structure)
 
 
 @dataclass
@@ -94,34 +95,7 @@ def member_substructure(n: int, rng: random.Random, power: int = 2,
     points = [sorted(chosen[k]) for k in range(n + 1)]
     sorts = tuple(tuple(f"s{k}p" + "".join(map(str, p)) for p in points[k])
                   for k in range(n + 1))
-    g = []
-    for k in range(1, n + 1):
-        gk = ego.g[k - 1]
-        layer = []
-        for p in points[k]:
-            img = tuple(gk[v] for v in p)
-            layer.append(points[0].index(img))
-        g.append(tuple(layer))
-    rel_sort = []
-    for k in range(n + 1):
-        rel = ego.rel_sort[k]
-        pairs = set()
-        for a, p in enumerate(points[k]):
-            for b, q in enumerate(points[k]):
-                if all((u, v) in rel for u, v in zip(p, q)):
-                    pairs.add((a, b))
-        rel_sort.append(frozenset(pairs))
-    cross = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            rel = ego.rel_cross[(j, k)]
-            pairs = set()
-            for a, p in enumerate(points[j]):
-                for b, q in enumerate(points[k]):
-                    if all((u, v) in rel for u, v in zip(p, q)):
-                        pairs.add((a, b))
-            cross[(j, k)] = frozenset(pairs)
-    return MultiSortedStructure(n, sorts, tuple(g), tuple(rel_sort), cross)
+    return pointwise_structure(ego, sorts, points)
 
 
 def structure_corpus(n: int, count: int, seed: int, member_share: float = 0.5,

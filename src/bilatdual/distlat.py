@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .algebra import GuardExceeded, NotALattice
+from .algebra import GuardExceeded, NotALattice, lattice_tables_from_leq
 from .posets import Poset, bool_compose, dual, enumerate_downsets
 
 DEFAULT_DISTRIBUTIVITY_GUARD = 2048
@@ -47,27 +47,7 @@ class Lattice:
 
     def _tables(self):
         if self._meet is None:
-            n = self.n
-            down = [0] * n
-            up = [0] * n
-            for i in range(n):
-                for j in range(n):
-                    if self.leq[j, i]:
-                        down[i] |= 1 << j
-                    if self.leq[i, j]:
-                        up[i] |= 1 << j
-            by_down = {m: i for i, m in enumerate(down)}
-            by_up = {m: i for i, m in enumerate(up)}
-            meet = np.zeros((n, n), dtype=np.int16)
-            join = np.zeros((n, n), dtype=np.int16)
-            for i in range(n):
-                for j in range(n):
-                    lo = by_down.get(down[i] & down[j])
-                    hi = by_up.get(up[i] & up[j])
-                    if lo is None or hi is None:
-                        raise NotALattice(f"pair ({i},{j}) has no meet or join")
-                    meet[i, j] = lo
-                    join[i, j] = hi
+            meet, join = lattice_tables_from_leq(self.leq)
             meet.setflags(write=False)
             join.setflags(write=False)
             self._meet = meet
@@ -87,10 +67,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.n} elements)"
-
-
-def lattice_from_leq(elements, leq) -> Lattice:
-    return Lattice(elements, leq)
 
 
 def distributive_by_triples(L: Lattice, guard: int = 512) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (FiniteAlgebra, GuardExceeded, enumerate_homs,
-                      is_homomorphism, mk_algebras)
+                      is_homomorphism, mk_algebras, reflexive_transitive_closure)
 from .posets import check_relation
 
 DEFAULT_MORPHISM_GUARD = 200_000
@@ -73,10 +73,6 @@ class MultiSortedStructure:
 
     def sort_size(self, k: int) -> int:
         return len(self.sorts[k])
-
-    @property
-    def total_points(self) -> int:
-        return sum(len(s) for s in self.sorts)
 
     def points(self) -> list[tuple[int, int]]:
         return [(k, i) for k in range(self.n + 1) for i in range(len(self.sorts[k]))]
@@ -167,9 +163,6 @@ class MultiMorphism:
     def __post_init__(self):
         self.maps = tuple(tuple(m) for m in self.maps)
 
-    def apply(self, k: int, i: int) -> int:
-        return self.maps[k][i]
-
 
 def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
     """Sort-preserving map that commutes with g and preserves both relation families."""
@@ -197,71 +190,98 @@ def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> 
     return True
 
 
+def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
+            injective: bool = False) -> bool:
+    """Backtracking over the sort-respecting maps X -> Y that are morphisms.
+
+    Points are visited in `X.points()` order, sort 0 first, so every later
+    point draws its candidates from one g-fibre of Y. Each relation pair of X
+    is checked once, at the later of its two points (a reflexive pair at its
+    own point). With `injective`, values already used in a sort are skipped.
+    `found(maps)` sees each morphism in lexicographic order and returns true to
+    stop; the return value says whether it did.
+    """
+    points = X.points()
+    pos = {pt: p for p, pt in enumerate(points)}
+    # checks[p]: (q, table) meaning the value at p must lie in table[image of q]
+    checks: list[list] = [[] for _ in points]
+
+    def attach(pairs, rel, ka: int, kb: int):
+        succ = [set() for _ in Y.sorts[ka]]
+        pred = [set() for _ in Y.sorts[kb]]
+        for u, v in rel:
+            succ[u].add(v)
+            pred[v].add(u)
+        for a, b in pairs:
+            x, y = pos[(ka, a)], pos[(kb, b)]
+            if x <= y:
+                checks[y].append((x, succ))
+            else:
+                checks[x].append((y, pred))
+
+    for k in range(X.n + 1):
+        attach(X.rel_sort[k], Y.rel_sort[k], k, k)
+    for (j, k), rel in X.rel_cross.items():
+        attach(rel, Y.rel_cross[(j, k)], j, k)
+    fibres = []
+    for gk in Y.g:
+        fibre: dict[int, list[int]] = {}
+        for v, root in enumerate(gk):
+            fibre.setdefault(root, []).append(v)
+        fibres.append(fibre)
+    everything = range(len(Y.sorts[0]))
+    roots = [None if k == 0 else pos[(0, X.g[k - 1][i])] for k, i in points]
+    spans, start = [], 0
+    for sort in X.sorts:
+        spans.append((start, start + len(sort)))
+        start += len(sort)
+    used = [set() for _ in Y.sorts]
+    img = [0] * len(points)
+
+    def visit(p: int) -> bool:
+        if p == len(points):
+            return found(tuple(tuple(img[s:e]) for s, e in spans))
+        k = points[p][0]
+        root = roots[p]
+        for v in everything if root is None else fibres[k - 1].get(img[root], ()):
+            if injective and v in used[k]:
+                continue
+            img[p] = v
+            for q, table in checks[p]:
+                if v not in table[img[q]]:
+                    break
+            else:
+                if injective:
+                    used[k].add(v)
+                stop = visit(p + 1)
+                used[k].discard(v)
+                if stop:
+                    return True
+        return False
+
+    return visit(0)
+
+
 def enumerate_multimorphisms(X: MultiSortedStructure, Y: MultiSortedStructure,
                              max_count: int = DEFAULT_MORPHISM_GUARD) -> list[MultiMorphism]:
-    """All morphisms X -> Y by per-point backtracking, sort 0 first.
+    """All morphisms X -> Y in lexicographic order of their per-sort maps.
 
-    Processing sort 0 before sort k lets the g-constraint prune candidates for
-    every later point down to one g-fibre of Y.
+    Raises GuardExceeded, carrying the first `max_count` in `.partial`, when
+    there are more.
     """
     if X.n != Y.n:
         raise ValueError("source and target must share the same n")
-    n = X.n
-    g_fibres = []
-    for k in range(1, n + 1):
-        fibre: dict[int, list[int]] = {}
-        for i, v in enumerate(Y.g[k - 1]):
-            fibre.setdefault(v, []).append(i)
-        g_fibres.append(fibre)
-    points = X.points()
-    assigned: dict[tuple[int, int], int] = {}
     out: list[MultiMorphism] = []
-    rel_sort_Y = Y.rel_sort
-    rel_cross_Y = Y.rel_cross
 
-    def candidates(k: int, i: int) -> list[int]:
-        if k == 0:
-            return list(range(len(Y.sorts[0])))
-        root = assigned[(0, X.g[k - 1][i])]
-        return g_fibres[k - 1].get(root, [])
+    def collect(maps) -> bool:
+        out.append(MultiMorphism(X, Y, maps))
+        if len(out) > max_count:
+            err = GuardExceeded(f"morphism enumeration exceeded {max_count}")
+            err.partial = out[:max_count]
+            raise err
+        return False
 
-    def consistent(k: int, i: int, v: int) -> bool:
-        for a, b in X.rel_sort[k]:
-            if a == i and (k, b) in assigned and (v, assigned[(k, b)]) not in rel_sort_Y[k]:
-                return False
-            if b == i and (k, a) in assigned and (assigned[(k, a)], v) not in rel_sort_Y[k]:
-                return False
-        for (j, kk), rel in X.rel_cross.items():
-            if kk == k:
-                for a, b in rel:
-                    if b == i and (j, a) in assigned and \
-                            (assigned[(j, a)], v) not in rel_cross_Y[(j, kk)]:
-                        return False
-            elif j == k:
-                for a, b in rel:
-                    if a == i and (kk, b) in assigned and \
-                            (v, assigned[(kk, b)]) not in rel_cross_Y[(j, kk)]:
-                        return False
-        return True
-
-    def rec(pos: int):
-        if pos == len(points):
-            maps = tuple(tuple(assigned[(k, i)] for i in range(len(X.sorts[k])))
-                         for k in range(n + 1))
-            out.append(MultiMorphism(X, Y, maps))
-            if len(out) > max_count:
-                err = GuardExceeded(f"morphism enumeration exceeded {max_count}")
-                err.partial = out[:max_count]
-                raise err
-            return
-        k, i = points[pos]
-        for v in candidates(k, i):
-            if consistent(k, i, v):
-                assigned[(k, i)] = v
-                rec(pos + 1)
-                del assigned[(k, i)]
-
-    rec(0)
+    _search(X, Y, collect)
     return out
 
 
@@ -277,50 +297,8 @@ def structures_isomorphic(X: MultiSortedStructure, Y: MultiSortedStructure) -> b
     for key in X.rel_cross:
         if len(X.rel_cross[key]) != len(Y.rel_cross[key]):
             return False
-    points = X.points()
-    assigned: dict[tuple[int, int], int] = {}
-    used = [set() for _ in range(X.n + 1)]
-
-    def consistent(k, i, v):
-        if k >= 1:
-            root = assigned.get((0, X.g[k - 1][i]))
-            if root is not None and Y.g[k - 1][v] != root:
-                return False
-        for a, b in X.rel_sort[k]:
-            if a == i and (k, b) in assigned and (v, assigned[(k, b)]) not in Y.rel_sort[k]:
-                return False
-            if b == i and (k, a) in assigned and (assigned[(k, a)], v) not in Y.rel_sort[k]:
-                return False
-        for (j, kk), rel in X.rel_cross.items():
-            if kk == k:
-                for a, b in rel:
-                    if b == i and (j, a) in assigned and \
-                            (assigned[(j, a)], v) not in Y.rel_cross[(j, kk)]:
-                        return False
-            elif j == k:
-                for a, b in rel:
-                    if a == i and (kk, b) in assigned and \
-                            (v, assigned[(kk, b)]) not in Y.rel_cross[(j, kk)]:
-                        return False
-        return True
-
-    def rec(pos: int) -> bool:
-        if pos == len(points):
-            return True
-        k, i = points[pos]
-        for v in range(len(Y.sorts[k])):
-            if v in used[k]:
-                continue
-            if consistent(k, i, v):
-                assigned[(k, i)] = v
-                used[k].add(v)
-                if rec(pos + 1):
-                    return True
-                del assigned[(k, i)]
-                used[k].discard(v)
-        return False
-
-    return rec(0)
+    # an injective morphism between equal-sized relations maps each one onto its target
+    return _search(X, Y, lambda maps: True, injective=True)
 
 
 # ----------------------------------------------------------------------------
@@ -346,37 +324,28 @@ def natural_dual(A: FiniteAlgebra, n: int | None = None,
     homs = tuple(tuple(enumerate_homs(A, mks[k], generator_hints=generator_hints))
                  for k in range(n + 1))
     sorts = tuple(tuple(f"h{k}_{i}" for i in range(len(homs[k]))) for k in range(n + 1))
-    ego = build_alter_ego(n)
-    pos0 = {h: i for i, h in enumerate(homs[0])}
-    g = []
-    for k in range(1, n + 1):
-        gk = ego.g[k - 1]
-        layer = []
-        for h in homs[k]:
-            composed = tuple(gk[v] for v in h)
-            layer.append(pos0[composed])
-        g.append(tuple(layer))
-    rel_sort = []
-    for k in range(n + 1):
-        rel = ego.rel_sort[k]
-        pairs = set()
-        for a, x in enumerate(homs[k]):
-            for b, y in enumerate(homs[k]):
-                if all((u, v) in rel for u, v in zip(x, y)):
-                    pairs.add((a, b))
-        rel_sort.append(frozenset(pairs))
-    cross = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            rel = ego.rel_cross[(j, k)]
-            pairs = set()
-            for a, x in enumerate(homs[j]):
-                for b, y in enumerate(homs[k]):
-                    if all((u, v) in rel for u, v in zip(x, y)):
-                        pairs.add((a, b))
-            cross[(j, k)] = frozenset(pairs)
-    structure = MultiSortedStructure(n, sorts, tuple(g), tuple(rel_sort), cross)
+    structure = pointwise_structure(build_alter_ego(n), sorts, homs)
     return NaturalDual(structure, homs, A)
+
+
+def pointwise_structure(ego: MultiSortedStructure, sorts, tuples) -> MultiSortedStructure:
+    """The structure on per-sort tuples over the alter ego, with everything pointwise.
+
+    `tuples[k]` lists the points of sort k as tuples of M_k elements. The g-image
+    of every point must be among `tuples[0]`; a pair is related when every
+    coordinate pair is related in the alter ego.
+    """
+    index0 = {t: i for i, t in enumerate(tuples[0])}
+    g = tuple(tuple(index0[tuple(gk[v] for v in t)] for t in tuples[k])
+              for k, gk in enumerate(ego.g, start=1))
+
+    def lift(rel, xs, ys) -> frozenset:
+        return frozenset((a, b) for a, x in enumerate(xs) for b, y in enumerate(ys)
+                         if all((u, v) in rel for u, v in zip(x, y)))
+
+    rel_sort = tuple(lift(rel, tuples[k], tuples[k]) for k, rel in enumerate(ego.rel_sort))
+    cross = {(j, k): lift(rel, tuples[j], tuples[k]) for (j, k), rel in ego.rel_cross.items()}
+    return MultiSortedStructure(ego.n, sorts, g, rel_sort, cross)
 
 
 def dual_of_hom(u, dual_B: NaturalDual, dual_A: NaturalDual) -> MultiMorphism:
@@ -538,16 +507,6 @@ def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tupl
     return rel, points
 
 
-def _reachability(rel: np.ndarray) -> np.ndarray:
-    reach = rel | np.eye(rel.shape[0], dtype=bool)
-    for _ in range(rel.shape[0]):
-        new = reach | (reach @ reach)
-        if np.array_equal(new, reach):
-            break
-        reach = new
-    return reach
-
-
 def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     """A1-A7 with witnesses; A1 is vacuous here (finite discrete topology).
 
@@ -621,7 +580,7 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     verdicts["A6"] = AxiomVerdict(w is None, w, count)
 
     rel, points = amalgamated_relation(X)
-    reach = _reachability(rel)
+    reach = reflexive_transitive_closure(rel)
     pos = {pt: i for i, pt in enumerate(points)}
     w = None
     count = 0

@@ -84,12 +84,11 @@ def all_carriers(n: int) -> list[Carrier]:
 def check_sep(n: int) -> tuple[bool, tuple | None]:
     """Each pair of distinct points of a sort is split by its own carriers or below g."""
     carriers = build_carriers(n)
-    ego = build_alter_ego(n)
     mks = mk_algebras(n)
     for k in range(n + 1):
         omega_k = carriers[k]
         omega_0 = carriers[0]
-        g = ego.g[k - 1] if k >= 1 else tuple(range(mks[0].size))
+        g = _g_map(n, k)
         for a in range(mks[k].size):
             for b in range(mks[k].size):
                 if a == b:

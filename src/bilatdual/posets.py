@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GuardExceeded
+from .algebra import GuardExceeded, order_from_covers
 
 DEFAULT_COUNT_BUDGET = 10**8
 DEFAULT_ISO_GUARD = 64
@@ -156,16 +156,7 @@ class Poset:
 
 def from_covers(elements, covers) -> Poset:
     names = tuple(elements)
-    idx = {el: i for i, el in enumerate(names)}
-    mat = np.eye(len(names), dtype=bool)
-    for a, b in covers:
-        mat[idx[a], idx[b]] = True
-    for _ in range(len(names)):
-        new = mat | (mat @ mat)
-        if np.array_equal(new, mat):
-            break
-        mat = new
-    return Poset(names, mat)
+    return Poset(names, order_from_covers(names, covers))
 
 
 def chain(n: int, prefix: str = "c") -> Poset:

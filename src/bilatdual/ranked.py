@@ -140,7 +140,7 @@ def functor_G(Y: RankedPriestleySpace) -> MultiSortedStructure:
 
 
 def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
-    """B1-B6 plus the first-order partition restatement of order-preserving rank.
+    """B1-B6 with witnesses.
 
     B3 applies to comparabilities leaving the retract: x <= y with rank(x) >= 1
     forces g(x) = g(y); inside the rank-0 block g is the identity and the order
@@ -205,19 +205,6 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
     zeros = {i for i in range(m) if Y.rank[i] == 0}
     holds = image == zeros
     verdicts["B6"] = AxiomVerdict(holds, None if holds else (tuple(sorted(image ^ zeros)),), m)
-
-    # partition restatement: x in Y_k and x <= y imply rank(y) >= k
-    w = None
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            if leq[i, j]:
-                count += 1
-                if Y.rank[j] < Y.rank[i] and w is None:
-                    w = (i, j)
-    verdicts["B5_partition"] = AxiomVerdict(w is None, w, count)
-    if verdicts["B5_partition"].holds != verdicts["B5"].holds:
-        raise AssertionError("partition restatement disagrees with B5")
     return AxiomReport(verdicts)
 
 

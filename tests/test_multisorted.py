@@ -1,5 +1,6 @@
 """Alter ego, hom-functors, axiom checker, separation-based membership."""
 
+import itertools
 import random
 
 import pytest
@@ -88,6 +89,93 @@ def test_dual_of_free_algebra_is_the_ego(free1, free2):
         d = natural_dual(free.algebra, n, generator_hints=free.generator_indices)
         assert [len(s) for s in d.structure.sorts] == [4] + [6] * n
         assert structures_isomorphic(d.structure, build_alter_ego(n))
+
+
+def test_isomorphism_checks_reflexive_pairs():
+    # neither bijection of {p, q} carries both (p, p) and (p, q) into Y's relation
+    X = MultiSortedStructure(1, (("p", "q"), ()), ((),),
+                             (frozenset({(0, 0), (0, 1)}), frozenset()), {})
+    Y = MultiSortedStructure(1, (("p", "q"), ()), ((),),
+                             (frozenset({(1, 1), (0, 1)}), frozenset()), {})
+    assert not structures_isomorphic(X, Y)
+    assert structures_isomorphic(X, X)
+
+
+def _relations(X, maps):
+    """Images of X's sort and cross relations under per-sort maps."""
+    sort = [frozenset((maps[k][a], maps[k][b]) for a, b in rel) for k, rel in enumerate(X.rel_sort)]
+    cross = {(j, k): frozenset((maps[j][a], maps[k][b]) for a, b in rel)
+             for (j, k), rel in X.rel_cross.items()}
+    return sort, cross
+
+
+def _relabel(X, perms):
+    """X with point i of sort k renamed to perms[k][i]."""
+    sorts = []
+    for k, perm in enumerate(perms):
+        names = [None] * len(perm)
+        for i, new in enumerate(perm):
+            names[new] = X.sorts[k][i]
+        sorts.append(tuple(names))
+    g = []
+    for k in range(1, X.n + 1):
+        layer = [None] * len(perms[k])
+        for i, new in enumerate(perms[k]):
+            layer[new] = perms[0][X.g[k - 1][i]]
+        g.append(tuple(layer))
+    rel_sort, cross = _relations(X, perms)
+    return MultiSortedStructure(X.n, tuple(sorts), tuple(g), tuple(rel_sort), cross)
+
+
+def _isomorphic_by_permutations(X, Y):
+    if [len(s) for s in X.sorts] != [len(s) for s in Y.sorts]:
+        return False
+    for maps in itertools.product(*(itertools.permutations(range(len(s))) for s in X.sorts)):
+        if is_multimorphism(maps, X, Y) and \
+                _relations(X, maps) == (list(Y.rel_sort), Y.rel_cross):
+            return True
+    return False
+
+
+def test_morphism_kernel_matches_bruteforce_oracle():
+    rng = random.Random(20260818)
+    for n in (1, 2):
+        for _ in range(60):
+            X = random_structure(n, rng, max_sort=3)
+            Y = random_structure(n, rng, max_sort=3)
+            everything = itertools.product(*(
+                itertools.product(range(len(Y.sorts[k])), repeat=len(X.sorts[k]))
+                for k in range(n + 1)))
+            expected = sorted(m for m in everything if is_multimorphism(m, X, Y))
+            assert [phi.maps for phi in enumerate_multimorphisms(X, Y)] == expected
+
+
+def test_isomorphism_kernel_matches_permutation_oracle():
+    rng = random.Random(20260819)
+    positives = negatives = 0
+    for n in (1, 2):
+        for _ in range(40):
+            X = random_structure(n, rng, max_sort=3)
+            perms = [rng.sample(range(len(s)), len(s)) for s in X.sorts]
+            Y = _relabel(X, perms)
+            assert structures_isomorphic(X, Y)
+            assert _isomorphic_by_permutations(X, Y)
+            # move one pair of one sort relation: same sizes, often not isomorphic
+            k = rng.randrange(n + 1)
+            rel = set(Y.rel_sort[k])
+            absent = [(a, b) for a in range(len(Y.sorts[k])) for b in range(len(Y.sorts[k]))
+                      if (a, b) not in rel]
+            if not rel or not absent:
+                continue
+            rel.remove(rng.choice(sorted(rel)))
+            rel.add(rng.choice(absent))
+            rel_sort = Y.rel_sort[:k] + (frozenset(rel),) + Y.rel_sort[k + 1:]
+            Z = MultiSortedStructure(n, Y.sorts, Y.g, rel_sort, Y.rel_cross)
+            expected = _isomorphic_by_permutations(X, Z)
+            assert structures_isomorphic(X, Z) == expected
+            positives += expected
+            negatives += not expected
+    assert positives > 0 and negatives > 0
 
 
 def test_hom_functor_contravariant():
@@ -179,7 +267,8 @@ def test_a7_family_oracle_agrees():
                     reach_ok = rep.verdicts["A7"].witness != (j, k, x, y)
                     fam_ok = a7_by_families(X, j, k, x, y)
                     # the recorded witness is only the first failure; recompute
-                    from bilatdual.multisorted import amalgamated_relation, _reachability
+                    from bilatdual.algebra import reflexive_transitive_closure as _reachability
+                    from bilatdual.multisorted import amalgamated_relation
                     rel, points = amalgamated_relation(X)
                     pos = {pt: i for i, pt in enumerate(points)}
                     reach = _reachability(rel)
