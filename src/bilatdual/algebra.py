@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,11 +17,10 @@ import numpy as np
 
 BINARY_OPS = ("meet_k", "join_k", "meet_t", "join_t")
 
-DEFAULT_PRODUCT_GUARD = 10**6
-DEFAULT_TABLE_GUARD = 10**8
+DEFAULT_TABLE_GUARD = 10**8   # table entries per operation of a product subalgebra
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
-DEFAULT_CLOSURE_GUARD = 200_000
+DEFAULT_CLOSURE_GUARD = 10_000   # the largest carrier whose tables pass DEFAULT_TABLE_GUARD
 HOM_CHECK_BLOCK = 1 << 16   # table entries compared per step by is_homomorphism
 
 
@@ -327,14 +327,19 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 
 class _Closure:
-    """Incremental closure of a subset of A under all operations, one rule per element."""
+    """Incremental closure of a subset of A under all operations, one rule per element.
 
-    def __init__(self, A: FiniteAlgebra):
+    `closed` lists members already known to form a subuniverse; they count as
+    combined, so saturating combines only pairs that involve a later element.
+    """
+
+    def __init__(self, A: FiniteAlgebra, closed=()):
         self.A = A
         self.known = np.zeros(A.size, dtype=bool)
-        self.order: list[int] = []
-        self.rules: dict[int, tuple] = {}
-        self.combined = 0   # order[:combined] have been combined with each other
+        self.order: list[int] = list(closed)
+        self.known[self.order] = True
+        self.rules: dict[int, tuple] = dict.fromkeys(self.order, ("seed",))
+        self.combined = len(self.order)   # order[:combined] have been combined with each other
 
     def add_seed(self, x: int):
         if not self.known[x]:
@@ -542,55 +547,16 @@ def enumerate_homs_bruteforce(A, B, guard: int = DEFAULT_HOM_ORACLE_GUARD):
 # products and generated subalgebras
 
 
-def product(algebras, max_size: int = DEFAULT_PRODUCT_GUARD,
-            max_table: int = DEFAULT_TABLE_GUARD) -> FiniteAlgebra:
+def product(algebras) -> FiniteAlgebra:
     """Eager direct product with tuple-indexed carrier (row-major)."""
-    algebras = list(algebras)
+    algebras = tuple(algebras)
     if not algebras:
         raise ValueError("product of an empty family is not supported")
-    sig = algebras[0].signature
-    if any(a.signature != sig for a in algebras):
-        raise SignatureMismatch("all factors must share a signature")
+    _common_signature(algebras)
     sizes = [a.size for a in algebras]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > max_size:
-        raise GuardExceeded(f"product carrier {total} exceeds guard {max_size}")
-    if total * total > max_table:
-        raise GuardExceeded(
-            f"product tables need {total * total} entries (> {max_table}); "
-            "use generated_subalgebra_in_product for large ambients")
-    digits = []
-    rem = np.arange(total, dtype=np.int64)
-    for s in reversed(sizes):
-        digits.append((rem % s).astype(np.int16))
-        rem //= s
-    digits.reverse()
-    elements = []
-    for ix in range(total):
-        parts = [algebras[f].elements[int(digits[f][ix])] for f in range(len(algebras))]
-        elements.append("(" + ",".join(parts) + ")")
-    weights = [1] * len(sizes)
-    for f in range(len(sizes) - 2, -1, -1):
-        weights[f] = weights[f + 1] * sizes[f + 1]
-    tables = {}
-    for op in BINARY_OPS:
-        acc = np.zeros((total, total), dtype=np.int64)
-        for f, a in enumerate(algebras):
-            d = digits[f]
-            acc += weights[f] * a.tables[op][d[:, None], d[None, :]].astype(np.int64)
-        tables[op] = acc.astype(np.int16)
-    neg = np.zeros(total, dtype=np.int64)
-    for f, a in enumerate(algebras):
-        neg += weights[f] * a.neg[digits[f]].astype(np.int64)
-    consts = {}
-    for sym in sig.constant_symbols:
-        ix = 0
-        for f, a in enumerate(algebras):
-            ix += weights[f] * a.consts[sym]
-        consts[sym] = ix
-    return FiniteAlgebra(sig, elements, tables, neg.astype(np.int16), consts)
+    _guard_tables(math.prod(sizes))
+    rows = np.indices(sizes, dtype=np.int16).reshape(len(sizes), -1).T
+    return _product_subalgebra(algebras, rows)
 
 
 @dataclass
@@ -643,6 +609,53 @@ def _unpack_keys(keys: np.ndarray, radices) -> np.ndarray:
     return rows
 
 
+def _common_signature(factors) -> SignatureN:
+    sig = factors[0].signature
+    if any(f.signature != sig for f in factors):
+        raise SignatureMismatch("all factors must share a signature")
+    return sig
+
+
+def _guard_tables(size: int):
+    if size * size > DEFAULT_TABLE_GUARD:
+        raise GuardExceeded(f"tables on {size} elements need {size * size} entries "
+                            f"per operation (> {DEFAULT_TABLE_GUARD})")
+
+
+def _product_subalgebra(factors, rows: np.ndarray) -> FiniteAlgebra:
+    """The algebra on closed product rows, sorted by packed key, under pointwise operations."""
+    _guard_tables(rows.shape[0])
+    sig = factors[0].signature
+    radices = [f.size for f in factors]
+    packed_sorted = _pack_rows(rows, radices)
+    n, m = rows.shape
+
+    def lookup(packed_vals: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(packed_sorted, packed_vals)
+        if pos.size and (pos.max() >= n or
+                         not np.array_equal(packed_sorted[pos], packed_vals)):
+            raise AssertionError("operation escaped the closed set")
+        return pos.astype(np.int16)
+
+    tables = {}
+    for op in BINARY_OPS:
+        packed = np.zeros((n, n), dtype=np.int64)
+        for c in range(m):
+            packed *= radices[c]
+            packed += factors[c].tables[op][rows[:, c][:, None], rows[:, c][None, :]]
+        tables[op] = lookup(packed.ravel()).reshape(n, n)
+    negcols = np.stack([factors[c].neg[rows[:, c]] for c in range(m)], axis=-1)
+    neg = lookup(_pack_rows(negcols, radices))
+    consts = {}
+    for sym in sig.constant_symbols:
+        row = np.array([[f.consts[sym] for f in factors]], dtype=np.int16)
+        consts[sym] = int(lookup(_pack_rows(row, radices))[0])
+    elements = tuple(
+        "(" + ",".join(factors[c].elements[int(rows[i, c])] for c in range(m)) + ")"
+        for i in range(n))
+    return FiniteAlgebra(sig, elements, tables, neg, consts)
+
+
 def generated_subalgebra_in_product(factors, generator_rows,
                                     max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
     """Close generator tuples (plus the constant tuples) under pointwise operations.
@@ -651,14 +664,9 @@ def generated_subalgebra_in_product(factors, generator_rows,
     Coordinates are packed into int64 keys, so prod(sizes) must stay below 2**62.
     """
     factors = tuple(factors)
-    sig = factors[0].signature
-    if any(f.signature != sig for f in factors):
-        raise SignatureMismatch("all factors must share a signature")
+    sig = _common_signature(factors)
     radices = [f.size for f in factors]
-    room = 1
-    for r in radices:
-        room *= r
-    if room >= 2**62:
+    if math.prod(radices) >= 2**62:
         raise GuardExceeded("product coordinate space too large to pack into int64 keys")
     m = len(factors)
     seed = [tuple(int(v) for v in row) for row in generator_rows]
@@ -692,35 +700,8 @@ def generated_subalgebra_in_product(factors, generator_rows,
         if rows.shape[0] > max_elements:
             raise GuardExceeded(f"closure exceeded {max_elements} elements")
         frontier = new_rows
-    order = np.argsort(_pack_rows(rows, radices))
-    rows = rows[order]
-    packed_sorted = _pack_rows(rows, radices)
-    n = rows.shape[0]
-
-    def lookup(packed_vals: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(packed_sorted, packed_vals)
-        if pos.size and (pos.max() >= n or
-                         not np.array_equal(packed_sorted[pos], packed_vals)):
-            raise AssertionError("operation escaped the closed set")
-        return pos.astype(np.int16)
-
-    tables = {}
-    for op in BINARY_OPS:
-        packed = np.zeros((n, n), dtype=np.int64)
-        for c in range(m):
-            packed *= radices[c]
-            packed += factors[c].tables[op][rows[:, c][:, None], rows[:, c][None, :]]
-        tables[op] = lookup(packed.ravel()).reshape(n, n)
-    negcols = np.stack([factors[c].neg[rows[:, c]] for c in range(m)], axis=-1)
-    neg = lookup(_pack_rows(negcols, radices))
-    consts = {}
-    for sym in sig.constant_symbols:
-        row = np.array([[f.consts[sym] for f in factors]], dtype=np.int16)
-        consts[sym] = int(lookup(_pack_rows(row, radices))[0])
-    elements = tuple(
-        "(" + ",".join(factors[c].elements[int(rows[i, c])] for c in range(m)) + ")"
-        for i in range(n))
-    alg = FiniteAlgebra(sig, elements, tables, neg, consts)
+    rows = _unpack_keys(known, radices)   # sorted by packed key
+    alg = _product_subalgebra(factors, rows)
     row_tuples = tuple(tuple(int(v) for v in row) for row in rows)
     gen_ix = []
     row_pos = {t: i for i, t in enumerate(row_tuples)}
@@ -767,40 +748,26 @@ class SubuniverseSet:
 
 def enumerate_subuniverses(A: FiniteAlgebra,
                            max_carrier: int = DEFAULT_SUBUNIVERSE_GUARD) -> SubuniverseSet:
-    """Breadth-first closure expansion from the constant-generated subuniverse."""
+    """Closure expansion from the constant-generated subuniverse.
+
+    Each member S is extended by every x outside it; S is already closed, so
+    the closure of S + x combines only pairs that involve a new element.
+    """
     if A.size > max_carrier:
         raise GuardExceeded(f"carrier {A.size} exceeds subuniverse guard {max_carrier}")
     n = A.size
-    tabs = [A.tables[op] for op in BINARY_OPS]
-
-    def close(mask: int) -> int:
-        todo = [i for i in range(n) if mask >> i & 1]
-        while todo:
-            x = todo.pop()
-            v = int(A.neg[x])
-            if not mask >> v & 1:
-                mask |= 1 << v
-                todo.append(v)
-            for tab in tabs:
-                for y in range(n):
-                    if mask >> y & 1:
-                        for v in (int(tab[x, y]), int(tab[y, x])):
-                            if not mask >> v & 1:
-                                mask |= 1 << v
-                                todo.append(v)
-        return mask
-
-    seed_mask = 0
-    for i in A.consts.values():
-        seed_mask |= 1 << i
-    seed = close(seed_mask)
+    seed = sum(1 << i for i in closure_indices(A, ()))
     family = {seed}
     queue = [seed]
     while queue:
         s = queue.pop()
+        closed = [i for i in range(n) if s >> i & 1]
         for x in range(n):
             if not s >> x & 1:
-                t = close(s | (1 << x))
+                cl = _Closure(A, closed)
+                cl.add_seed(x)
+                cl.saturate()
+                t = sum(1 << i for i in cl.order)
                 if t not in family:
                     family.add(t)
                     queue.append(t)

@@ -6,7 +6,8 @@ import argparse
 import json
 import sys
 
-from .algebra import FiniteAlgebra, GuardExceeded, build_jn, build_mk, free_algebra
+from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn, build_mk,
+                      free_algebra)
 from .bridge import construct_P, free_size_formula, partitioned_downset_count
 from .multisorted import MultiSortedStructure, build_alter_ego, natural_dual
 from .piggyback import build_carrier_space
@@ -116,13 +117,15 @@ def cmd_free_size(args) -> int:
         except GuardExceeded as err:
             notices.append(f"downsets skipped: {err}")
     if method in ("generate", "all"):
-        if fs.total <= args.guard_limit:
-            F = free_algebra(n, max_elements=args.guard_limit)
+        limit = min(args.guard_limit, DEFAULT_CLOSURE_GUARD)   # the largest tabled carrier
+        try:
+            if fs.total > limit:
+                raise GuardExceeded(f"formula size {fs.total} exceeds guard {limit}")
+            F = free_algebra(n, max_elements=limit)
             row["brute_force_size"] = F.algebra.size
             agree &= F.algebra.size == fs.total
-        else:
-            notices.append(
-                f"generate skipped: formula size {fs.total} exceeds guard {args.guard_limit}")
+        except GuardExceeded as err:
+            notices.append(f"generate skipped: {err}")
     row["agree"] = agree
     if notices:
         row["notices"] = notices
@@ -178,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_free.add_argument("--method", choices=("formula", "downsets", "generate", "all"),
                         default="all")
     p_free.add_argument("--guard-limit", type=int, default=2000,
-                        help="largest carrier the generate method may build")
+                        help="largest carrier the generate method may build "
+                        f"(capped at {DEFAULT_CLOSURE_GUARD})")
     p_free.add_argument("--format", choices=("text", "structured"), default="text")
     p_free.add_argument("--out", default=None)
     p_free.set_defaults(func=cmd_free_size)

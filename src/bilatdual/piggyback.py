@@ -229,19 +229,20 @@ def preimage_sublattice(w1: Carrier, w2: Carrier, n: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _subuniverse_pairs(n: int, j: int, k: int) -> tuple[frozenset, ...]:
+def subuniverse_pairs(n: int, j: int, k: int) -> tuple[tuple[frozenset, bool], ...]:
+    """Sub(M_j x M_k) as relations from M_j to M_k, each with its meet-irreducible flag."""
     mks = mk_algebras(n)
-    prod = product([mks[j], mks[k]])
+    family = enumerate_subuniverses(product([mks[j], mks[k]]))
     size_k = mks[k].size
-    return tuple(frozenset(divmod(i, size_k) for i in member)
-                 for member in enumerate_subuniverses(prod).members)
+    return tuple((frozenset(divmod(i, size_k) for i in member), mi)
+                 for member, mi in zip(family.members, family.meet_irreducible))
 
 
 def piggyback_relations(w1: Carrier, w2: Carrier, n: int) -> PiggybackRelationSet:
     """Maximal subuniverses of M_j x M_k inside the carrier preimage of <=."""
     preimage = preimage_sublattice(w1, w2, n)
     family = []
-    for pairs in _subuniverse_pairs(n, w1.sort, w2.sort):
+    for pairs, _ in subuniverse_pairs(n, w1.sort, w2.sort):
         if pairs <= preimage:
             family.append(pairs)
     maximal = [rel for rel in family

@@ -1,16 +1,20 @@
 """Algebra construction, homomorphism enumeration, products, subuniverses."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from bilatdual.algebra import (FiniteAlgebra, GuardExceeded, Homomorphism,
-                               SignatureN, algebras_isomorphic,
+from bilatdual import algebra
+from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_GUARD,
+                               FiniteAlgebra, GuardExceeded, Homomorphism,
+                               SignatureN, _Closure, algebras_isomorphic,
                                bilattice_law_violations, build_jn, build_mk,
                                closure_indices, enumerate_hom_objects, enumerate_homs,
                                enumerate_homs_bruteforce, enumerate_subuniverses,
-                               generated_subalgebra, is_homomorphism, lattice_reduct,
-                               mk_algebras, product)
+                               generated_subalgebra, generated_subalgebra_in_product,
+                               is_homomorphism, lattice_reduct, mk_algebras, product)
 
 
 def test_signature_counts():
@@ -170,6 +174,20 @@ def test_product_sizes_and_guard():
         product([m1] * 10)
 
 
+def test_table_guard_covers_product_and_generated_subalgebras(monkeypatch):
+    # every carrier the closure admits can be tabled with int16 positions
+    assert DEFAULT_CLOSURE_GUARD ** 2 <= DEFAULT_TABLE_GUARD
+    assert DEFAULT_CLOSURE_GUARD < 2**15
+    m1 = build_mk(1, 1)
+    monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 6 * 6)
+    assert product([m1]).size == 6
+    with pytest.raises(GuardExceeded):
+        product([m1, m1])
+    assert generated_subalgebra_in_product([m1, m1], []).algebra.size == 6   # the diagonal
+    with pytest.raises(GuardExceeded):
+        generated_subalgebra_in_product([m1, m1], [(0, 5)])
+
+
 def test_product_constants_are_diagonal():
     m1 = build_mk(1, 1)
     sq = product([m1, m1])
@@ -261,6 +279,54 @@ def test_subuniverses_closed_and_intersection_closed():
     for a in members:
         for b in members:
             assert a & b in [set(m) for m in members]
+
+
+def _subuniverses_by_subset_scan(A):
+    """Every closed subset holding the constants, flagged when it has exactly one upper cover."""
+    consts = sorted(set(A.consts.values()))
+    rest = [i for i in range(A.size) if i not in consts]
+    closed = []
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            sel = np.array(consts + list(extra))
+            inside = np.zeros(A.size, dtype=bool)
+            inside[sel] = True
+            if inside[A.neg[sel]].all() and all(
+                    inside[A.tables[op][np.ix_(sel, sel)]].all() for op in BINARY_OPS):
+                closed.append(frozenset(sel.tolist()))
+
+    def upper_covers(s):
+        return [t for t in closed if s < t and not any(s < u < t for u in closed)]
+
+    return {s: len(upper_covers(s)) == 1 for s in closed}
+
+
+def test_subuniverses_match_subset_scan_oracle():
+    m0, m1 = mk_algebras(1)
+    j1 = build_jn(1)
+    cases = [product([m0, m0]), m1, j1]
+    rng = random.Random(7)
+    sq = product([j1, j1])
+    while len(cases) < 6:
+        sub = generated_subalgebra(sq, rng.sample(range(sq.size), rng.randint(1, 2))).algebra
+        if 6 < sub.size <= 16 and all(sub != seen for seen in cases):
+            cases.append(sub)
+    for A in cases:
+        fam = enumerate_subuniverses(A)
+        assert len(set(fam.members)) == len(fam.members)
+        assert dict(zip(fam.members, fam.meet_irreducible)) == _subuniverses_by_subset_scan(A)
+
+
+def test_closure_from_closed_members_matches_closure_indices(free1):
+    rng = random.Random(11)
+    for A in (product([build_jn(1)] * 2), product(mk_algebras(2)[1:]), free1.algebra):
+        for _ in range(20):
+            closed = closure_indices(A, rng.sample(range(A.size), rng.randint(0, 2)))
+            x = rng.randrange(A.size)
+            cl = _Closure(A, closed)
+            cl.add_seed(x)
+            cl.saturate()
+            assert sorted(cl.order) == cl.members() == closure_indices(A, closed + [x])
 
 
 def test_subuniverse_guard():

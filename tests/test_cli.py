@@ -1,8 +1,9 @@
 """Command-line behaviour: documents, exit codes, determinism."""
 
 import json
+import time
 
-from bilatdual import cli, verify
+from bilatdual import algebra, cli, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.cli import main
 
@@ -98,6 +99,24 @@ def test_free_size_generate_guard(capsys):
     assert code == 0
     assert "generate skipped" in out
     assert "total=5622" in out
+
+
+def test_free_size_generate_stops_at_the_table_ceiling(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["free-size", "--n", "4", "--method", "generate",
+                                "--guard-limit", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "note: generate skipped: formula size 17396 exceeds guard 10000\n" in out
+    assert "generated=" not in out
+
+
+def test_free_size_generate_table_guard_is_a_notice(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate"])
+    assert code == 0
+    assert "note: generate skipped: tables on 266 elements need" in out
+    assert "generated=" not in out
 
 
 def test_free_size_downsets_n6(capsys):
