@@ -52,10 +52,6 @@ class SignatureN:
         ts = tuple(f"t_{i}" for i in range(self.n + 1))
         return ("bot", "top") + fs + ts
 
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return BINARY_OPS + ("neg",) + self.constant_symbols
-
     def arity(self, symbol: str) -> int:
         if symbol in BINARY_OPS:
             return 2

@@ -8,6 +8,7 @@ free algebra, split by how they meet the top block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,29 +197,27 @@ class PartitionedCount:
     by_min_top: dict[frozenset[str], int]
 
 
-def partitioned_downset_count(n: int, space: DoubledSpace | None = None,
-                              max_downsets: int = 10**7) -> PartitionedCount:
+DOWNSET_LIMIT = 10**7
+
+
+def partitioned_downset_count(n: int) -> PartitionedCount:
     """Enumerate down-sets of P(M~n) and classify them by block traces."""
-    if space is None:
-        space = construct_P(build_alter_ego(n))
+    space = construct_P(build_alter_ego(n))
     P = space.poset
     _, centre_mask, top_mask = space.block_masks()
-    names = P.elements
     top_indices = [i for i in range(P.n) if top_mask >> i & 1]
     top_sub = P.restrict(top_indices)
-    min_top = [top_indices[i] for i in top_sub.minimal_elements()]
-    masks = enumerate_downsets(P, limit=max_downsets)
-    by_centre: dict[frozenset[str], int] = {}
-    by_min_top: dict[frozenset[str], int] = {}
-    avoiding = meeting = 0
-    for mask in masks:
+    min_top_mask = sum(1 << top_indices[i] for i in top_sub.minimal_elements())
+    by_centre: Counter[int] = Counter()
+    by_min_top: Counter[int] = Counter()
+    for mask in enumerate_downsets(P, limit=DOWNSET_LIMIT):
         if mask & top_mask:
-            meeting += 1
-            key = frozenset(names[i] for i in min_top if mask >> i & 1)
-            by_min_top[key] = by_min_top.get(key, 0) + 1
+            by_min_top[mask & min_top_mask] += 1
         else:
-            avoiding += 1
-            key = frozenset(names[i] for i in range(P.n)
-                            if centre_mask >> i & 1 and mask >> i & 1)
-            by_centre[key] = by_centre.get(key, 0) + 1
-    return PartitionedCount(n, avoiding, meeting, by_centre, by_min_top)
+            by_centre[mask & centre_mask] += 1
+
+    def named(tally: Counter[int]) -> dict[frozenset[str], int]:
+        return {frozenset(P.elements[i] for i in range(P.n) if trace >> i & 1): count
+                for trace, count in tally.items()}
+    return PartitionedCount(n, by_centre.total(), by_min_top.total(),
+                            named(by_centre), named(by_min_top))

@@ -39,6 +39,13 @@ def cmd_build(args) -> int:
     if n is None:
         return _fail_usage("build requires --n")
     dot = None
+    source = None
+    if args.infile and args.kind in ("dual", "priestley", "carrier-space"):
+        decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
+        try:
+            source = decoder.from_json(_read(args.infile))
+        except (OSError, TypeError, KeyError, ValueError) as err:
+            return _fail_usage(f"bad --in document: {err}")
     try:
         if args.kind == "jn":
             doc = build_jn(n).to_dict()
@@ -52,29 +59,23 @@ def cmd_build(args) -> int:
             if args.dot:
                 dot = functor_F(ego).to_dot("alter_ego")
         elif args.kind == "dual":
-            algebra = _load_algebra(args) if args.infile else build_jn(n)
-            dual = natural_dual(algebra, n)
+            dual = natural_dual(source or build_jn(n), n)
             doc = dual.structure.to_dict()
             if args.dot:
                 dot = functor_F(dual.structure).to_dot("dual")
         elif args.kind == "priestley":
-            if args.infile:
-                structure = MultiSortedStructure.from_json(_read(args.infile))
-            else:
-                structure = build_alter_ego(n)
-            space = construct_P(structure)
+            space = construct_P(source or build_alter_ego(n))
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("priestley")
         elif args.kind == "carrier-space":
-            algebra = _load_algebra(args) if args.infile else build_jn(n)
-            space = build_carrier_space(algebra, n)
+            space = build_carrier_space(source or build_jn(n), n)
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("carrier_space")
         else:
             return _fail_usage(f"unknown kind {args.kind}")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, GuardExceeded) as err:
+    except (ValueError, KeyError, GuardExceeded) as err:
         return _fail_usage(str(err))
     text = _dump(doc)
     _emit(text, args.out)
@@ -90,10 +91,6 @@ def cmd_build(args) -> int:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _load_algebra(args) -> FiniteAlgebra:
-    return FiniteAlgebra.from_json(_read(args.infile))
 
 
 def cmd_free_size(args) -> int:

@@ -71,9 +71,6 @@ class MultiSortedStructure:
         if len(set(names)) != len(names):
             raise ValueError("element names must be unique across sorts")
 
-    def sort_size(self, k: int) -> int:
-        return len(self.sorts[k])
-
     def points(self) -> list[tuple[int, int]]:
         return [(k, i) for k in range(self.n + 1) for i in range(len(self.sorts[k]))]
 
@@ -338,14 +335,17 @@ def pointwise_structure(ego: MultiSortedStructure, sorts, tuples) -> MultiSorted
     index0 = {t: i for i, t in enumerate(tuples[0])}
     g = tuple(tuple(index0[tuple(gk[v] for v in t)] for t in tuples[k])
               for k, gk in enumerate(ego.g, start=1))
-
-    def lift(rel, xs, ys) -> frozenset:
-        return frozenset((a, b) for a, x in enumerate(xs) for b, y in enumerate(ys)
-                         if all((u, v) in rel for u, v in zip(x, y)))
-
-    rel_sort = tuple(lift(rel, tuples[k], tuples[k]) for k, rel in enumerate(ego.rel_sort))
-    cross = {(j, k): lift(rel, tuples[j], tuples[k]) for (j, k), rel in ego.rel_cross.items()}
+    rel_sort = tuple(pointwise_relation(rel, tuples[k], tuples[k])
+                     for k, rel in enumerate(ego.rel_sort))
+    cross = {(j, k): pointwise_relation(rel, tuples[j], tuples[k])
+             for (j, k), rel in ego.rel_cross.items()}
     return MultiSortedStructure(ego.n, sorts, g, rel_sort, cross)
+
+
+def pointwise_relation(rel, xs, ys) -> frozenset:
+    """Index pairs (a, b) such that every coordinate pair of xs[a], ys[b] lies in `rel`."""
+    return frozenset((a, b) for a, x in enumerate(xs) for b, y in enumerate(ys)
+                     if all((u, v) in rel for u, v in zip(x, y)))
 
 
 def dual_of_hom(u, dual_B: NaturalDual, dual_A: NaturalDual) -> MultiMorphism:
@@ -371,13 +371,11 @@ class HomAlgebra:
     """E(X): all morphisms X -> alter ego, as a subalgebra of the sort-wise power."""
 
     algebra: FiniteAlgebra
-    morphisms: list[MultiMorphism]
     points: list[tuple[int, int]]
     row_index: dict[tuple[int, ...], int]
 
 
-def hom_algebra_E(X: MultiSortedStructure, n: int | None = None,
-                  max_morphisms: int = DEFAULT_MORPHISM_GUARD) -> HomAlgebra:
+def hom_algebra_E(X: MultiSortedStructure, n: int | None = None) -> HomAlgebra:
     """All morphisms X -> alter ego as an algebra under pointwise operations.
 
     The hom-set is fed to the product-closure constructor; compatibility means
@@ -388,7 +386,7 @@ def hom_algebra_E(X: MultiSortedStructure, n: int | None = None,
         n = X.n
     ego = build_alter_ego(n)
     mks = mk_algebras(n)
-    morphisms = enumerate_multimorphisms(X, ego, max_count=max_morphisms)
+    morphisms = enumerate_multimorphisms(X, ego)
     if not morphisms:
         raise ValueError("empty hom-set cannot form an algebra")
     points = X.points()
@@ -398,13 +396,11 @@ def hom_algebra_E(X: MultiSortedStructure, n: int | None = None,
     if closed.algebra.size != len(rows):
         raise AssertionError("hom-set is not closed under the pointwise operations")
     row_index = {r: i for i, r in enumerate(closed.rows)}
-    morphisms.sort(key=lambda phi: tuple(phi.maps[k][i] for k, i in points))
-    return HomAlgebra(closed.algebra, morphisms, points, row_index)
+    return HomAlgebra(closed.algebra, points, row_index)
 
 
 def verify_unit_iso(A: FiniteAlgebra, n: int | None = None,
-                    generator_hints=(),
-                    max_morphisms: int = DEFAULT_MORPHISM_GUARD) -> bool:
+                    generator_hints=()) -> bool:
     """Evaluation A -> E(D(A)): true iff it is a bijective homomorphism.
 
     Algebras outside the generated class can have an empty dual, in which case
@@ -414,7 +410,7 @@ def verify_unit_iso(A: FiniteAlgebra, n: int | None = None,
         dual_A = natural_dual(A, n, generator_hints=generator_hints)
     except ValueError:
         return False
-    E = hom_algebra_E(dual_A.structure, dual_A.structure.n, max_morphisms=max_morphisms)
+    E = hom_algebra_E(dual_A.structure, dual_A.structure.n)
     if E.algebra.size != A.size:
         return False
     images = []
@@ -642,37 +638,42 @@ def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
     return False
 
 
-def membership_by_separation(X: MultiSortedStructure, n: int | None = None,
-                             max_morphisms: int = DEFAULT_MORPHISM_GUARD) -> bool:
-    """Membership test via separation by morphisms into the alter ego."""
+def membership_by_separation(X: MultiSortedStructure, n: int | None = None) -> bool:
+    """Membership test via separation by morphisms into the alter ego.
+
+    A requirement (j, a, k, b, allowed) is met by a morphism that sends (a, b)
+    outside `allowed`: the diagonal of M_k for distinct points a, b of sort k,
+    the alter ego's relation for an unrelated pair of a sort or cross relation.
+    Morphisms stream from the kernel and the search stops once every
+    requirement is met; GuardExceeded is raised when more than
+    DEFAULT_MORPHISM_GUARD morphisms leave some requirement open.
+    """
     if n is None:
         n = X.n
+    if X.n != n:
+        raise ValueError("source and target must share the same n")
     ego = build_alter_ego(n)
-    morphisms = enumerate_multimorphisms(X, ego, max_count=max_morphisms)
-    if not morphisms:
-        return False
+    needs = []
     for k in range(n + 1):
-        size = len(X.sorts[k])
-        for a in range(size):
-            for b in range(size):
-                if a != b and not any(phi.maps[k][a] != phi.maps[k][b] for phi in morphisms):
-                    return False
-        rel = X.rel_sort[k]
-        ego_rel = ego.rel_sort[k]
-        for a in range(size):
-            for b in range(size):
-                if (a, b) in rel:
-                    continue
-                if not any((phi.maps[k][a], phi.maps[k][b]) not in ego_rel
-                           for phi in morphisms):
-                    return False
+        diagonal = frozenset((v, v) for v in range(len(ego.sorts[k])))
+        for a, b in itertools.product(range(len(X.sorts[k])), repeat=2):
+            if a != b:
+                needs.append((k, a, k, b, diagonal))
+            if (a, b) not in X.rel_sort[k]:
+                needs.append((k, a, k, b, ego.rel_sort[k]))
     for (j, k), rel in X.rel_cross.items():
-        ego_rel = ego.rel_cross[(j, k)]
-        for a in range(len(X.sorts[j])):
-            for b in range(len(X.sorts[k])):
-                if (a, b) in rel:
-                    continue
-                if not any((phi.maps[j][a], phi.maps[k][b]) not in ego_rel
-                           for phi in morphisms):
-                    return False
-    return True
+        for a, b in itertools.product(range(len(X.sorts[j])), range(len(X.sorts[k]))):
+            if (a, b) not in rel:
+                needs.append((j, a, k, b, ego.rel_cross[(j, k)]))
+    seen = 0
+
+    def split(maps) -> bool:
+        nonlocal needs, seen
+        needs = [r for r in needs if (maps[r[0]][r[1]], maps[r[2]][r[3]]) in r[4]]
+        seen += 1
+        if needs and seen > DEFAULT_MORPHISM_GUARD:
+            raise GuardExceeded(
+                f"separation undecided after {DEFAULT_MORPHISM_GUARD} morphisms")
+        return not needs
+
+    return _search(X, ego, split)

@@ -18,8 +18,8 @@ import numpy as np
 from .algebra import (FiniteAlgebra, enumerate_subuniverses, lattice_reduct,
                       mk_algebras, product)
 from .distlat import priestley_dual_of_lattice
-from .multisorted import NaturalDual, build_alter_ego, natural_dual
-from .posets import Poset, are_isomorphic, is_order_isomorphism
+from .multisorted import NaturalDual, build_alter_ego, natural_dual, pointwise_relation
+from .posets import Poset, are_isomorphic, check_relation, is_order_isomorphism
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def name_relation(rel: frozenset, j: int, k: int, n: int) -> str:
 # piggyback relations
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiggybackRelationSet:
     omega1: Carrier
     omega2: Carrier
@@ -238,6 +238,7 @@ def subuniverse_pairs(n: int, j: int, k: int) -> tuple[tuple[frozenset, bool], .
                  for member, mi in zip(family.members, family.meet_irreducible))
 
 
+@lru_cache(maxsize=None)
 def piggyback_relations(w1: Carrier, w2: Carrier, n: int) -> PiggybackRelationSet:
     """Maximal subuniverses of M_j x M_k inside the carrier preimage of <=."""
     preimage = preimage_sublattice(w1, w2, n)
@@ -335,34 +336,17 @@ def build_carrier_space(A: FiniteAlgebra, n: int | None = None,
     if n is None:
         n = A.signature.n
     dual_A = natural_dual(A, n, generator_hints=generator_hints)
-    carriers = build_carriers(n)
-    points = []
-    for k in range(n + 1):
-        for i in range(len(dual_A.homs[k])):
-            for kind in ("gamma", "delta"):
-                points.append((k, i, kind))
-    rel_cache: dict[tuple[int, str, int, str], tuple[frozenset, ...]] = {}
-
-    def rels(j, kindj, k, kindk):
-        key = (j, kindj, k, kindk)
-        if key not in rel_cache:
-            w1 = carriers[j][0 if kindj == "gamma" else 1]
-            w2 = carriers[k][0 if kindk == "gamma" else 1]
-            rel_cache[key] = piggyback_relations(w1, w2, n).relations
-        return rel_cache[key]
-
-    m = len(points)
-    mat = np.zeros((m, m), dtype=bool)
-    size_A = A.size
-    for p, (j, i1, kind1) in enumerate(points):
-        x = dual_A.homs[j][i1]
-        for q, (k, i2, kind2) in enumerate(points):
-            y = dual_A.homs[k][i2]
-            for rel in rels(j, kind1, k, kind2):
-                if all((x[a], y[a]) in rel for a in range(size_A)):
-                    mat[p, q] = True
-                    break
-    from .posets import check_relation
+    homs = dual_A.homs
+    points = [(k, i, kind) for k in range(n + 1) for i in range(len(homs[k]))
+              for kind in ("gamma", "delta")]
+    pos = {pt: p for p, pt in enumerate(points)}
+    mat = np.zeros((len(points), len(points)), dtype=bool)
+    carriers = all_carriers(n)
+    for w1 in carriers:
+        for w2 in carriers:
+            for rel in piggyback_relations(w1, w2, n).relations:
+                for a, b in pointwise_relation(rel, homs[w1.sort], homs[w2.sort]):
+                    mat[pos[(w1.sort, a, w1.kind)], pos[(w2.sort, b, w2.kind)]] = True
     res = check_relation(mat)
     if not res.ok:
         if res.kind == "antisymmetry":

@@ -72,6 +72,18 @@ def test_build_bad_input_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    wrong_ops = dict(json.loads(j1), ops=3)
+    for i, doc in enumerate(([1, 2], {"n": 1, "sorts": 5}, wrong_ops)):
+        src = tmp_path / f"doc{i}.json"
+        src.write_text(json.dumps(doc))
+        for kind in ("dual", "priestley", "carrier-space"):
+            code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+            assert (code, out) == (2, ""), (doc, kind)
+            assert err.startswith("error: bad --in document: "), (doc, kind)
+
+
 def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise GuardExceeded("carrier too large")

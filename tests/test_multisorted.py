@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bilatdual import multisorted
 from bilatdual.algebra import (GuardExceeded, algebras_isomorphic, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
 from bilatdual.corpus import (corpus_algebras, member_substructure, random_structure,
@@ -322,3 +323,57 @@ def test_three_sort_transitivity_axiom_fires():
 def test_axioms_equal_separation_at_n3():
     for X in structure_corpus(3, 40, seed=77, max_sort=2):
         assert check_axioms(X).ok == membership_by_separation(X)
+
+
+def _separation_by_scan(X):
+    """The materialize-and-scan rule: list every morphism, then test each pair."""
+    ego = build_alter_ego(X.n)
+    maps = [phi.maps for phi in enumerate_multimorphisms(X, ego)]
+    if not maps:
+        return False
+    for k in range(X.n + 1):
+        for a, b in itertools.product(range(len(X.sorts[k])), repeat=2):
+            if a != b and all(m[k][a] == m[k][b] for m in maps):
+                return False
+            if (a, b) not in X.rel_sort[k] and \
+                    all((m[k][a], m[k][b]) in ego.rel_sort[k] for m in maps):
+                return False
+    for (j, k), rel in X.rel_cross.items():
+        for a, b in itertools.product(range(len(X.sorts[j])), range(len(X.sorts[k]))):
+            if (a, b) not in rel and \
+                    all((m[j][a], m[k][b]) in ego.rel_cross[(j, k)] for m in maps):
+                return False
+    return True
+
+
+def test_streamed_separation_matches_the_scan_oracle():
+    rng = random.Random(20260901)
+    verdicts = set()
+    for n in (1, 2, 3):
+        structures = structure_corpus(n, 40, seed=300 + n)
+        # arbitrary structures, many with an empty sort above 0
+        structures += [random_structure(n, rng) for _ in range(20)]
+        for X in structures:
+            expected = _separation_by_scan(X)
+            assert membership_by_separation(X) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_separation_guard_bounds_only_an_undecided_search(monkeypatch):
+    ego = build_alter_ego(1)
+    assert len(enumerate_multimorphisms(ego, ego)) == 266
+    # the 28th morphism meets the last requirement, one past the cap
+    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 27)
+    assert membership_by_separation(ego)
+    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 26)
+    with pytest.raises(GuardExceeded):
+        membership_by_separation(ego)
+    # a <= b <= a: no morphism into the antisymmetric alter ego splits a from b
+    cycle = frozenset({(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (3, 3)})
+    X = MultiSortedStructure(1, (("a", "b", "c", "d"), ()), ((),), (cycle, frozenset()), {})
+    assert len(enumerate_multimorphisms(X, ego)) == 64
+    with pytest.raises(GuardExceeded):
+        membership_by_separation(X)
+    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 64)
+    assert membership_by_separation(X) is False

@@ -1,5 +1,8 @@
 """Carriers, piggyback relations, the published table, and the carrier space."""
 
+from dataclasses import FrozenInstanceError
+
+import numpy as np
 import pytest
 
 from bilatdual.algebra import (build_jn, build_mk, enumerate_subuniverses,
@@ -237,3 +240,36 @@ def test_eta_naturality_on_a_sample():
             p2 = pos_A[(k2, index_A[k2][composed2], kind2)]
             if space_B.poset.le(q, q2):
                 assert space_A.poset.le(p, p2)
+
+
+def test_piggyback_relations_are_cached_and_frozen():
+    w1, w2 = build_carriers(2)[1]
+    first = piggyback_relations(w1, w2, 2)
+    assert piggyback_relations(w1, w2, 2) is first
+    with pytest.raises(FrozenInstanceError):
+        first.names = ()
+
+
+def _carrier_matrix_by_pair_scan(space, n):
+    """Per pair of points: related when some piggyback relation holds at every element."""
+    carriers = build_carriers(n)
+    m = len(space.points)
+    mat = np.zeros((m, m), dtype=bool)
+    for p, (j, i1, kind1) in enumerate(space.points):
+        x = space.dual.homs[j][i1]
+        w1 = carriers[j][kind1 == "delta"]
+        for q, (k, i2, kind2) in enumerate(space.points):
+            y = space.dual.homs[k][i2]
+            w2 = carriers[k][kind2 == "delta"]
+            mat[p, q] = any(all((x[a], y[a]) in rel for a in range(len(x)))
+                            for rel in piggyback_relations(w1, w2, n).relations)
+    return mat
+
+
+def test_carrier_space_matches_the_pair_scan():
+    for n in (1, 2):
+        for item in corpus_algebras(n, seed=23):
+            space = build_carrier_space(item.algebra, n,
+                                        generator_hints=item.generator_hints)
+            assert np.array_equal(space.poset.leq, _carrier_matrix_by_pair_scan(space, n)), \
+                item.label
