@@ -21,7 +21,7 @@ DEFAULT_TABLE_GUARD = 10**8   # table entries per operation of a product subalge
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
 DEFAULT_CLOSURE_GUARD = 10_000   # the largest carrier whose tables pass DEFAULT_TABLE_GUARD
-HOM_CHECK_BLOCK = 1 << 16   # table entries compared per step by is_homomorphism
+HOM_CHECK_BLOCK = 1 << 16   # table entries per row block: is_homomorphism, _PackedKeys
 
 
 class GuardExceeded(RuntimeError):
@@ -618,13 +618,103 @@ def _guard_tables(size: int):
                             f"per operation (> {DEFAULT_TABLE_GUARD})")
 
 
+class _PackedKeys:
+    """Exact int64 keys of product rows and of pointwise operations on row pairs.
+
+    A row's key is its Horner value over the factor sizes, so keys sort like rows.
+    Adjacent coordinates are grouped while their radix product stays within
+    GROUP_CELLS. An operation is tabulated per group over the group codes present
+    on each side only, gathered per row pair and combined over the groups by
+    Horner; results come in row blocks of about HOM_CHECK_BLOCK entries.
+    """
+
+    GROUP_CELLS = 256
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.signature = _common_signature(self.factors)
+        self.radices = [f.size for f in self.factors]
+        if math.prod(self.radices) >= 2**62:
+            raise GuardExceeded("product coordinate space too large to pack into int64 keys")
+        for f in {id(f): f for f in self.factors}.values():
+            for op in BINARY_OPS:
+                if not np.array_equal(f.tables[op], f.tables[op].T):
+                    raise ValueError(f"{op} of a factor is not commutative; pointwise "
+                                     "closure combines each pair in one order only")
+        self.groups = []   # (first coordinate, end coordinate, radix product)
+        start = 0
+        while start < len(self.radices):
+            end, cells = start + 1, self.radices[start]
+            while end < len(self.radices) and cells * self.radices[end] <= self.GROUP_CELLS:
+                cells *= self.radices[end]
+                end += 1
+            self.groups.append((start, end, cells))
+            start = end
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        return _pack_rows(rows, self.radices)
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        return _unpack_keys(keys, self.radices)
+
+    def _codes(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per group: the coordinates of the codes present, and each row's slot among them.
+
+        A one-coordinate group is indexed by the coordinate itself.
+        """
+        out = []
+        for a, b, cells in self.groups:
+            if b - a == 1:
+                out.append((None, rows[:, a]))
+                continue
+            codes = _pack_rows(rows[:, a:b], self.radices[a:b])
+            present = np.zeros(cells, dtype=bool)
+            present[codes] = True
+            slot = np.cumsum(present) - 1
+            out.append((_unpack_keys(np.flatnonzero(present), self.radices[a:b]), slot[codes]))
+        return out
+
+    def key_blocks(self, left: np.ndarray, right: np.ndarray):
+        """Yield (op, start, keys): keys[i, j] is the key of op(left[start + i], right[j])."""
+        step = max(1, HOM_CHECK_BLOCK // max(1, right.shape[0]))
+        sides = list(zip(self.groups, self._codes(left), self._codes(right)))
+        for op in BINARY_OPS:
+            parts = []
+            for (a, b, cells), (da, ia), (db, ib) in sides:
+                if da is None:
+                    local = self.factors[a].tables[op]
+                else:
+                    # a group of two or more coordinates has codes below GROUP_CELLS
+                    local = np.zeros((da.shape[0], db.shape[0]), dtype=np.int16)
+                    for c in range(a, b):
+                        local *= self.radices[c]
+                        local += self.factors[c].tables[op][da[:, c - a][:, None],
+                                                            db[:, c - a][None, :]]
+                parts.append((cells, local, ia, ib))
+            (_, first, ia0, ib0), *rest = parts
+            for start in range(0, left.shape[0], step):
+                keys = np.take(first[ia0[start:start + step]], ib0, axis=1).astype(np.int64)
+                for cells, local, ia, ib in rest:
+                    keys *= cells
+                    keys += np.take(local[ia[start:start + step]], ib, axis=1)
+                yield op, start, keys
+
+    def neg_keys(self, rows: np.ndarray) -> np.ndarray:
+        return self.pack(np.stack([f.neg[rows[:, c]] for c, f in enumerate(self.factors)],
+                                  axis=-1))
+
+    def const_rows(self) -> np.ndarray:
+        """One row per constant symbol, in signature order."""
+        return np.array([[f.consts[sym] for f in self.factors]
+                         for sym in self.signature.constant_symbols], dtype=np.int16)
+
+
 def _product_subalgebra(factors, rows: np.ndarray) -> FiniteAlgebra:
     """The algebra on closed product rows, sorted by packed key, under pointwise operations."""
-    _guard_tables(rows.shape[0])
-    sig = factors[0].signature
-    radices = [f.size for f in factors]
-    packed_sorted = _pack_rows(rows, radices)
-    n, m = rows.shape
+    n = rows.shape[0]
+    _guard_tables(n)
+    kernel = _PackedKeys(factors)
+    packed_sorted = kernel.pack(rows)
 
     def lookup(packed_vals: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(packed_sorted, packed_vals)
@@ -633,93 +723,87 @@ def _product_subalgebra(factors, rows: np.ndarray) -> FiniteAlgebra:
             raise AssertionError("operation escaped the closed set")
         return pos.astype(np.int16)
 
-    tables = {}
-    for op in BINARY_OPS:
-        packed = np.zeros((n, n), dtype=np.int64)
-        for c in range(m):
-            packed *= radices[c]
-            packed += factors[c].tables[op][rows[:, c][:, None], rows[:, c][None, :]]
-        tables[op] = lookup(packed.ravel()).reshape(n, n)
-    negcols = np.stack([factors[c].neg[rows[:, c]] for c in range(m)], axis=-1)
-    neg = lookup(_pack_rows(negcols, radices))
-    consts = {}
-    for sym in sig.constant_symbols:
-        row = np.array([[f.consts[sym] for f in factors]], dtype=np.int16)
-        consts[sym] = int(lookup(_pack_rows(row, radices))[0])
+    tables = {op: np.empty((n, n), dtype=np.int16) for op in BINARY_OPS}
+    for op, start, keys in kernel.key_blocks(rows, rows):
+        tables[op][start:start + keys.shape[0]] = lookup(keys)
+    neg = lookup(kernel.neg_keys(rows))
+    consts = dict(zip(kernel.signature.constant_symbols,
+                      lookup(kernel.pack(kernel.const_rows())).tolist()))
     elements = tuple(
-        "(" + ",".join(factors[c].elements[int(rows[i, c])] for c in range(m)) + ")"
+        "(" + ",".join(f.elements[int(rows[i, c])] for c, f in enumerate(kernel.factors)) + ")"
         for i in range(n))
-    return FiniteAlgebra(sig, elements, tables, neg, consts)
+    return FiniteAlgebra(kernel.signature, elements, tables, neg, consts)
 
 
-def generated_subalgebra_in_product(factors, generator_rows,
-                                    max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
+def product_closure_rows(factors, generator_rows,
+                         max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.ndarray:
     """Close generator tuples (plus the constant tuples) under pointwise operations.
 
-    The ambient product is never materialized; only reachable tuples are kept.
-    Coordinates are packed into int64 keys, so prod(sizes) must stay below 2**62.
+    Returns the closed rows sorted by packed key, without building tables. The
+    ambient product is never materialized; only reachable tuples are kept, and
+    prod(sizes) must stay below 2**62. Each round combines all rows with the
+    new ones only, which is complete because every binary operation is
+    commutative (the kernel refuses a factor where one is not).
     """
-    factors = tuple(factors)
-    sig = _common_signature(factors)
-    radices = [f.size for f in factors]
-    if math.prod(radices) >= 2**62:
-        raise GuardExceeded("product coordinate space too large to pack into int64 keys")
-    m = len(factors)
+    kernel = _PackedKeys(factors)
     seed = [tuple(int(v) for v in row) for row in generator_rows]
-    for sym in sig.constant_symbols:
-        seed.append(tuple(f.consts[sym] for f in factors))
+    seed += [tuple(row) for row in kernel.const_rows().tolist()]
     rows = np.array(sorted(set(seed)), dtype=np.int16)
-    known = np.unique(_pack_rows(rows, radices))
+    known = np.unique(kernel.pack(rows))
     frontier = rows
     while frontier.size:
-        cand_keys = []
-        for op in BINARY_OPS:
-            acc = np.zeros((rows.shape[0], frontier.shape[0]), dtype=np.int64)
-            for c in range(m):
-                acc *= radices[c]
-                acc += factors[c].tables[op][rows[:, c][:, None], frontier[:, c][None, :]]
-            cand_keys.append(np.unique(acc.ravel()))
-        negacc = np.zeros(frontier.shape[0], dtype=np.int64)
-        for c in range(m):
-            negacc *= radices[c]
-            negacc += factors[c].neg[frontier[:, c]]
-        cand_keys.append(negacc)
+        cand_keys = [kernel.neg_keys(frontier)]
+        for _, _, keys in kernel.key_blocks(rows, frontier):
+            cand_keys.append(np.unique(keys))
         cand = np.unique(np.concatenate(cand_keys))
         pos = np.searchsorted(known, cand)
         pos_c = np.minimum(pos, known.shape[0] - 1)
         fresh_keys = cand[(pos >= known.shape[0]) | (known[pos_c] != cand)]
         if fresh_keys.size == 0:
             break
-        new_rows = _unpack_keys(fresh_keys, radices)
+        new_rows = kernel.unpack(fresh_keys)
         known = np.union1d(known, fresh_keys)
         rows = np.concatenate([rows, new_rows], axis=0)
         if rows.shape[0] > max_elements:
             raise GuardExceeded(f"closure exceeded {max_elements} elements")
         frontier = new_rows
-    rows = _unpack_keys(known, radices)   # sorted by packed key
+    return kernel.unpack(known)
+
+
+def generated_subalgebra_in_product(factors, generator_rows,
+                                    max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
+    """The closure of the generator tuples, with tables on its rows."""
+    factors = tuple(factors)
+    rows = product_closure_rows(factors, generator_rows, max_elements)
     alg = _product_subalgebra(factors, rows)
     row_tuples = tuple(tuple(int(v) for v in row) for row in rows)
-    gen_ix = []
     row_pos = {t: i for i, t in enumerate(row_tuples)}
-    for g in generator_rows:
-        gen_ix.append(row_pos[tuple(int(v) for v in g)])
-    return ProductSubalgebra(alg, factors, row_tuples, tuple(gen_ix))
+    gen_ix = tuple(row_pos[tuple(int(v) for v in g)] for g in generator_rows)
+    return ProductSubalgebra(alg, factors, row_tuples, gen_ix)
 
 
-def free_algebra(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
-    """One-generated free algebra of the class generated by the M_k, built by closure.
+def _free_generator(n: int):
+    """Factors and generator row of the one-generated free algebra.
 
     One coordinate per pair (k, a) with a in M_k; the generator picks out a in
     each coordinate, so distinct unary terms stay distinct.
     """
     mks = mk_algebras(n)
-    factors = []
-    gen = []
-    for k in range(n + 1):
-        for a in range(mks[k].size):
-            factors.append(mks[k])
-            gen.append(a)
-    return generated_subalgebra_in_product(factors, [tuple(gen)], max_elements=max_elements)
+    factors = tuple(mks[k] for k in range(n + 1) for _ in range(mks[k].size))
+    gen = tuple(a for k in range(n + 1) for a in range(mks[k].size))
+    return factors, gen
+
+
+def free_algebra(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
+    """One-generated free algebra of the class generated by the M_k, built by closure."""
+    factors, gen = _free_generator(n)
+    return generated_subalgebra_in_product(factors, [gen], max_elements=max_elements)
+
+
+def free_algebra_size(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> int:
+    """Size of the one-generated free algebra, by closure alone (no tables)."""
+    factors, gen = _free_generator(n)
+    return product_closure_rows(factors, [gen], max_elements).shape[0]
 
 
 # ----------------------------------------------------------------------------

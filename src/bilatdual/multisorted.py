@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, GuardExceeded, enumerate_homs,
+from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, enumerate_homs,
                       is_homomorphism, mk_algebras, reflexive_transitive_closure)
 from .posets import check_relation
 
@@ -378,25 +378,21 @@ class HomAlgebra:
 def hom_algebra_E(X: MultiSortedStructure, n: int | None = None) -> HomAlgebra:
     """All morphisms X -> alter ego as an algebra under pointwise operations.
 
-    The hom-set is fed to the product-closure constructor; compatibility means
-    the closure adds nothing, which is asserted.
+    The kernel lists morphisms in lexicographic order, which is the packed-key
+    order the table builder expects; the builder raises if an operation leaves
+    the hom-set, so compatibility is checked while the tables are built.
     """
-    from .algebra import generated_subalgebra_in_product
     if n is None:
         n = X.n
     ego = build_alter_ego(n)
     mks = mk_algebras(n)
-    morphisms = enumerate_multimorphisms(X, ego)
-    if not morphisms:
-        raise ValueError("empty hom-set cannot form an algebra")
     points = X.points()
     factors = [mks[k] for k, _ in points]
-    rows = [tuple(phi.maps[k][i] for k, i in points) for phi in morphisms]
-    closed = generated_subalgebra_in_product(factors, rows)
-    if closed.algebra.size != len(rows):
-        raise AssertionError("hom-set is not closed under the pointwise operations")
-    row_index = {r: i for i, r in enumerate(closed.rows)}
-    return HomAlgebra(closed.algebra, points, row_index)
+    rows = [tuple(phi.maps[k][i] for k, i in points) for phi in enumerate_multimorphisms(X, ego)]
+    if any(a >= b for a, b in zip(rows, rows[1:])):
+        raise AssertionError("morphism rows are not strictly increasing")
+    algebra = _product_subalgebra(factors, np.array(rows, dtype=np.int16))
+    return HomAlgebra(algebra, points, {r: i for i, r in enumerate(rows)})
 
 
 def verify_unit_iso(A: FiniteAlgebra, n: int | None = None,

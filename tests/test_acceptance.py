@@ -1,6 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
-All tolerances are exact (integer equality or boolean checks); the two timed
+All tolerances are exact (integer equality or boolean checks); the timed
 criteria assert their stated wall-clock budgets.
 """
 
@@ -269,3 +269,17 @@ def test_criterion_12_property_suites(free1):
         assert lattices_isomorphic(lattice_of_upsets(H), L)
     report(12, "lattice laws, negation laws, combinator identities, hom-oracle "
                "equivalence and K(H(L)) = L all hold under the default seed")
+
+
+def test_criterion_13_generated_free_algebra_n3(tmp_path):
+    from bilatdual.cli import main
+    out = tmp_path / "free3.txt"
+    t0 = time.time()
+    code = main(["free-size", "--method", "generate", "--n", "3", "--guard-limit", "10000",
+                 "--out", str(out)])
+    elapsed = time.time() - t0
+    assert code == 0
+    assert out.read_text() == "n=3  f=2748  g=2874  total=5622  generated=5622  agree\n"
+    assert elapsed < 120, f"generation took {elapsed:.1f}s"
+    report(13, f"brute-force generation gives |F_V3(1)| = 5622, the formula value, "
+               f"in {elapsed:.1f}s")

@@ -1,6 +1,9 @@
 """Algebra construction, homomorphism enumeration, products, subuniverses."""
 
+import hashlib
 import itertools
+import json
+import math
 import random
 
 import numpy as np
@@ -9,12 +12,14 @@ import pytest
 from bilatdual import algebra
 from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_GUARD,
                                FiniteAlgebra, GuardExceeded, Homomorphism,
-                               SignatureN, _Closure, algebras_isomorphic,
+                               SignatureN, _Closure, _PackedKeys, _product_subalgebra,
+                               algebras_isomorphic,
                                bilattice_law_violations, build_jn, build_mk,
                                closure_indices, enumerate_hom_objects, enumerate_homs,
                                enumerate_homs_bruteforce, enumerate_subuniverses,
-                               generated_subalgebra, generated_subalgebra_in_product,
-                               is_homomorphism, lattice_reduct, mk_algebras, product)
+                               free_algebra, generated_subalgebra,
+                               generated_subalgebra_in_product, is_homomorphism,
+                               lattice_reduct, mk_algebras, product, product_closure_rows)
 
 
 def test_signature_counts():
@@ -186,6 +191,158 @@ def test_table_guard_covers_product_and_generated_subalgebras(monkeypatch):
     assert generated_subalgebra_in_product([m1, m1], []).algebra.size == 6   # the diagonal
     with pytest.raises(GuardExceeded):
         generated_subalgebra_in_product([m1, m1], [(0, 5)])
+
+
+def _oracle_keys(factors, rows: np.ndarray) -> np.ndarray:
+    radices = [f.size for f in factors]
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for c, r in enumerate(radices):
+        keys = keys * r + rows[:, c]
+    return keys
+
+
+def _oracle_op_keys(factors, op, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Packed keys of op on every left x right pair, one coordinate at a time."""
+    acc = np.zeros((left.shape[0], right.shape[0]), dtype=np.int64)
+    for c, f in enumerate(factors):
+        acc *= f.size
+        acc += f.tables[op][left[:, c][:, None], right[:, c][None, :]]
+    return acc
+
+
+def _oracle_closure_rows(factors, generator_rows, max_elements):
+    """Semi-naive closure by per-coordinate packing, rows sorted by key."""
+    seed = {tuple(int(v) for v in row) for row in generator_rows}
+    seed |= {tuple(f.consts[sym] for f in factors)
+             for sym in factors[0].signature.constant_symbols}
+    rows = np.array(sorted(seed), dtype=np.int16)
+    known = set(_oracle_keys(factors, rows).tolist())
+    frontier = rows
+    while frontier.size:
+        cand = set(_oracle_keys(factors, np.stack(
+            [f.neg[frontier[:, c]] for c, f in enumerate(factors)], axis=-1)).tolist())
+        for op in BINARY_OPS:
+            cand |= set(_oracle_op_keys(factors, op, rows, frontier).ravel().tolist())
+        fresh = sorted(cand - known)
+        if not fresh:
+            break
+        known |= set(fresh)
+        new_rows = np.array([_oracle_row(factors, k) for k in fresh], dtype=np.int16)
+        rows = np.concatenate([rows, new_rows])
+        if rows.shape[0] > max_elements:
+            raise GuardExceeded("oracle closure too large")
+        frontier = new_rows
+    return np.array([_oracle_row(factors, k) for k in sorted(known)], dtype=np.int16)
+
+
+def _oracle_row(factors, key: int) -> list[int]:
+    row = []
+    for f in reversed(factors):
+        key, v = divmod(key, f.size)
+        row.append(v)
+    return row[::-1]
+
+
+def _random_factors(rng):
+    n = rng.randint(1, 3)
+    mks = mk_algebras(n)
+    return [rng.choice(mks) for _ in range(rng.randint(1, 24))]
+
+
+def _random_rows(rng, factors, count):
+    return [tuple(rng.randrange(f.size) for f in factors) for _ in range(count)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, algebra.HOM_CHECK_BLOCK])
+def test_packed_key_kernel_matches_per_coordinate_packing(monkeypatch, block):
+    """Every op key block equals the per-coordinate packing, at every block edge."""
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+    rng = random.Random(20261018 + block)
+    for _ in range(25):
+        factors = _random_factors(rng)
+        kernel = _PackedKeys(factors)
+        bounds = [a for a, _, _ in kernel.groups] + [len(factors)]
+        assert [b for _, b, _ in kernel.groups] == bounds[1:] and bounds[0] == 0
+        for a, b, cells in kernel.groups:
+            assert cells == math.prod(f.size for f in factors[a:b])
+            assert b - a == 1 or cells <= _PackedKeys.GROUP_CELLS
+        # N = 1, N not a multiple of the step, and a right side wider than a block
+        for n_left, n_right in ((1, 1), (1, 9), (13, 5), (5, 13), (30, 70)):
+            left = np.array(_random_rows(rng, factors, n_left), dtype=np.int16)
+            right = np.array(_random_rows(rng, factors, n_right), dtype=np.int16)
+            got = {op: np.full((n_left, n_right), -1, dtype=np.int64) for op in BINARY_OPS}
+            for op, start, keys in kernel.key_blocks(left, right):
+                assert (got[op][start:start + keys.shape[0]] == -1).all()
+                got[op][start:start + keys.shape[0]] = keys
+            for op in BINARY_OPS:
+                assert np.array_equal(got[op], _oracle_op_keys(factors, op, left, right))
+            assert np.array_equal(kernel.pack(left), _oracle_keys(factors, left))
+            assert np.array_equal(kernel.unpack(kernel.pack(left)), left)
+
+
+@pytest.mark.parametrize("block", [7, algebra.HOM_CHECK_BLOCK])
+def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, block):
+    """Closure rows, four tables, neg and constants against per-coordinate packing."""
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+    rng = random.Random(4242 + block)
+    compared = trips = 0
+    while compared < 12:
+        factors = _random_factors(rng)
+        gens = _random_rows(rng, factors, rng.randint(1, 2))
+        try:
+            want = _oracle_closure_rows(factors, gens, 400)
+        except GuardExceeded:
+            with pytest.raises(GuardExceeded):
+                product_closure_rows(factors, gens, 400)
+            trips += 1
+            continue
+        rows = product_closure_rows(factors, gens, 400)
+        assert np.array_equal(rows, want)
+        alg = _product_subalgebra(factors, rows)
+        keys = _oracle_keys(factors, rows)
+        for op in BINARY_OPS:
+            want_tab = np.searchsorted(keys, _oracle_op_keys(factors, op, rows, rows))
+            assert np.array_equal(alg.tables[op], want_tab)
+        negs = np.stack([f.neg[rows[:, c]] for c, f in enumerate(factors)], axis=-1)
+        assert np.array_equal(alg.neg, np.searchsorted(keys, _oracle_keys(factors, negs)))
+        for sym, i in alg.consts.items():
+            assert tuple(rows[i]) == tuple(f.consts[sym] for f in factors)
+        compared += 1
+    assert trips < 40
+
+
+def test_product_closure_rejects_a_non_commutative_factor():
+    """Rows x frontier is complete only for commutative operations, so the kernel checks."""
+    m1 = build_mk(1, 1)
+    left_projection = np.repeat(np.arange(m1.size)[:, None], m1.size, axis=1)
+    for tab in (left_projection, left_projection.T):
+        bad = FiniteAlgebra(m1.signature, m1.elements, {**m1.tables, "join_k": tab},
+                            m1.neg, m1.consts)
+        with pytest.raises(ValueError, match="join_k of a factor is not commutative"):
+            product_closure_rows([m1, bad], [(0, 1)])
+        with pytest.raises(ValueError, match="not commutative"):
+            generated_subalgebra_in_product([bad], [(2,)])
+        with pytest.raises(ValueError, match="not commutative"):
+            product([bad, m1])
+
+
+def test_free_algebra_2_matches_its_pinned_digest(free2):
+    """Rows, tables, neg, constants and generator of F_V2(1) match a recorded sha256."""
+    h = hashlib.sha256()
+    h.update(np.asarray(free2.rows, dtype="<i2").tobytes())
+    for op in BINARY_OPS:
+        h.update(free2.algebra.tables[op].astype("<i2").tobytes())
+    h.update(free2.algebra.neg.astype("<i2").tobytes())
+    h.update(json.dumps(free2.algebra.consts, sort_keys=True).encode())
+    h.update(repr(free2.generator_indices).encode())
+    assert h.hexdigest() == "0430ed7268da7d113c5b6c311b8ab5c962cfa145e9ea5683ca02d94f42c5048e"
+
+
+def test_free_algebra_tables_are_guarded(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)
+    with pytest.raises(GuardExceeded, match="tables on 266 elements"):
+        free_algebra(1)
+    assert algebra.free_algebra_size(1) == 266   # counting builds no tables
 
 
 def test_product_constants_are_diagonal():

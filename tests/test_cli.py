@@ -5,6 +5,7 @@ import time
 
 from bilatdual import algebra, cli, verify
 from bilatdual.algebra import GuardExceeded
+from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
 
 
@@ -123,11 +124,17 @@ def test_free_size_generate_stops_at_the_table_ceiling(capsys):
     assert "generated=" not in out
 
 
-def test_free_size_generate_table_guard_is_a_notice(monkeypatch, capsys):
+def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
+    # generate builds no tables, so only the closure guard can stop it
     monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate"])
+    assert code == 0 and "generated=266  agree" in out
+    # a formula below the limit lets the closure itself meet the guard
+    monkeypatch.setattr(cli, "free_size_formula", lambda n: FreeSizes(0, 10, 10))
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate",
+                                "--guard-limit", "100"])
     assert code == 0
-    assert "note: generate skipped: tables on 266 elements need" in out
+    assert "note: generate skipped: closure exceeded 100 elements\n" in out
     assert "generated=" not in out
 
 

@@ -201,6 +201,20 @@ def test_E_of_one_point_structure_is_m0():
     assert algebras_isomorphic(E.algebra, build_mk(1, 0)) is not None
 
 
+def test_E_checks_the_rows_it_is_handed(monkeypatch):
+    """E takes the kernel's rows as they come: out of order or not closed, it raises."""
+    one = MultiSortedStructure(1, (("p",), ()), ((),),
+                               (frozenset({(0, 0)}), frozenset()), {})
+    homs = enumerate_multimorphisms(one, build_alter_ego(1))
+    assert len(homs) == 4
+    monkeypatch.setattr(multisorted, "enumerate_multimorphisms", lambda X, Y: homs[::-1])
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        hom_algebra_E(one, 1)
+    monkeypatch.setattr(multisorted, "enumerate_multimorphisms", lambda X, Y: homs[1:])
+    with pytest.raises(AssertionError, match="escaped the closed set"):
+        hom_algebra_E(one, 1)
+
+
 def test_unit_iso_on_generators():
     for n in (1, 2):
         for k in range(n + 1):
