@@ -512,12 +512,6 @@ class Homomorphism:
     def __call__(self, element: int) -> int:
         return self.mapping[element]
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition types do not match")
-        return Homomorphism(inner.source, self.target,
-                            tuple(self.mapping[v] for v in inner.mapping))
-
 
 def enumerate_hom_objects(A: FiniteAlgebra, B: FiniteAlgebra,
                           generator_hints=()) -> list[Homomorphism]:
@@ -906,71 +900,6 @@ def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]
     if not np.array_equal(A.neg[tj], tm[A.neg[:, None], A.neg[None, :]]):
         out.append("neg: does not swap truth join with truth meet")
     return out
-
-
-def algebras_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra,
-                        include_constants: bool = True) -> tuple[int, ...] | None:
-    """Backtracking isomorphism search; returns a witness bijection or None.
-
-    With include_constants=False only the five operation tables are compared,
-    so algebras over different priority depths can be matched as bilattices.
-    """
-    if A.size != B.size:
-        return None
-    if include_constants and A.signature != B.signature:
-        return None
-    n = A.size
-    forced: dict[int, int] = {}
-    if include_constants:
-        for sym, ia in A.consts.items():
-            ib = B.consts[sym]
-            if forced.setdefault(ia, ib) != ib:
-                return None
-
-    def extend(h: dict[int, int], used: set[int]) -> tuple[int, ...] | None:
-        if len(h) == n:
-            hm = [h[i] for i in range(n)]
-            return tuple(hm) if _reduct_hom_ok(hm, A, B) else None
-        x = min(i for i in range(n) if i not in h)
-        for y in range(n):
-            if y in used:
-                continue
-            h[x] = y
-            used.add(y)
-            if _partial_ok(h, A, B):
-                res = extend(h, used)
-                if res is not None:
-                    return res
-            del h[x]
-            used.discard(y)
-        return None
-
-    def _partial_ok(h, A, B):
-        for op in BINARY_OPS:
-            ta, tb = A.tables[op], B.tables[op]
-            for i in h:
-                for j in h:
-                    v = int(ta[i, j])
-                    if v in h and h[v] != int(tb[h[i], h[j]]):
-                        return False
-        for i in h:
-            v = int(A.neg[i])
-            if v in h and h[v] != int(B.neg[h[i]]):
-                return False
-        return True
-
-    def _reduct_hom_ok(hm, A, B):
-        h = np.asarray(hm, dtype=np.int16)
-        if not np.array_equal(h[A.neg], B.neg[h]):
-            return False
-        for op in BINARY_OPS:
-            if not np.array_equal(h[A.tables[op]], B.tables[op][h[:, None], h[None, :]]):
-                return False
-        if include_constants:
-            return all(h[ia] == B.consts[sym] for sym, ia in A.consts.items())
-        return True
-
-    return extend(dict(forced), set(forced.values()))
 
 
 def lattice_reduct(A: FiniteAlgebra):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, lattice_reduct
+from .algebra import FiniteAlgebra, GuardExceeded, lattice_reduct
 from .distlat import priestley_dual_of_lattice
 from .multisorted import MultiMorphism, MultiSortedStructure, build_alter_ego, natural_dual
-from .posets import Poset, are_isomorphic, enumerate_downsets, is_order_isomorphism
+from .posets import (Poset, are_isomorphic, count_downsets, enumerate_downsets,
+                     is_order_isomorphism)
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
 
 
@@ -201,16 +202,19 @@ DOWNSET_LIMIT = 10**7
 
 
 def partitioned_downset_count(n: int) -> PartitionedCount:
-    """Enumerate down-sets of P(M~n) and classify them by block traces."""
+    """Count, then enumerate, the down-sets of P(M~n) and classify them by block traces."""
     space = construct_P(build_alter_ego(n))
     P = space.poset
+    total = count_downsets(P)
+    if total > DOWNSET_LIMIT:
+        raise GuardExceeded(f"{total} down-sets exceed the enumeration limit {DOWNSET_LIMIT}")
     _, centre_mask, top_mask = space.block_masks()
     top_indices = [i for i in range(P.n) if top_mask >> i & 1]
     top_sub = P.restrict(top_indices)
     min_top_mask = sum(1 << top_indices[i] for i in top_sub.minimal_elements())
     by_centre: Counter[int] = Counter()
     by_min_top: Counter[int] = Counter()
-    for mask in enumerate_downsets(P, limit=DOWNSET_LIMIT):
+    for mask in enumerate_downsets(P):
         if mask & top_mask:
             by_min_top[mask & min_top_mask] += 1
         else:

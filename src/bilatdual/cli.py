@@ -46,6 +46,9 @@ def cmd_build(args) -> int:
             source = decoder.from_json(_read(args.infile))
         except (OSError, TypeError, KeyError, ValueError) as err:
             return _fail_usage(f"bad --in document: {err}")
+        depth = source.n if args.kind == "priestley" else source.signature.n
+        if depth != n:
+            return _fail_usage(f"--in document has depth n={depth} but --n is {n}")
     try:
         if args.kind == "jn":
             doc = build_jn(n).to_dict()

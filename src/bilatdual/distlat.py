@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .algebra import GuardExceeded, NotALattice, lattice_tables_from_leq
-from .posets import Poset, bool_compose, dual, enumerate_downsets
+from .posets import Poset, are_isomorphic, bool_compose, count_downsets, dual, enumerate_downsets
 
 DEFAULT_DISTRIBUTIVITY_GUARD = 2048
 DEFAULT_HOM_SCAN_GUARD = 20
@@ -23,7 +23,7 @@ DEFAULT_HOM_SCAN_GUARD = 20
 class Lattice:
     """Bounded lattice on an indexed carrier, stored as its order matrix."""
 
-    __slots__ = ("elements", "leq", "bot", "top", "_meet", "_join")
+    __slots__ = ("elements", "leq", "bot", "top", "_meet", "_join", "_irreducibles")
 
     def __init__(self, elements, leq, check: bool = True):
         poset = Poset(elements, leq, check=check)
@@ -37,6 +37,7 @@ class Lattice:
         self.top = maxs[0]
         self._meet = None
         self._join = None
+        self._irreducibles = None
 
     @property
     def n(self) -> int:
@@ -53,6 +54,16 @@ class Lattice:
             self._meet = meet
             self._join = join
         return self._meet, self._join
+
+    def _irreducible_order(self) -> tuple[list[int], Poset]:
+        """J(L) and its induced order (points named by position), computed once."""
+        if self._irreducibles is None:
+            ji = join_irreducibles(self)
+            sel = np.asarray(ji, dtype=np.int64)
+            order = Poset([str(i) for i in range(len(ji))], self.leq[np.ix_(sel, sel)],
+                          check=False)
+            self._irreducibles = (ji, order)
+        return self._irreducibles
 
     def meet(self, i: int, j: int) -> int:
         return int(self._tables()[0][i, j])
@@ -94,11 +105,7 @@ def is_distributive(L: Lattice, guard: int = DEFAULT_DISTRIBUTIVITY_GUARD) -> bo
         raise GuardExceeded(f"{L.n} elements exceed distributivity guard {guard}")
     if L.n <= 64:
         return distributive_by_triples(L, guard=64)
-    ji = join_irreducibles(L)
-    sel = np.asarray(ji, dtype=np.int64)
-    sub = Poset([str(i) for i in range(len(ji))], L.leq[np.ix_(sel, sel)], check=False)
-    from .posets import count_downsets
-    return count_downsets(sub) == L.n
+    return count_downsets(L._irreducible_order()[1]) == L.n
 
 
 def join_irreducibles(L: Lattice) -> list[int]:
@@ -109,28 +116,18 @@ def join_irreducibles(L: Lattice) -> list[int]:
     return [j for j in range(L.n) if int(cov[:, j].sum()) == 1]
 
 
-def priestley_dual_of_lattice(L: Lattice, *, check_distributive: bool = True,
-                              guard: int = DEFAULT_DISTRIBUTIVITY_GUARD) -> Poset:
+def priestley_dual_of_lattice(L: Lattice) -> Poset:
     """H(L): homs into the two-element lattice under the pointwise order.
 
     Computed through join-irreducibles: the prime filters are their up-sets, and
-    filter inclusion reverses the induced order on join-irreducibles.
+    filter inclusion reverses the induced order on join-irreducibles. Carriers
+    within the distributivity guard are checked to be distributive first.
     """
-    if check_distributive and L.n <= guard and not is_distributive(L, guard=guard):
+    if L.n <= DEFAULT_DISTRIBUTIVITY_GUARD and not is_distributive(L):
         raise NotALattice("input lattice is not distributive")
-    ji = join_irreducibles(L)
-    sel = np.asarray(ji, dtype=np.int64)
-    sub = L.leq[np.ix_(sel, sel)]
+    ji, order = L._irreducible_order()
     names = [f"pf_{L.elements[j]}" for j in ji]
-    return Poset(names, sub.T, check=False)
-
-
-def prime_filters(L: Lattice) -> list[frozenset[int]]:
-    """Prime filters, in the element order of priestley_dual_of_lattice."""
-    out = []
-    for j in join_irreducibles(L):
-        out.append(frozenset(int(i) for i in np.flatnonzero(L.leq[j])))
-    return out
+    return Poset(names, order.leq.T, check=False)
 
 
 def priestley_dual_by_homs(L: Lattice, guard: int = DEFAULT_HOM_SCAN_GUARD) -> Poset:
@@ -188,15 +185,6 @@ def lattices_isomorphic(L1: Lattice, L2: Lattice) -> bool:
 
     Sound only for distributive inputs, where L is determined by J(L).
     """
-    from .posets import are_isomorphic
     if L1.n != L2.n:
         return False
-    ji1 = join_irreducibles(L1)
-    ji2 = join_irreducibles(L2)
-    if len(ji1) != len(ji2):
-        return False
-    s1 = np.asarray(ji1, dtype=np.int64)
-    s2 = np.asarray(ji2, dtype=np.int64)
-    P1 = Poset([str(i) for i in range(len(ji1))], L1.leq[np.ix_(s1, s1)], check=False)
-    P2 = Poset([str(i) for i in range(len(ji2))], L2.leq[np.ix_(s2, s2)], check=False)
-    return are_isomorphic(P1, P2) is not None
+    return are_isomorphic(L1._irreducible_order()[1], L2._irreducible_order()[1]) is not None

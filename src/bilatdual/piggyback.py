@@ -300,16 +300,6 @@ def table3_report(n: int) -> list[Table3Row]:
     return rows
 
 
-def format_table3(rows: list[Table3Row]) -> str:
-    width = max(len(",".join(r.names)) for r in rows) + 2
-    out = [f"{'omega1':>8} {'omega2':>8}  relations"]
-    for r in rows:
-        cell = ",".join(r.names) if r.names else "-"
-        flag = "" if r.matches_schema else "   << UNEXPECTED"
-        out.append(f"{r.omega1:>8} {r.omega2:>8}  {cell:<{width}}{flag}")
-    return "\n".join(out) + "\n"
-
-
 # ----------------------------------------------------------------------------
 # the carrier space and the translation isomorphism
 

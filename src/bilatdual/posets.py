@@ -206,13 +206,6 @@ def grid(a: int, b: int) -> Poset:
 # down-sets
 
 
-@dataclass
-class DownSetFamily:
-    base: Poset
-    count: int
-    enumeration: list[frozenset[int]] | None = None
-
-
 def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
     """Exact number of down-sets, by branching on a minimal element with memoization.
 
@@ -249,7 +242,7 @@ def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
     return rec((1 << P.n) - 1)
 
 
-def enumerate_downsets(P: Poset, limit: int | None = None) -> list[int]:
+def enumerate_downsets(P: Poset) -> list[int]:
     """All down-sets as bit masks, by the same include/exclude branching."""
     up = P.up_masks()
     sdown = [m & ~(1 << i) for i, m in enumerate(P.down_masks())]
@@ -258,8 +251,6 @@ def enumerate_downsets(P: Poset, limit: int | None = None) -> list[int]:
     def rec(mask: int, acc: int):
         if mask == 0:
             out.append(acc)
-            if limit is not None and len(out) > limit:
-                raise GuardExceeded(f"down-set enumeration exceeded {limit} sets")
             return
         m = mask
         while m:
@@ -273,18 +264,6 @@ def enumerate_downsets(P: Poset, limit: int | None = None) -> list[int]:
 
     rec((1 << P.n) - 1, 0)
     return out
-
-
-def downset_family(P: Poset, enumerate_all: bool = False,
-                   budget: int = DEFAULT_COUNT_BUDGET) -> DownSetFamily:
-    count = count_downsets(P, budget=budget)
-    enum = None
-    if enumerate_all:
-        masks = enumerate_downsets(P)
-        enum = [frozenset(i for i in range(P.n) if m >> i & 1) for m in masks]
-        if len(enum) != count:
-            raise AssertionError("enumeration and count disagree")
-    return DownSetFamily(P, count, enum)
 
 
 def is_downset_mask(mask: int, down_masks) -> bool:

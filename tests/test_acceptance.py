@@ -283,3 +283,16 @@ def test_criterion_13_generated_free_algebra_n3(tmp_path):
     assert elapsed < 120, f"generation took {elapsed:.1f}s"
     report(13, f"brute-force generation gives |F_V3(1)| = 5622, the formula value, "
                f"in {elapsed:.1f}s")
+
+
+def test_criterion_14_verify_all_at_n5(capsys):
+    from bilatdual.cli import main
+    t0 = time.time()
+    code = main(["verify", "--suite", "all", "--n", "5"])
+    elapsed = time.time() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("overall: pass\n")
+    assert "FAIL" not in out
+    report(14, f"verify --suite all --n 5 passes {out.count('  PASS  ')} checks "
+               f"with no failure in {elapsed:.1f}s")

@@ -3,7 +3,7 @@
 import json
 import time
 
-from bilatdual import algebra, cli, verify
+from bilatdual import algebra, bridge, cli, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
@@ -95,6 +95,19 @@ def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
     assert err == "error: carrier too large\n"
 
 
+def test_in_document_depth_must_match_n(tmp_path, capsys):
+    docs = {}
+    for kind, build in (("algebra", "jn"), ("structure", "alter-ego")):
+        _, text, _ = run(capsys, ["build", build, "--n", "1"])
+        docs[kind] = tmp_path / f"{kind}.json"
+        docs[kind].write_text(text)
+    for kind, doc, n in (("priestley", "structure", "3"), ("dual", "algebra", "2"),
+                         ("carrier-space", "algebra", "2")):
+        code, out, err = run(capsys, ["build", kind, "--n", n, "--in", str(docs[doc])])
+        assert (code, out) == (2, ""), kind
+        assert err == f"error: --in document has depth n=1 but --n is {n}\n", kind
+
+
 def test_free_size_all_methods(capsys):
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "all"])
     assert code == 0
@@ -136,6 +149,26 @@ def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
     assert code == 0
     assert "note: generate skipped: closure exceeded 100 elements\n" in out
     assert "generated=" not in out
+
+
+def test_downset_guard_counts_before_enumerating(monkeypatch, capsys):
+    def refuse(P):
+        raise AssertionError("enumerated past the down-set limit")
+
+    monkeypatch.setattr(bridge, "DOWNSET_LIMIT", 1000)
+    monkeypatch.setattr(bridge, "enumerate_downsets", refuse)
+    code, out, _ = run(capsys, ["free-size", "--n", "2", "--method", "downsets"])
+    assert code == 0
+    assert "note: downsets skipped: 1434 down-sets exceed the enumeration limit 1000\n" in out
+    assert "counted=" not in out
+
+
+def test_downset_guard_ends_large_n_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["free-size", "--n", "40", "--method", "downsets"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert "total=2617152596" in out and "downsets skipped: 2617152596 down-sets" in out
 
 
 def test_free_size_downsets_n6(capsys):

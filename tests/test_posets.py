@@ -8,7 +8,7 @@ import pytest
 from bilatdual.algebra import GuardExceeded
 from bilatdual.posets import (Poset, antichain, are_isomorphic, chain, check_relation,
                               count_downsets, count_downsets_bruteforce, direct_product,
-                              disjoint_union, downset_family, dual, enumerate_downsets,
+                              disjoint_union, dual, enumerate_downsets,
                               from_covers, grid, is_order_isomorphism, linear_sum)
 
 
@@ -78,14 +78,16 @@ def test_combinator_count_identities():
 
 
 def test_downset_family_consistency():
-    fam = downset_family(grid(2, 3), enumerate_all=True)
-    assert fam.count == 10
-    assert len(fam.enumeration) == 10
-    for ds in fam.enumeration:
-        for i in ds:
-            for j in range(fam.base.n):
-                if fam.base.leq[j, i]:
-                    assert j in ds
+    P = grid(2, 3)
+    masks = enumerate_downsets(P)
+    assert count_downsets(P) == 10
+    assert len(set(masks)) == len(masks) == 10
+    for mask in masks:
+        for i in range(P.n):
+            if mask >> i & 1:
+                for j in range(P.n):
+                    if P.leq[j, i]:
+                        assert mask >> j & 1
 
 
 def test_count_budget_guard():
