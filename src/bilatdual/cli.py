@@ -15,6 +15,21 @@ from .ranked import functor_F
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 BUILD_KINDS = ("jn", "mk", "alter-ego", "dual", "priestley", "carrier-space")
+BUILD_GUARD = 500_000   # numbers (table cells, pair coordinates) of an object built from --n alone
+
+
+def _built_from_n(kind: str, n: int) -> tuple[str, int]:
+    """The object `build KIND --n N` makes from n alone, and how many numbers it holds.
+
+    dual and carrier-space start from J_n, priestley from the alter ego.
+    """
+    if kind == "mk":
+        return "M_k", 4 * 6 * 6 + 2 * n + 4
+    if kind in ("alter-ego", "priestley"):
+        pairs = 9 + 8 * n + 8 * (n * (n - 1) // 2)
+        return "the alter ego", 2 * pairs + 6 * n
+    m = 2 * n + 4
+    return "J_n", 4 * m * m
 
 
 def _emit(text: str, out: str | None):
@@ -50,6 +65,11 @@ def cmd_build(args) -> int:
         if depth != n:
             return _fail_usage(f"--in document has depth n={depth} but --n is {n}")
     try:
+        if source is None:
+            what, numbers = _built_from_n(args.kind, n)
+            if numbers > BUILD_GUARD:
+                raise GuardExceeded(f"{what} at n={n} holds about {numbers} numbers "
+                                    f"(build guard {BUILD_GUARD})")
         if args.kind == "jn":
             doc = build_jn(n).to_dict()
         elif args.kind == "mk":

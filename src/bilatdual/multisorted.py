@@ -19,6 +19,7 @@ from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, enumera
 from .posets import check_relation
 
 DEFAULT_MORPHISM_GUARD = 200_000
+SEPARATION_NODE_GUARD = 1_000_000   # kernel nodes over all pinned searches of one structure
 
 
 @dataclass(eq=True)
@@ -187,19 +188,41 @@ def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> 
     return True
 
 
+@dataclass
+class _NodeBudget:
+    """Kernel nodes (`visit` calls) spent across searches; more than `cap` raises."""
+
+    cap: int
+    spent: int = 0
+
+
 def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
-            injective: bool = False) -> bool:
+            injective: bool = False, pins=(), budget: _NodeBudget | None = None) -> bool:
     """Backtracking over the sort-respecting maps X -> Y that are morphisms.
 
     Points are visited in `X.points()` order, sort 0 first, so every later
     point draws its candidates from one g-fibre of Y. Each relation pair of X
     is checked once, at the later of its two points (a reflexive pair at its
     own point). With `injective`, values already used in a sort are skipped.
+    `pins` lists triples (k, i, v) that restrict point i of sort k to the one
+    value v; a pin on a point of sort k >= 1 also pins its sort-0 root to the
+    g-image of v, and pins that disagree on a point end the search at once.
     `found(maps)` sees each morphism in lexicographic order and returns true to
-    stop; the return value says whether it did.
+    stop; the return value says whether it did. A `budget` counts every node
+    and raises GuardExceeded once it has spent more than its cap.
     """
     points = X.points()
     pos = {pt: p for p, pt in enumerate(points)}
+    domains: list[tuple[int] | None] = [None] * len(points)
+    for k, i, v in pins:
+        forced = [(pos[(k, i)], v)]
+        if k:
+            forced.append((pos[(0, X.g[k - 1][i])], Y.g[k - 1][v]))
+        for p, w in forced:
+            if domains[p] is None:
+                domains[p] = (w,)
+            elif domains[p] != (w,):
+                return False
     # checks[p]: (q, table) meaning the value at p must lie in table[image of q]
     checks: list[list] = [[] for _ in points]
 
@@ -236,11 +259,19 @@ def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
     img = [0] * len(points)
 
     def visit(p: int) -> bool:
+        if budget is not None:
+            budget.spent += 1
+            if budget.spent > budget.cap:
+                raise GuardExceeded(f"search exceeded {budget.cap} nodes")
         if p == len(points):
             return found(tuple(tuple(img[s:e]) for s, e in spans))
         k = points[p][0]
         root = roots[p]
-        for v in everything if root is None else fibres[k - 1].get(img[root], ()):
+        # a pinned point of sort k >= 1 has its root pinned too, so the pin lies in the fibre
+        candidates = domains[p]
+        if candidates is None:
+            candidates = everything if root is None else fibres[k - 1].get(img[root], ())
+        for v in candidates:
             if injective and v in used[k]:
                 continue
             img[p] = v
@@ -640,9 +671,13 @@ def membership_by_separation(X: MultiSortedStructure, n: int | None = None) -> b
     A requirement (j, a, k, b, allowed) is met by a morphism that sends (a, b)
     outside `allowed`: the diagonal of M_k for distinct points a, b of sort k,
     the alter ego's relation for an unrelated pair of a sort or cross relation.
-    Morphisms stream from the kernel and the search stops once every
-    requirement is met; GuardExceeded is raised when more than
-    DEFAULT_MORPHISM_GUARD morphisms leave some requirement open.
+    The first open requirement is tried one pin at a time: for each (u, v)
+    outside `allowed`, the kernel looks for one morphism with a -> u, b -> v,
+    and the morphism it finds drops every requirement it meets. A requirement
+    that no pin meets decides False. (With no requirement at all, every sort has
+    at most one point and the constant-true map is a morphism.) GuardExceeded is
+    raised once the searches together visit more than SEPARATION_NODE_GUARD
+    kernel nodes.
     """
     if n is None:
         n = X.n
@@ -661,15 +696,26 @@ def membership_by_separation(X: MultiSortedStructure, n: int | None = None) -> b
         for a, b in itertools.product(range(len(X.sorts[j])), range(len(X.sorts[k]))):
             if (a, b) not in rel:
                 needs.append((j, a, k, b, ego.rel_cross[(j, k)]))
-    seen = 0
+    total = len(needs)
+    budget = _NodeBudget(SEPARATION_NODE_GUARD)
+    found = []
 
-    def split(maps) -> bool:
-        nonlocal needs, seen
-        needs = [r for r in needs if (maps[r[0]][r[1]], maps[r[2]][r[3]]) in r[4]]
-        seen += 1
-        if needs and seen > DEFAULT_MORPHISM_GUARD:
-            raise GuardExceeded(
-                f"separation undecided after {DEFAULT_MORPHISM_GUARD} morphisms")
-        return not needs
+    def first(maps) -> bool:
+        found.append(maps)
+        return True
 
-    return _search(X, ego, split)
+    try:
+        while needs:
+            j, a, k, b, allowed = needs[0]
+            for u, v in itertools.product(range(len(ego.sorts[j])), range(len(ego.sorts[k]))):
+                if (u, v) not in allowed and \
+                        _search(X, ego, first, pins=((j, a, u), (k, b, v)), budget=budget):
+                    maps = found.pop()
+                    needs = [r for r in needs if (maps[r[0]][r[1]], maps[r[2]][r[3]]) in r[4]]
+                    break
+            else:
+                return False
+    except GuardExceeded:
+        raise GuardExceeded(f"separation undecided after {budget.cap} kernel nodes, "
+                            f"{len(needs)} of {total} requirements open") from None
+    return True

@@ -296,3 +296,15 @@ def test_criterion_14_verify_all_at_n5(capsys):
     assert "FAIL" not in out
     report(14, f"verify --suite all --n 5 passes {out.count('  PASS  ')} checks "
                f"with no failure in {elapsed:.1f}s")
+
+
+def test_criterion_15_separation_at_n7(capsys):
+    from bilatdual.cli import main
+    t0 = time.time()
+    code = main(["verify", "--suite", "axioms", "--n", "7"])
+    elapsed = time.time() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  PASS  axioms-vs-separation:100-structures\n" in out
+    report(15, f"verify --suite axioms --n 7 decides separation on 100 structures "
+               f"and passes in {elapsed:.1f}s")

@@ -227,3 +227,16 @@ def test_dot_file_next_to_out(tmp_path, capsys):
                               "--out", str(target)])
     assert code == 0
     assert (tmp_path / "ego.json.dot").read_text().startswith("digraph")
+
+
+def test_build_guard_refuses_before_building(capsys):
+    for argv in (["build", "jn", "--n", "100000"], ["build", "jn", "--n", "1000"],
+                 ["build", "alter-ego", "--n", "5000"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 2, argv
+        assert code == 2 and out == "", argv
+        assert f"(build guard {cli.BUILD_GUARD})" in err
+    code, out, _ = run(capsys, ["build", "jn", "--n", "100"])
+    assert code == 0
+    assert len(json.loads(out)["elements"]) == 204

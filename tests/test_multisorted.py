@@ -138,17 +138,70 @@ def _isomorphic_by_permutations(X, Y):
     return False
 
 
+def _morphisms_by_bruteforce(X, Y):
+    """Every sort-respecting map X -> Y that is a morphism, in lexicographic order."""
+    everything = itertools.product(*(
+        itertools.product(range(len(Y.sorts[k])), repeat=len(X.sorts[k]))
+        for k in range(X.n + 1)))
+    return sorted(m for m in everything if is_multimorphism(m, X, Y))
+
+
 def test_morphism_kernel_matches_bruteforce_oracle():
     rng = random.Random(20260818)
     for n in (1, 2):
         for _ in range(60):
             X = random_structure(n, rng, max_sort=3)
             Y = random_structure(n, rng, max_sort=3)
-            everything = itertools.product(*(
-                itertools.product(range(len(Y.sorts[k])), repeat=len(X.sorts[k]))
-                for k in range(n + 1)))
-            expected = sorted(m for m in everything if is_multimorphism(m, X, Y))
+            expected = _morphisms_by_bruteforce(X, Y)
             assert [phi.maps for phi in enumerate_multimorphisms(X, Y)] == expected
+
+
+def _random_pins(X, Y, rng):
+    """One to three pins (k, i, v) on points of X, with shapes the kernel must handle."""
+    points = [(k, i) for k, i in X.points() if Y.sorts[k]]
+    pins = [(k, i, rng.randrange(len(Y.sorts[k])))
+            for k, i in rng.sample(points, min(len(points), rng.randint(1, 2)))]
+    k, i, v = pins[0]
+    shape = rng.randrange(3)
+    if shape == 0:
+        # a second pin on the same point, equal to the first about half the time
+        pins.append((k, i, v if rng.random() < 0.5 else rng.randrange(len(Y.sorts[k]))))
+    elif shape == 1 and k > 0:
+        # a pin on the sort-0 root, often not the g-image of the first pin's value
+        pins.append((0, X.g[k - 1][i], rng.randrange(len(Y.sorts[0]))))
+    return pins
+
+
+def test_pinned_kernel_matches_bruteforce_oracle():
+    rng = random.Random(20260821)
+    seen = set()
+    for n in (1, 2):
+        for _ in range(150):
+            X = random_structure(n, rng, max_sort=3)
+            Y = random_structure(n, rng, max_sort=3)
+            every = _morphisms_by_bruteforce(X, Y)
+            pins = _random_pins(X, Y, rng)
+            expected = [m for m in every if all(m[k][i] == v for k, i, v in pins)]
+            listed = []
+            assert not multisorted._search(X, Y, listed.append, pins=pins)
+            assert listed == expected
+            assert multisorted._search(X, Y, lambda m: True, pins=pins) == bool(expected)
+            values = {}
+            for k, i, v in pins:
+                values.setdefault((k, i), set()).add(v)
+                if k:
+                    values.setdefault((0, X.g[k - 1][i]), set()).add(Y.g[k - 1][v])
+            conflict = any(len(vs) > 1 for vs in values.values())
+            assert not (conflict and expected)
+            if len({(k, i) for k, i, _ in pins}) < len(pins):
+                seen.add("two pins on one point")
+            sort0 = {(i, v) for k, i, v in pins if k == 0}
+            if any(k and (X.g[k - 1][i], Y.g[k - 1][v]) not in sort0 and
+                   any(i0 == X.g[k - 1][i] for i0, _ in sort0) for k, i, v in pins):
+                seen.add("root conflict")
+            if not conflict and every and not expected:
+                seen.add("pins with no morphism")
+    assert seen == {"two pins on one point", "root conflict", "pins with no morphism"}
 
 
 def test_isomorphism_kernel_matches_permutation_oracle():
@@ -341,6 +394,16 @@ def test_axioms_equal_separation_at_n3():
         assert check_axioms(X).ok == membership_by_separation(X)
 
 
+def test_axioms_equal_separation_at_depth():
+    for n in (5, 6, 7):
+        verdicts = set()
+        for X in structure_corpus(n, 100, 20260809):
+            verdict = check_axioms(X).ok
+            assert membership_by_separation(X) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
 def _separation_by_scan(X):
     """The materialize-and-scan rule: list every morphism, then test each pair."""
     ego = build_alter_ego(X.n)
@@ -378,18 +441,20 @@ def test_streamed_separation_matches_the_scan_oracle():
 
 def test_separation_guard_bounds_only_an_undecided_search(monkeypatch):
     ego = build_alter_ego(1)
-    assert len(enumerate_multimorphisms(ego, ego)) == 266
-    # the 28th morphism meets the last requirement, one past the cap
-    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 27)
+    # four pinned searches of 11 nodes each meet every requirement; the other
+    # pins conflict at a sort-0 root and cost no node
+    monkeypatch.setattr(multisorted, "SEPARATION_NODE_GUARD", 44)
     assert membership_by_separation(ego)
-    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 26)
-    with pytest.raises(GuardExceeded):
+    monkeypatch.setattr(multisorted, "SEPARATION_NODE_GUARD", 43)
+    with pytest.raises(GuardExceeded, match="after 43 kernel nodes, 3 of 77 requirements open"):
         membership_by_separation(ego)
-    # a <= b <= a: no morphism into the antisymmetric alter ego splits a from b
+    # a <= b <= a: no morphism into the antisymmetric alter ego splits a from b,
+    # and each of the 12 off-diagonal pins of (a, b) fails at b after 2 nodes
     cycle = frozenset({(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (3, 3)})
     X = MultiSortedStructure(1, (("a", "b", "c", "d"), ()), ((),), (cycle, frozenset()), {})
     assert len(enumerate_multimorphisms(X, ego)) == 64
-    with pytest.raises(GuardExceeded):
+    monkeypatch.setattr(multisorted, "SEPARATION_NODE_GUARD", 23)
+    with pytest.raises(GuardExceeded, match="after 23 kernel nodes, 22 of 22 requirements open"):
         membership_by_separation(X)
-    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 64)
+    monkeypatch.setattr(multisorted, "SEPARATION_NODE_GUARD", 24)
     assert membership_by_separation(X) is False
