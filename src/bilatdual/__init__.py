@@ -7,10 +7,9 @@ reducts two independent ways, and reproduces the free-algebra counts exactly.
 """
 
 from .algebra import (FiniteAlgebra, GuardExceeded, Homomorphism, SignatureN,
-                      build_jn, build_mk, enumerate_hom_objects, enumerate_homs,
-                      enumerate_subuniverses, free_algebra, generated_subalgebra,
-                      generated_subalgebra_in_product, is_homomorphism, lattice_reduct,
-                      mk_algebras, product)
+                      build_jn, build_mk, enumerate_homs, enumerate_subuniverses,
+                      free_algebra, generated_subalgebra, generated_subalgebra_in_product,
+                      is_homomorphism, lattice_reduct, mk_algebras, product)
 from .bridge import (DoubledSpace, FreeSizes, construct_P, free_size_formula,
                      partitioned_downset_count, verify_translation)
 from .distlat import (Lattice, lattice_of_downsets, lattice_of_upsets,

@@ -425,20 +425,20 @@ class _Stage:
         return True
 
 
-def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra,
-                   generator_hints=()) -> list[tuple[int, ...]]:
+def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All homomorphisms A -> B, lexicographically sorted as image tuples.
 
     Constants pin their images first. A greedy generating sequence g_1..g_m is
     recorded with its closure stages: S_0 is the subuniverse the constants
-    generate and S_t the closure of the constants plus g_1..g_t. The search
-    assigns generator images depth first; at level t it derives the images of
-    S_t from the recorded rules and descends only if the partial map is a
-    homomorphism on S_t. The restriction of a homomorphism to a subuniverse is
-    one, so pruning loses no solution. Every map that reaches S_m = A is
-    verified exhaustively by `is_homomorphism`. `generator_hints` are taken
-    first and only shorten the generating sequence; the result does not
-    depend on them.
+    generate and S_t the closure of the constants plus g_1..g_t. Each g_t is
+    the element outside S_{t-1} whose products with S_{t-1}, over the four
+    binary tables, fall outside S_{t-1} most often (lowest index on ties), so
+    the sequence depends on A alone. The search assigns generator images
+    depth first; at level t it derives the images of S_t from the recorded
+    rules and descends only if the partial map is a homomorphism on S_t. The
+    restriction of a homomorphism to a subuniverse is one, so pruning loses
+    no solution. Every map that reaches S_m = A is verified exhaustively by
+    `is_homomorphism`.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("source and target must share a signature")
@@ -453,18 +453,13 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra,
     cl.saturate()
     gens: list[int] = []
     ends = [len(cl.order)]
-
-    def add_generator(g: int):
-        gens.append(g)
-        cl.add_seed(g)
+    while len(cl.order) < A.size:
+        members = np.array(cl.order, dtype=np.int64)
+        escapes = sum((~cl.known[A.tables[op][:, members]]).sum(axis=1) for op in BINARY_OPS)
+        gens.append(int(np.argmax(np.where(cl.known, -1, escapes))))
+        cl.add_seed(gens[-1])
         cl.saturate()
         ends.append(len(cl.order))
-
-    for g in generator_hints:
-        if not cl.known[g]:
-            add_generator(int(g))
-    while len(cl.order) < A.size:
-        add_generator(int(np.flatnonzero(~cl.known)[0]))
     stages = [_Stage(cl, start, end, last=end == A.size)
               for start, end in zip([0] + ends, ends)]
     btabs = {op: B.tables[op].tolist() for op in BINARY_OPS}
@@ -511,12 +506,6 @@ class Homomorphism:
 
     def __call__(self, element: int) -> int:
         return self.mapping[element]
-
-
-def enumerate_hom_objects(A: FiniteAlgebra, B: FiniteAlgebra,
-                          generator_hints=()) -> list[Homomorphism]:
-    return [Homomorphism(A, B, h)
-            for h in enumerate_homs(A, B, generator_hints=generator_hints)]
 
 
 def enumerate_homs_bruteforce(A, B, guard: int = DEFAULT_HOM_ORACLE_GUARD):

@@ -90,13 +90,10 @@ def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -
     return full
 
 
-def verify_translation(A: FiniteAlgebra, n: int | None = None,
-                       generator_hints=()) -> bool:
+def verify_translation(A: FiniteAlgebra) -> bool:
     """H(A-flat) is order-isomorphic to P(D(A)), with the witness verified both ways."""
-    if n is None:
-        n = A.signature.n
     H = priestley_dual_of_lattice(lattice_reduct(A))
-    dual_A = natural_dual(A, n, generator_hints=generator_hints)
+    dual_A = natural_dual(A)
     P = construct_P(dual_A.structure)
     witness = are_isomorphic(H, P.poset)
     if witness is None:

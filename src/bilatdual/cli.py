@@ -82,7 +82,7 @@ def cmd_build(args) -> int:
             if args.dot:
                 dot = functor_F(ego).to_dot("alter_ego")
         elif args.kind == "dual":
-            dual = natural_dual(source or build_jn(n), n)
+            dual = natural_dual(source or build_jn(n))
             doc = dual.structure.to_dict()
             if args.dot:
                 dot = functor_F(dual.structure).to_dot("dual")
@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
             if args.dot:
                 dot = space.poset.to_dot("priestley")
         elif args.kind == "carrier-space":
-            space = build_carrier_space(source or build_jn(n), n)
+            space = build_carrier_space(source or build_jn(n))
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("carrier_space")

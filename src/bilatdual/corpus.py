@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, build_jn, generated_subalgebra, mk_algebras,
-                      product)
+from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgebra,
+                      mk_algebras, product)
 from .multisorted import (MultiSortedStructure, build_alter_ego, enumerate_multimorphisms,
                           pointwise_structure)
 
@@ -19,7 +19,6 @@ from .multisorted import (MultiSortedStructure, build_alter_ego, enumerate_multi
 class CorpusAlgebra:
     label: str
     algebra: FiniteAlgebra
-    generator_hints: tuple[int, ...] = ()
 
 
 def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
@@ -32,8 +31,7 @@ def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
         k = rng.choice((1, 1, 2))
         gens = tuple(sorted(rng.sample(range(square.size), k)))
         sub = generated_subalgebra(square, gens)
-        hints = tuple(sub.embedding.index(g) for g in gens)
-        out.append(CorpusAlgebra(f"sub(J{n}^2)#{i}", sub.algebra, hints))
+        out.append(CorpusAlgebra(f"sub(J{n}^2)#{i}", sub.algebra))
     return out
 
 
@@ -114,7 +112,6 @@ def structure_corpus(n: int, count: int, seed: int, member_share: float = 0.5,
 def sample_morphisms(structures, n: int, count: int, seed: int,
                      per_pair_cap: int = 200):
     """Sampled (source, target, morphism) triples between corpus structures."""
-    from .algebra import GuardExceeded
     rng = random.Random(seed)
     ego = build_alter_ego(n)
     pool = []

@@ -342,15 +342,13 @@ class NaturalDual:
     algebra: FiniteAlgebra
 
 
-def natural_dual(A: FiniteAlgebra, n: int | None = None,
-                 generator_hints=()) -> NaturalDual:
+def natural_dual(A: FiniteAlgebra, n: int | None = None) -> NaturalDual:
     if n is None:
         n = A.signature.n
     if n < 1:
         raise ValueError("natural duals require n >= 1")
     mks = mk_algebras(n)
-    homs = tuple(tuple(enumerate_homs(A, mks[k], generator_hints=generator_hints))
-                 for k in range(n + 1))
+    homs = tuple(tuple(enumerate_homs(A, mks[k])) for k in range(n + 1))
     sorts = tuple(tuple(f"h{k}_{i}" for i in range(len(homs[k]))) for k in range(n + 1))
     structure = pointwise_structure(build_alter_ego(n), sorts, homs)
     return NaturalDual(structure, homs, A)
@@ -406,17 +404,15 @@ class HomAlgebra:
     row_index: dict[tuple[int, ...], int]
 
 
-def hom_algebra_E(X: MultiSortedStructure, n: int | None = None) -> HomAlgebra:
+def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
     """All morphisms X -> alter ego as an algebra under pointwise operations.
 
     The kernel lists morphisms in lexicographic order, which is the packed-key
     order the table builder expects; the builder raises if an operation leaves
     the hom-set, so compatibility is checked while the tables are built.
     """
-    if n is None:
-        n = X.n
-    ego = build_alter_ego(n)
-    mks = mk_algebras(n)
+    ego = build_alter_ego(X.n)
+    mks = mk_algebras(X.n)
     points = X.points()
     factors = [mks[k] for k, _ in points]
     rows = [tuple(phi.maps[k][i] for k, i in points) for phi in enumerate_multimorphisms(X, ego)]
@@ -426,18 +422,17 @@ def hom_algebra_E(X: MultiSortedStructure, n: int | None = None) -> HomAlgebra:
     return HomAlgebra(algebra, points, {r: i for i, r in enumerate(rows)})
 
 
-def verify_unit_iso(A: FiniteAlgebra, n: int | None = None,
-                    generator_hints=()) -> bool:
+def verify_unit_iso(A: FiniteAlgebra) -> bool:
     """Evaluation A -> E(D(A)): true iff it is a bijective homomorphism.
 
     Algebras outside the generated class can have an empty dual, in which case
     the evaluation cannot be an isomorphism and False is returned.
     """
     try:
-        dual_A = natural_dual(A, n, generator_hints=generator_hints)
+        dual_A = natural_dual(A)
     except ValueError:
         return False
-    E = hom_algebra_E(dual_A.structure, dual_A.structure.n)
+    E = hom_algebra_E(dual_A.structure)
     if E.algebra.size != A.size:
         return False
     images = []
@@ -452,15 +447,13 @@ def verify_unit_iso(A: FiniteAlgebra, n: int | None = None,
     return is_homomorphism(images, A, E.algebra)
 
 
-def verify_counit_iso(X: MultiSortedStructure, n: int | None = None,
-                      max_e_size: int = 500) -> bool:
+def verify_counit_iso(X: MultiSortedStructure, max_e_size: int = 500) -> bool:
     """Evaluation X -> DE(X), gated to small E(X); not part of the default suites."""
-    if n is None:
-        n = X.n
-    E = hom_algebra_E(X, n)
+    n = X.n
+    E = hom_algebra_E(X)
     if E.algebra.size > max_e_size:
         raise GuardExceeded(f"E(X) has {E.algebra.size} elements (> {max_e_size})")
-    DE = natural_dual(E.algebra, n)
+    DE = natural_dual(E.algebra)
     rows = sorted(E.row_index, key=E.row_index.get)
     point_pos = {pt: c for c, pt in enumerate(E.points)}
     maps = []
@@ -665,7 +658,7 @@ def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
     return False
 
 
-def membership_by_separation(X: MultiSortedStructure, n: int | None = None) -> bool:
+def membership_by_separation(X: MultiSortedStructure) -> bool:
     """Membership test via separation by morphisms into the alter ego.
 
     A requirement (j, a, k, b, allowed) is met by a morphism that sends (a, b)
@@ -679,10 +672,7 @@ def membership_by_separation(X: MultiSortedStructure, n: int | None = None) -> b
     raised once the searches together visit more than SEPARATION_NODE_GUARD
     kernel nodes.
     """
-    if n is None:
-        n = X.n
-    if X.n != n:
-        raise ValueError("source and target must share the same n")
+    n = X.n
     ego = build_alter_ego(n)
     needs = []
     for k in range(n + 1):

@@ -316,16 +316,14 @@ class QuasiOrderNotAntisymmetric(ValueError):
     pass
 
 
-def build_carrier_space(A: FiniteAlgebra, n: int | None = None,
-                        generator_hints=()) -> CarrierSpace:
+def build_carrier_space(A: FiniteAlgebra) -> CarrierSpace:
     """Hom-sets tagged by carriers, ordered by pointwise piggyback relations.
 
     Antisymmetry is asserted rather than quotiented: its failure would signal
     an implementation bug, not a mathematical possibility.
     """
-    if n is None:
-        n = A.signature.n
-    dual_A = natural_dual(A, n, generator_hints=generator_hints)
+    n = A.signature.n
+    dual_A = natural_dual(A)
     homs = dual_A.homs
     points = [(k, i, kind) for k in range(n + 1) for i in range(len(homs[k]))
               for kind in ("gamma", "delta")]
@@ -347,13 +345,10 @@ def build_carrier_space(A: FiniteAlgebra, n: int | None = None,
     return CarrierSpace(A, poset, points, dual_A)
 
 
-def verify_piggyback_iso(A: FiniteAlgebra, n: int | None = None,
-                         generator_hints=()) -> bool:
+def verify_piggyback_iso(A: FiniteAlgebra) -> bool:
     """Hat-to-delta relabelling is an order-iso, and the space matches H(A-flat)."""
     from .bridge import construct_P
-    if n is None:
-        n = A.signature.n
-    space = build_carrier_space(A, n, generator_hints=generator_hints)
+    space = build_carrier_space(A)
     doubled = construct_P(space.dual.structure)
     pos = {pt: i for i, pt in enumerate(space.points)}
     eta = []

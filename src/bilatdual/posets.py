@@ -206,6 +206,17 @@ def grid(a: int, b: int) -> Poset:
 # down-sets
 
 
+def _minimal_in(mask: int, strict_down) -> int:
+    """The lowest element of a nonempty `mask` with nothing strictly below it in `mask`."""
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        if strict_down[i] & mask == 0:
+            return i
+        m &= m - 1
+    raise ValueError("an empty mask has no minimal element")
+
+
 def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
     """Exact number of down-sets, by branching on a minimal element with memoization.
 
@@ -228,13 +239,7 @@ def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
         nodes += 1
         if nodes > budget:
             raise GuardExceeded(f"down-set counting exceeded {budget} nodes")
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if sdown[i] & mask == 0:
-                break
-            m &= m - 1
+        i = _minimal_in(mask, sdown)
         res = rec(mask & ~(1 << i)) + rec(mask & ~up[i])
         memo[mask] = res
         return res
@@ -252,13 +257,7 @@ def enumerate_downsets(P: Poset) -> list[int]:
         if mask == 0:
             out.append(acc)
             return
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if sdown[i] & mask == 0:
-                break
-            m &= m - 1
+        i = _minimal_in(mask, sdown)
         rec(mask & ~(1 << i), acc | (1 << i))
         rec(mask & ~up[i], acc)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import reflexive_transitive_closure
 from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure,
                           amalgamated_relation, check_axioms)
 from .posets import Poset, check_relation
@@ -172,24 +173,14 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
     verdicts["B3"] = AxiomVerdict(w is None, w, count)
 
     image = {Y.g[i] for i in range(m)}
-    comp = leq | leq.T
-    seen = [False] * m
+    connected = reflexive_transitive_closure(leq | leq.T)
     w = None
     for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        component = []
-        while stack:
-            v = stack.pop()
-            if seen[v]:
-                continue
-            seen[v] = True
-            component.append(v)
-            stack.extend(int(u) for u in np.flatnonzero(comp[v]) if not seen[u])
+        component = np.flatnonzero(connected[start]).tolist()
         inside = [v in image for v in component]
-        if any(inside) and not all(inside) and w is None:
+        if any(inside) and not all(inside):
             w = tuple(component)
+            break
     verdicts["B4"] = AxiomVerdict(w is None, w, m)
 
     w = None

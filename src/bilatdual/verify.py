@@ -15,16 +15,15 @@ from .bridge import (free_size_formula, partitioned_downset_count,
                      table_avoiding_expected, table_meeting_expected,
                      verify_translation)
 from .corpus import corpus_algebras, sample_morphisms, seeded_subalgebras, structure_corpus
-from .multisorted import (build_alter_ego, check_axioms, hom_algebra_E,
-                          is_multimorphism, membership_by_separation, natural_dual,
-                          verify_unit_iso)
+from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
+                          check_axioms, hom_algebra_E, is_multimorphism,
+                          membership_by_separation, natural_dual, verify_unit_iso)
 from .piggyback import (check_sep, name_relation, subuniverse_pairs,
                         table3_report, verify_piggyback_iso)
-from .posets import count_downsets, grid
+from .posets import count_downsets, enumerate_downsets, grid
 from .ranked import (check_axioms_B, flat_map_of_multimorphism, functor_F, functor_G,
                      is_ranked_morphism)
 
-SUITES = ("duality", "axioms", "functors", "translation", "piggyback", "tables", "all")
 DEFAULT_SEED = 20260809
 
 
@@ -101,14 +100,12 @@ class SuiteRunner:
 def suite_duality(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
     r = SuiteRunner("duality", n, seed)
     for k in range(n + 1):
-        r.check(f"unit-iso:M{k}", lambda k=k: verify_unit_iso(build_mk(n, k), n))
-    r.check(f"unit-iso:J{n}", lambda: verify_unit_iso(build_jn(n), n))
+        r.check(f"unit-iso:M{k}", lambda k=k: verify_unit_iso(build_mk(n, k)))
+    r.check(f"unit-iso:J{n}", lambda: verify_unit_iso(build_jn(n)))
     for item in seeded_subalgebras(n, 25, seed):
-        r.check(f"unit-iso:{item.label}",
-                lambda item=item: verify_unit_iso(item.algebra, n,
-                                                  generator_hints=item.generator_hints))
+        r.check(f"unit-iso:{item.label}", lambda item=item: verify_unit_iso(item.algebra))
     r.check("dual-sorts:M0",
-            lambda: ([len(s) for s in natural_dual(build_mk(n, 0), n).structure.sorts]
+            lambda: ([len(s) for s in natural_dual(build_mk(n, 0)).structure.sorts]
                      == [1] + [0] * n, "unexpected sort sizes"))
     r.check("E-size:one-point",
             lambda: (_one_point_e_size(n) == 4, "E of the one-point structure is not M0-sized"))
@@ -116,11 +113,10 @@ def suite_duality(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
 
 
 def _one_point_e_size(n: int) -> int:
-    from .multisorted import MultiSortedStructure
     one = MultiSortedStructure(
         n, (("p",),) + ((),) * n, ((),) * n,
         (frozenset({(0, 0)}),) + (frozenset(),) * n, {})
-    return hom_algebra_E(one, n).algebra.size
+    return hom_algebra_E(one).algebra.size
 
 
 def suite_axioms(n: int, seed: int = DEFAULT_SEED, count: int = 100) -> VerificationSuiteResult:
@@ -145,17 +141,14 @@ def suite_axioms(n: int, seed: int = DEFAULT_SEED, count: int = 100) -> Verifica
     r.check(f"axioms-vs-separation:{count}-structures", axioms_vs_separation)
     for item in corpus_algebras(n, seed, subalgebras=3):
         r.check(f"dual-satisfies-axioms:{item.label}",
-                lambda item=item: check_axioms(
-                    natural_dual(item.algebra, n,
-                                 generator_hints=item.generator_hints).structure).ok)
+                lambda item=item: check_axioms(natural_dual(item.algebra).structure).ok)
     return r.result
 
 
 def _structure_pool(n: int, seed: int):
     pool = [build_alter_ego(n)]
     for item in corpus_algebras(n, seed, subalgebras=3):
-        pool.append(natural_dual(item.algebra, n,
-                                 generator_hints=item.generator_hints).structure)
+        pool.append(natural_dual(item.algebra).structure)
     pool.extend(X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok)
     return pool
 
@@ -188,7 +181,6 @@ def suite_functors(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
                 mutated[k][0] = (mutated[k][0] + 1) % len(Y.sorts[k])
                 break
         maps = tuple(tuple(m) for m in mutated)
-        from .multisorted import MultiMorphism
         as_multi = is_multimorphism(maps, X, Y)
         as_ranked = is_ranked_morphism(
             flat_map_of_multimorphism(MultiMorphism(X, Y, maps)), FX, FY)
@@ -203,13 +195,9 @@ def suite_translation(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResu
     r = SuiteRunner("translation", n, seed)
     for item in corpus_algebras(n, seed):
         r.check(f"translation:{item.label}",
-                lambda item=item: verify_translation(item.algebra, n,
-                                                     generator_hints=item.generator_hints))
+                lambda item=item: verify_translation(item.algebra))
     if n <= 2:
-        def free_case():
-            F = free_algebra(n)
-            return verify_translation(F.algebra, n, generator_hints=F.generator_indices)
-        r.check(f"translation:F_V{n}(1)", free_case)
+        r.check(f"translation:F_V{n}(1)", lambda: verify_translation(free_algebra(n).algebra))
     return r.result
 
 
@@ -218,9 +206,7 @@ def suite_piggyback(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult
     r.check("separation-condition", lambda: check_sep(n))
     for item in corpus_algebras(n, seed):
         r.check(f"carrier-space:{item.label}",
-                lambda item=item: (verify_piggyback_iso(item.algebra, n,
-                                                        generator_hints=item.generator_hints),
-                                   "iso failed"))
+                lambda item=item: (verify_piggyback_iso(item.algebra), "iso failed"))
     return r.result
 
 
@@ -264,7 +250,6 @@ def suite_tables(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
     r.check("grouped-downset-tallies", tallies)
 
     def grid_counts():
-        from .posets import enumerate_downsets
         for m in range(1, 51):
             expected = (m + 1) * (m + 2) // 2
             if m <= 12 and len(enumerate_downsets(grid(2, m))) != expected:
@@ -276,10 +261,15 @@ def suite_tables(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
     return r.result
 
 
+SUITE_PARTS = {"duality": suite_duality, "axioms": suite_axioms, "functors": suite_functors,
+               "translation": suite_translation, "piggyback": suite_piggyback,
+               "tables": suite_tables}   # the suites that "all" runs, in report order
+SUITES = (*SUITE_PARTS, "all")
+
+
 def suite_all(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
     combined = VerificationSuiteResult("all", n, seed)
-    for fn in (suite_duality, suite_axioms, suite_functors, suite_translation,
-               suite_piggyback, suite_tables):
+    for fn in SUITE_PARTS.values():
         part = fn(n, seed)
         for c in part.checks:
             combined.checks.append(CheckRecord(f"{part.suite}/{c.id}", c.status,
@@ -288,11 +278,8 @@ def suite_all(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
 
 
 def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
-    table = {"duality": suite_duality, "axioms": suite_axioms, "functors": suite_functors,
-             "translation": suite_translation, "piggyback": suite_piggyback,
-             "tables": suite_tables, "all": suite_all}
-    if suite not in table:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if n < 1:
         raise ValueError("verification suites require n >= 1")
-    return table[suite](n, seed)
+    return SUITE_PARTS.get(suite, suite_all)(n, seed)

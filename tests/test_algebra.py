@@ -14,7 +14,7 @@ from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_
                                FiniteAlgebra, GuardExceeded, Homomorphism,
                                SignatureN, _Closure, _PackedKeys, _product_subalgebra,
                                bilattice_law_violations, build_jn, build_mk,
-                               closure_indices, enumerate_hom_objects, enumerate_homs,
+                               closure_indices, enumerate_homs,
                                enumerate_homs_bruteforce, enumerate_subuniverses,
                                free_algebra, generated_subalgebra,
                                generated_subalgebra_in_product, is_homomorphism,
@@ -378,24 +378,22 @@ def test_free_algebra_sizes(free1, free2):
 
 def test_free_algebra_hom_counts(free1):
     for k, expected in ((0, 4), (1, 6)):
-        homs = enumerate_homs(free1.algebra, build_mk(1, k),
-                              generator_hints=free1.generator_indices)
-        assert len(homs) == expected
+        assert len(enumerate_homs(free1.algebra, build_mk(1, k))) == expected
 
 
-def test_free_algebra_homs_do_not_depend_on_hints(free1, free2):
-    for k in (0, 1):
-        B = build_mk(1, k)
-        assert enumerate_homs(free1.algebra, B) == enumerate_homs(
-            free1.algebra, B, generator_hints=free1.generator_indices)
-    # without hints F_V2(1) needs several greedy generators
-    m0 = build_mk(2, 0)
-    assert enumerate_homs(free2.algebra, m0) == enumerate_homs(
-        free2.algebra, m0, generator_hints=free2.generator_indices)
+def test_free_algebra_homs_are_the_coordinate_projections(free1, free2):
+    # F_V(1) has one coordinate per pair (k, a) with a in M_k, and the generator
+    # reads a there; the hom into M_k sending the generator to a is that projection
+    for F in (free1, free2):
+        rows = np.array(F.rows)
+        for B in mk_algebras(F.algebra.signature.n):
+            cols = [c for c, f in enumerate(F.factors) if f is B]
+            assert len(cols) == B.size
+            projections = sorted(tuple(rows[:, c].tolist()) for c in cols)
+            assert enumerate_homs(F.algebra, B) == projections
 
 
-def test_hintless_search_prunes_before_the_full_check(free1, monkeypatch):
-    from bilatdual import algebra
+def test_hintless_search_prunes_before_the_full_check(free1, free2, monkeypatch):
     checked = []
 
     def counting(mapping, A, B):
@@ -403,8 +401,14 @@ def test_hintless_search_prunes_before_the_full_check(free1, monkeypatch):
         return is_homomorphism(mapping, A, B)
 
     monkeypatch.setattr(algebra, "is_homomorphism", counting)
-    assert len(enumerate_homs(free1.algebra, build_mk(1, 1))) == 6
-    assert len(checked) <= 100   # a flat search over 5 greedy generators makes 6**5
+    # the derived first generator is the free one, so only the homs reach the full check
+    for F, expected in ((free1, [4, 6]), (free2, [4, 6, 6])):
+        full_checks = []
+        for B in mk_algebras(F.algebra.signature.n):
+            checked.clear()
+            enumerate_homs(F.algebra, B)
+            full_checks.append(len(checked))
+        assert full_checks == expected
 
 
 def test_subuniverse_families():
@@ -531,9 +535,9 @@ def test_lattice_reduct_bounds():
 
 def test_homomorphism_objects():
     j1, m1, m0 = build_jn(1), build_mk(1, 1), build_mk(1, 0)
-    quotients = enumerate_hom_objects(j1, m1)
+    quotients = [Homomorphism(j1, m1, h) for h in enumerate_homs(j1, m1)]
     assert len(quotients) == 1
-    collapse = enumerate_hom_objects(m1, m0)[0]
+    collapse = [Homomorphism(m1, m0, h) for h in enumerate_homs(m1, m0)][0]
     composed = Homomorphism(j1, m0, tuple(collapse(v) for v in quotients[0].mapping))
     assert composed.mapping == enumerate_homs(j1, m0)[0]
     assert collapse(m1.index("01")) == m0.index("f0")

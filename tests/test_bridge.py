@@ -114,8 +114,7 @@ def test_specific_table_cells_n2():
 def test_translation_on_corpus():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=77, subalgebras=4):
-            assert verify_translation(item.algebra, n,
-                                      generator_hints=item.generator_hints), item.label
+            assert verify_translation(item.algebra), item.label
 
 
 def test_translation_on_m0_two_antichain():
@@ -128,8 +127,7 @@ def test_translation_on_m0_two_antichain():
 
 
 def test_translation_free_algebra(free1):
-    assert verify_translation(free1.algebra, 1,
-                              generator_hints=free1.generator_indices)
+    assert verify_translation(free1.algebra)
     H = priestley_dual_of_lattice(lattice_reduct(free1.algebra))
     P = construct_P(build_alter_ego(1))
     assert H.n == 20 and P.poset.n == 20

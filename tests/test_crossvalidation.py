@@ -108,8 +108,8 @@ def test_grid_counts_are_binomials():
 
 def test_unit_iso_holds_at_depth_three():
     for k in range(4):
-        assert verify_unit_iso(build_mk(3, k), 3)
-    assert verify_unit_iso(build_jn(3), 3)
+        assert verify_unit_iso(build_mk(3, k))
+    assert verify_unit_iso(build_jn(3))
 
 
 def test_unit_iso_rejects_a_law_breaking_algebra():
@@ -122,7 +122,7 @@ def test_unit_iso_rejects_a_law_breaking_algebra():
     from bilatdual.algebra import FiniteAlgebra
     damaged = FiniteAlgebra(m1.signature, tuple(f"d{e}" for e in m1.elements),
                             {op: m1.tables[op] for op in m1.tables}, neg, m1.consts)
-    assert not verify_unit_iso(damaged, 1)
+    assert not verify_unit_iso(damaged)
 
 
 def test_hom_counts_add_over_direct_factors():

@@ -189,7 +189,7 @@ def test_unnamed_relation_is_a_hard_error():
 
 
 def test_carrier_space_m0():
-    cs = build_carrier_space(build_mk(1, 0), 1)
+    cs = build_carrier_space(build_mk(1, 0))
     assert cs.poset.n == 2
     assert not cs.poset.le(0, 1) and not cs.poset.le(1, 0)
     H = priestley_dual_of_lattice(lattice_reduct(build_mk(1, 0)))
@@ -199,17 +199,14 @@ def test_carrier_space_m0():
 def test_carrier_space_sizes_and_iso_on_corpus():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=19, subalgebras=3):
-            space = build_carrier_space(item.algebra, n,
-                                        generator_hints=item.generator_hints)
+            space = build_carrier_space(item.algebra)
             expected = sum(2 * len(space.dual.homs[k]) for k in range(n + 1))
             assert space.poset.n == expected
-            assert verify_piggyback_iso(item.algebra, n,
-                                        generator_hints=item.generator_hints), item.label
+            assert verify_piggyback_iso(item.algebra), item.label
 
 
 def test_carrier_space_of_free_algebra(free1):
-    cs = build_carrier_space(free1.algebra, 1,
-                             generator_hints=free1.generator_indices)
+    cs = build_carrier_space(free1.algebra)
     assert cs.poset.n == 20
     assert count_downsets(cs.poset) == 266
 
@@ -220,8 +217,8 @@ def test_eta_naturality_on_a_sample():
     n = 1
     A, B = build_jn(1), build_mk(1, 1)
     u = enumerate_homs(A, B)[0]
-    space_A = build_carrier_space(A, n)
-    space_B = build_carrier_space(B, n)
+    space_A = build_carrier_space(A)
+    space_B = build_carrier_space(B)
     pos_A = {pt: i for i, pt in enumerate(space_A.points)}
     pos_B = {pt: i for i, pt in enumerate(space_B.points)}
     index_A = [{h: i for i, h in enumerate(space_A.dual.homs[k])} for k in range(n + 1)]
@@ -266,7 +263,6 @@ def _carrier_matrix_by_pair_scan(space, n):
 def test_carrier_space_matches_the_pair_scan():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=23):
-            space = build_carrier_space(item.algebra, n,
-                                        generator_hints=item.generator_hints)
+            space = build_carrier_space(item.algebra)
             assert np.array_equal(space.poset.leq, _carrier_matrix_by_pair_scan(space, n)), \
                 item.label

@@ -18,8 +18,7 @@ from bilatdual.ranked import (RankedPriestleySpace, StructureAxiomError, check_a
 def structure_pool(n, seed=51):
     pool = [build_alter_ego(n)]
     for item in corpus_algebras(n, seed, subalgebras=3):
-        pool.append(natural_dual(item.algebra, n,
-                                 generator_hints=item.generator_hints).structure)
+        pool.append(natural_dual(item.algebra, n).structure)
     pool += [X for X in structure_corpus(n, 25, seed) if check_axioms(X).ok]
     return pool
 
@@ -108,6 +107,9 @@ def test_b4_violation_detected():
     bad = RankedPriestleySpace(Poset(Y.poset.elements, leq), Y.g, Y.rank, Y.n)
     rep = check_axioms_B(bad)
     assert not rep.verdicts["B4"].holds
+    # the witness is the M0 block joined to top1, in ascending order
+    assert rep.verdicts["B4"].witness == (0, 1, 2, 3, 9)
+    assert rep.verdicts["B4"].instances == Y.poset.n
 
 
 def test_morphism_transport_both_directions():
