@@ -171,11 +171,20 @@ class FiniteAlgebra:
 # order helpers
 
 
+def bool_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product through float32 BLAS; a sum of ones is never rounded to 0.
+
+    A square (b is a) converts its matrix once.
+    """
+    fa = a.astype(np.float32)
+    return (fa @ (fa if b is a else b.astype(np.float32))) > 0.5
+
+
 def reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Smallest reflexive and transitive relation containing a square boolean matrix."""
     leq = rel | np.eye(rel.shape[0], dtype=bool)
     for _ in range(rel.shape[0]):
-        new = leq | (leq @ leq)
+        new = leq | bool_compose(leq, leq)
         if np.array_equal(new, leq):
             break
         leq = new
@@ -641,15 +650,9 @@ class _PackedKeys:
         return _unpack_keys(keys, self.radices)
 
     def _codes(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per group: the coordinates of the codes present, and each row's slot among them.
-
-        A one-coordinate group is indexed by the coordinate itself.
-        """
+        """Per group: the coordinates of the codes present, and each row's slot among them."""
         out = []
         for a, b, cells in self.groups:
-            if b - a == 1:
-                out.append((None, rows[:, a]))
-                continue
             codes = _pack_rows(rows[:, a:b], self.radices[a:b])
             present = np.zeros(cells, dtype=bool)
             present[codes] = True
@@ -664,15 +667,12 @@ class _PackedKeys:
         for op in BINARY_OPS:
             parts = []
             for (a, b, cells), (da, ia), (db, ib) in sides:
-                if da is None:
-                    local = self.factors[a].tables[op]
-                else:
-                    # a group of two or more coordinates has codes below GROUP_CELLS
-                    local = np.zeros((da.shape[0], db.shape[0]), dtype=np.int16)
-                    for c in range(a, b):
-                        local *= self.radices[c]
-                        local += self.factors[c].tables[op][da[:, c - a][:, None],
-                                                            db[:, c - a][None, :]]
+                # codes fit int16: a group spans at most GROUP_CELLS or one factor's size
+                local = np.zeros((da.shape[0], db.shape[0]), dtype=np.int16)
+                for c in range(a, b):
+                    local *= self.radices[c]
+                    local += self.factors[c].tables[op][da[:, c - a][:, None],
+                                                        db[:, c - a][None, :]]
                 parts.append((cells, local, ia, ib))
             (_, first, ia0, ib0), *rest = parts
             for start in range(0, left.shape[0], step):
@@ -753,11 +753,10 @@ def product_closure_rows(factors, generator_rows,
     return kernel.unpack(known)
 
 
-def generated_subalgebra_in_product(factors, generator_rows,
-                                    max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
+def generated_subalgebra_in_product(factors, generator_rows) -> ProductSubalgebra:
     """The closure of the generator tuples, with tables on its rows."""
     factors = tuple(factors)
-    rows = product_closure_rows(factors, generator_rows, max_elements)
+    rows = product_closure_rows(factors, generator_rows, DEFAULT_CLOSURE_GUARD)
     alg = _product_subalgebra(factors, rows)
     row_tuples = tuple(tuple(int(v) for v in row) for row in rows)
     row_pos = {t: i for i, t in enumerate(row_tuples)}
@@ -777,10 +776,10 @@ def _free_generator(n: int):
     return factors, gen
 
 
-def free_algebra(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> ProductSubalgebra:
+def free_algebra(n: int) -> ProductSubalgebra:
     """One-generated free algebra of the class generated by the M_k, built by closure."""
     factors, gen = _free_generator(n)
-    return generated_subalgebra_in_product(factors, [gen], max_elements=max_elements)
+    return generated_subalgebra_in_product(factors, [gen])
 
 
 def free_algebra_size(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> int:
@@ -801,23 +800,20 @@ class SubuniverseSet:
     members: tuple[frozenset[int], ...]
     meet_irreducible: tuple[bool, ...]
 
-    def named(self, member: frozenset[int]) -> frozenset[str]:
-        return frozenset(self.ambient.elements[i] for i in member)
-
     @property
     def meet_irreducibles(self) -> tuple[frozenset[int], ...]:
         return tuple(s for s, mi in zip(self.members, self.meet_irreducible) if mi)
 
 
-def enumerate_subuniverses(A: FiniteAlgebra,
-                           max_carrier: int = DEFAULT_SUBUNIVERSE_GUARD) -> SubuniverseSet:
+def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
     """Closure expansion from the constant-generated subuniverse.
 
     Each member S is extended by every x outside it; S is already closed, so
     the closure of S + x combines only pairs that involve a new element.
     """
-    if A.size > max_carrier:
-        raise GuardExceeded(f"carrier {A.size} exceeds subuniverse guard {max_carrier}")
+    if A.size > DEFAULT_SUBUNIVERSE_GUARD:
+        raise GuardExceeded(f"carrier {A.size} exceeds subuniverse guard "
+                            f"{DEFAULT_SUBUNIVERSE_GUARD}")
     n = A.size
     seed = sum(1 << i for i in closure_indices(A, ()))
     family = {seed}

@@ -17,7 +17,7 @@ from .algebra import FiniteAlgebra, GuardExceeded, lattice_reduct
 from .distlat import priestley_dual_of_lattice
 from .multisorted import MultiMorphism, MultiSortedStructure, build_alter_ego, natural_dual
 from .posets import (Poset, are_isomorphic, count_downsets, enumerate_downsets,
-                     is_order_isomorphism)
+                     is_order_isomorphism, is_order_preserving)
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
 
 
@@ -83,10 +83,8 @@ def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -
     """P(phi): plain to plain, hatted to hatted; checked order-preserving."""
     flat = flat_map_of_multimorphism(phi)
     full = flat + tuple(PY.m + v for v in flat)
-    for a in range(PX.poset.n):
-        for b in range(PX.poset.n):
-            if PX.poset.leq[a, b] and not PY.poset.leq[full[a], full[b]]:
-                raise AssertionError(f"transported map is not order-preserving at ({a},{b})")
+    if not is_order_preserving(full, PX.poset, PY.poset):
+        raise AssertionError("transported map is not order-preserving")
     return full
 
 

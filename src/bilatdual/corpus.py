@@ -14,6 +14,10 @@ from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgeb
 from .multisorted import (MultiSortedStructure, build_alter_ego, enumerate_multimorphisms,
                           pointwise_structure)
 
+MEMBER_POWER = 2       # member substructures live in this power of the alter ego
+MEMBER_SHARE = 0.5     # chance that a structure_corpus draw is a guaranteed member
+SAMPLE_PAIR_CAP = 200  # morphisms listed per structure when sampling
+
 
 @dataclass
 class CorpusAlgebra:
@@ -69,8 +73,7 @@ def random_structure(n: int, rng: random.Random, max_sort: int = 3) -> MultiSort
     return MultiSortedStructure(n, sorts, g, tuple(rel_sort), cross)
 
 
-def member_substructure(n: int, rng: random.Random, power: int = 2,
-                        max_sort: int = 3) -> MultiSortedStructure:
+def member_substructure(n: int, rng: random.Random, max_sort: int = 3) -> MultiSortedStructure:
     """A closed substructure of the alter ego raised to a small power.
 
     Substructures only need closure under the g-operations; relations are
@@ -82,42 +85,41 @@ def member_substructure(n: int, rng: random.Random, power: int = 2,
         size = len(ego.sorts[k])
         points = set()
         for _ in range(rng.randint(0, max_sort)):
-            points.add(tuple(rng.randrange(size) for _ in range(power)))
+            points.add(tuple(rng.randrange(size) for _ in range(MEMBER_POWER)))
         chosen.append(points)
     for k in range(1, n + 1):
         gk = ego.g[k - 1]
         for p in chosen[k]:
             chosen[0].add(tuple(gk[v] for v in p))
     if not any(chosen):
-        chosen[0].add(tuple(0 for _ in range(power)))
+        chosen[0].add(tuple(0 for _ in range(MEMBER_POWER)))
     points = [sorted(chosen[k]) for k in range(n + 1)]
     sorts = tuple(tuple(f"s{k}p" + "".join(map(str, p)) for p in points[k])
                   for k in range(n + 1))
     return pointwise_structure(ego, sorts, points)
 
 
-def structure_corpus(n: int, count: int, seed: int, member_share: float = 0.5,
+def structure_corpus(n: int, count: int, seed: int,
                      max_sort: int = 3) -> list[MultiSortedStructure]:
     """A mix of arbitrary structures and guaranteed members, seeded."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        if rng.random() < member_share:
+        if rng.random() < MEMBER_SHARE:
             out.append(member_substructure(n, rng, max_sort=max_sort))
         else:
             out.append(random_structure(n, rng, max_sort=max_sort))
     return out
 
 
-def sample_morphisms(structures, n: int, count: int, seed: int,
-                     per_pair_cap: int = 200):
+def sample_morphisms(structures, n: int, count: int, seed: int):
     """Sampled (source, target, morphism) triples between corpus structures."""
     rng = random.Random(seed)
     ego = build_alter_ego(n)
     pool = []
     for X in structures:
         try:
-            ms = enumerate_multimorphisms(X, ego, max_count=per_pair_cap)
+            ms = enumerate_multimorphisms(X, ego, max_count=SAMPLE_PAIR_CAP)
         except GuardExceeded as err:
             ms = getattr(err, "partial", [])
         pool.extend((X, ego, phi) for phi in ms)

@@ -10,13 +10,13 @@ the order dual.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
-from .algebra import GuardExceeded, NotALattice, lattice_tables_from_leq
-from .posets import Poset, are_isomorphic, bool_compose, count_downsets, dual, enumerate_downsets
+from .algebra import GuardExceeded, NotALattice, bool_compose, lattice_tables_from_leq
+from .posets import Poset, are_isomorphic, count_downsets, dual, enumerate_downsets
 
-DEFAULT_DISTRIBUTIVITY_GUARD = 2048
 DEFAULT_HOM_SCAN_GUARD = 20
 
 
@@ -93,38 +93,37 @@ def distributive_by_triples(L: Lattice, guard: int = 512) -> bool:
     return True
 
 
-def is_distributive(L: Lattice, guard: int = DEFAULT_DISTRIBUTIVITY_GUARD) -> bool:
-    """Exact distributivity test.
+def is_distributive(L: Lattice) -> bool:
+    """Exact test by Birkhoff's theorem: true iff L is a distributive lattice.
 
-    Small carriers get the exhaustive triple check; past 64 elements the count
-    criterion is used instead: every element is the join of the irreducibles
-    below it, so the comparison embedding into the down-sets of J(L) is onto
-    exactly for distributive lattices.
+    That holds exactly when a -> (down-set of a) ∩ J(L) is an order-isomorphism
+    onto the down-sets of J(L): an order-embedding (a <= b iff every
+    join-irreducible below a lies below b) whose image, a set of down-sets of
+    J(L), has as many members as there are down-sets. A bounded poset that is
+    not a lattice fails one of the two.
     """
-    if L.n > guard:
-        raise GuardExceeded(f"{L.n} elements exceed distributivity guard {guard}")
-    if L.n <= 64:
-        return distributive_by_triples(L, guard=64)
-    return count_downsets(L._irreducible_order()[1]) == L.n
+    ji, order = L._irreducible_order()
+    phi = L.leq[np.asarray(ji, dtype=np.int64)]
+    if not np.array_equal(~bool_compose(phi.T, ~phi), L.leq):
+        return False
+    return count_downsets(order) == L.n
 
 
 def join_irreducibles(L: Lattice) -> list[int]:
     """Elements with exactly one lower cover (the bottom is excluded)."""
-    lt = L.leq & ~np.eye(L.n, dtype=bool)
-    via = bool_compose(lt, lt)
-    cov = lt & ~via
-    return [j for j in range(L.n) if int(cov[:, j].sum()) == 1]
+    lower = Counter(j for _, j in L.poset().covers())
+    return [j for j in range(L.n) if lower[j] == 1]
 
 
 def priestley_dual_of_lattice(L: Lattice) -> Poset:
     """H(L): homs into the two-element lattice under the pointwise order.
 
     Computed through join-irreducibles: the prime filters are their up-sets, and
-    filter inclusion reverses the induced order on join-irreducibles. Carriers
-    within the distributivity guard are checked to be distributive first.
+    filter inclusion reverses the induced order on join-irreducibles. L is
+    checked to be a distributive lattice first.
     """
-    if L.n <= DEFAULT_DISTRIBUTIVITY_GUARD and not is_distributive(L):
-        raise NotALattice("input lattice is not distributive")
+    if not is_distributive(L):
+        raise NotALattice("input is not a distributive lattice")
     ji, order = L._irreducible_order()
     names = [f"pf_{L.elements[j]}" for j in ji]
     return Poset(names, order.leq.T, check=False)

@@ -20,6 +20,7 @@ from .posets import check_relation
 
 DEFAULT_MORPHISM_GUARD = 200_000
 SEPARATION_NODE_GUARD = 1_000_000   # kernel nodes over all pinned searches of one structure
+COUNIT_E_GUARD = 500   # largest E(X) whose dual the counit check builds
 
 
 @dataclass(eq=True)
@@ -313,20 +314,19 @@ def enumerate_multimorphisms(X: MultiSortedStructure, Y: MultiSortedStructure,
     return out
 
 
+def _sizes(X: MultiSortedStructure) -> tuple:
+    """Depth, sort sizes and relation sizes.
+
+    An injective morphism between structures of equal sizes maps every relation
+    onto its target relation, so it is an isomorphism.
+    """
+    return (X.n, [len(s) for s in X.sorts], [len(r) for r in X.rel_sort],
+            [len(X.rel_cross[key]) for key in sorted(X.rel_cross)])
+
+
 def structures_isomorphic(X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
     """Sort-wise bijections preserving g and both relation families exactly."""
-    if X.n != Y.n:
-        return False
-    for k in range(X.n + 1):
-        if len(X.sorts[k]) != len(Y.sorts[k]):
-            return False
-        if len(X.rel_sort[k]) != len(Y.rel_sort[k]):
-            return False
-    for key in X.rel_cross:
-        if len(X.rel_cross[key]) != len(Y.rel_cross[key]):
-            return False
-    # an injective morphism between equal-sized relations maps each one onto its target
-    return _search(X, Y, lambda maps: True, injective=True)
+    return _sizes(X) == _sizes(Y) and _search(X, Y, lambda maps: True, injective=True)
 
 
 # ----------------------------------------------------------------------------
@@ -447,17 +447,16 @@ def verify_unit_iso(A: FiniteAlgebra) -> bool:
     return is_homomorphism(images, A, E.algebra)
 
 
-def verify_counit_iso(X: MultiSortedStructure, max_e_size: int = 500) -> bool:
+def verify_counit_iso(X: MultiSortedStructure) -> bool:
     """Evaluation X -> DE(X), gated to small E(X); not part of the default suites."""
-    n = X.n
     E = hom_algebra_E(X)
-    if E.algebra.size > max_e_size:
-        raise GuardExceeded(f"E(X) has {E.algebra.size} elements (> {max_e_size})")
+    if E.algebra.size > COUNIT_E_GUARD:
+        raise GuardExceeded(f"E(X) has {E.algebra.size} elements (> {COUNIT_E_GUARD})")
     DE = natural_dual(E.algebra)
     rows = sorted(E.row_index, key=E.row_index.get)
     point_pos = {pt: c for c, pt in enumerate(E.points)}
     maps = []
-    for k in range(n + 1):
+    for k in range(X.n + 1):
         layer = []
         for i in range(len(X.sorts[k])):
             c = point_pos[(k, i)]
@@ -467,22 +466,10 @@ def verify_counit_iso(X: MultiSortedStructure, max_e_size: int = 500) -> bool:
             except ValueError:
                 return False
         maps.append(tuple(layer))
-    for k in range(n + 1):
-        if len(set(maps[k])) != len(maps[k]) or len(maps[k]) != len(DE.structure.sorts[k]):
-            return False
-    if not is_multimorphism(maps, X, DE.structure):
+    if _sizes(X) != _sizes(DE.structure) or any(len(set(m)) != len(m) for m in maps):
         return False
-    # an isomorphism must also reflect the relations
-    inv = [dict((v, i) for i, v in enumerate(maps[k])) for k in range(n + 1)]
-    for k in range(n + 1):
-        for a, b in DE.structure.rel_sort[k]:
-            if (inv[k][a], inv[k][b]) not in X.rel_sort[k]:
-                return False
-    for (j, k), rel in DE.structure.rel_cross.items():
-        for a, b in rel:
-            if (inv[j][a], inv[k][b]) not in X.rel_cross[(j, k)]:
-                return False
-    return True
+    # bijective and relation-preserving between equal sizes: it reflects the relations
+    return is_multimorphism(maps, X, DE.structure)
 
 
 # ----------------------------------------------------------------------------

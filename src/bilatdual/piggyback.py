@@ -34,9 +34,6 @@ class Carrier:
     def name(self) -> str:
         return f"{self.kind}{self.sort}"
 
-    def prime(self) -> str:
-        return "delta" if self.kind == "gamma" else "gamma"
-
     def __call__(self, element: int) -> int:
         return self.values[element]
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GuardExceeded, order_from_covers
+from .algebra import GuardExceeded, bool_compose, order_from_covers
 
 DEFAULT_COUNT_BUDGET = 10**8
 DEFAULT_ISO_GUARD = 64
@@ -22,13 +22,6 @@ class PosetCheck:
     ok: bool
     kind: str | None = None   # "reflexivity" | "antisymmetry" | "transitivity"
     witness: tuple | None = None
-
-
-def bool_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product; routed through BLAS for matrices past ~64 rows."""
-    if a.shape[0] <= 64:
-        return a @ b
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 
 def check_relation(rel) -> PosetCheck:
@@ -217,12 +210,12 @@ def _minimal_in(mask: int, strict_down) -> int:
     raise ValueError("an empty mask has no minimal element")
 
 
-def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
+def count_downsets(P: Poset) -> int:
     """Exact number of down-sets, by branching on a minimal element with memoization.
 
     Branch: a down-set either misses x's up-set entirely, or contains x and is
-    otherwise free on the rest. Memoized on the residual element mask; `budget`
-    bounds the number of recursion nodes.
+    otherwise free on the rest. Memoized on the residual element mask;
+    DEFAULT_COUNT_BUDGET bounds the number of recursion nodes.
     """
     up = P.up_masks()
     sdown = [m & ~(1 << i) for i, m in enumerate(P.down_masks())]
@@ -237,8 +230,8 @@ def count_downsets(P: Poset, budget: int = DEFAULT_COUNT_BUDGET) -> int:
         if hit is not None:
             return hit
         nodes += 1
-        if nodes > budget:
-            raise GuardExceeded(f"down-set counting exceeded {budget} nodes")
+        if nodes > DEFAULT_COUNT_BUDGET:
+            raise GuardExceeded(f"down-set counting exceeded {DEFAULT_COUNT_BUDGET} nodes")
         i = _minimal_in(mask, sdown)
         res = rec(mask & ~(1 << i)) + rec(mask & ~up[i])
         memo[mask] = res
@@ -305,13 +298,12 @@ def _refine_labels(P: Poset) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def are_isomorphic(P: Poset, Q: Poset,
-                   guard: int = DEFAULT_ISO_GUARD) -> tuple[int, ...] | None:
+def are_isomorphic(P: Poset, Q: Poset) -> tuple[int, ...] | None:
     """Order-isomorphism by invariant refinement plus backtracking.
 
     Returns a witness mapping (image index per element of P) or None. Gives up
-    (GuardExceeded) past `guard` points when refinement leaves the candidate
-    space above 10**6.
+    (GuardExceeded) past DEFAULT_ISO_GUARD points when refinement leaves the
+    candidate space above 10**6.
     """
     if P.n != Q.n or int(P.leq.sum()) != int(Q.leq.sum()):
         return None
@@ -322,7 +314,7 @@ def are_isomorphic(P: Poset, Q: Poset,
     space = 1.0
     for c in cands:
         space *= len(c)
-    if P.n > guard and space > 10**6:
+    if P.n > DEFAULT_ISO_GUARD and space > 10**6:
         raise GuardExceeded(f"isomorphism search space too large for {P.n} points")
     order = sorted(range(P.n), key=lambda i: len(cands[i]))
     mapping = [-1] * P.n
@@ -354,6 +346,12 @@ def are_isomorphic(P: Poset, Q: Poset,
     if rec(0):
         return tuple(mapping)
     return None
+
+
+def is_order_preserving(mapping, P: Poset, Q: Poset) -> bool:
+    """Whether i <= j in P implies mapping[i] <= mapping[j] in Q."""
+    m = np.asarray(mapping, dtype=np.int64)
+    return bool((Q.leq[np.ix_(m, m)] | ~P.leq).all())
 
 
 def is_order_isomorphism(mapping, P: Poset, Q: Poset) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import reflexive_transitive_closure
 from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure,
                           amalgamated_relation, check_axioms)
-from .posets import Poset, check_relation
+from .posets import Poset, check_relation, is_order_preserving
 
 
 class StructureAxiomError(ValueError):
@@ -223,8 +223,4 @@ def is_ranked_morphism(flat_map, Y1: RankedPriestleySpace, Y2: RankedPriestleySp
             return False
         if flat_map[Y1.g[i]] != Y2.g[flat_map[i]]:
             return False
-    for i in range(Y1.poset.n):
-        for j in range(Y1.poset.n):
-            if Y1.poset.leq[i, j] and not Y2.poset.leq[flat_map[i], flat_map[j]]:
-                return False
-    return True
+    return is_order_preserving(flat_map, Y1.poset, Y2.poset)

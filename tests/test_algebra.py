@@ -13,12 +13,13 @@ from bilatdual import algebra
 from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_GUARD,
                                FiniteAlgebra, GuardExceeded, Homomorphism,
                                SignatureN, _Closure, _PackedKeys, _product_subalgebra,
-                               bilattice_law_violations, build_jn, build_mk,
+                               bilattice_law_violations, bool_compose, build_jn, build_mk,
                                closure_indices, enumerate_homs,
                                enumerate_homs_bruteforce, enumerate_subuniverses,
                                free_algebra, generated_subalgebra,
                                generated_subalgebra_in_product, is_homomorphism,
-                               lattice_reduct, mk_algebras, product, product_closure_rows)
+                               lattice_reduct, mk_algebras, product, product_closure_rows,
+                               reflexive_transitive_closure)
 
 
 def test_signature_counts():
@@ -109,6 +110,31 @@ def test_interchange_roundtrip():
         doc = alg.to_json()
         assert FiniteAlgebra.from_json(doc) == alg
         assert FiniteAlgebra.from_json(doc).to_json() == doc
+
+
+def test_bool_compose_matches_an_integer_product():
+    rng = np.random.default_rng(20261018)
+    for rows in range(1, 131):
+        inner, cols = rng.integers(1, 131, size=2)
+        a = rng.random((rows, inner)) < rng.random()
+        b = rng.random((inner, cols)) < rng.random()
+        assert np.array_equal(bool_compose(a, b), a.astype(np.int64) @ b.astype(np.int64) > 0)
+        sq = rng.random((rows, rows)) < rng.random()
+        assert np.array_equal(bool_compose(sq, sq), sq.astype(np.int64) @ sq.astype(np.int64) > 0)
+
+
+def _warshall(rel):
+    leq = rel | np.eye(rel.shape[0], dtype=bool)
+    for k in range(rel.shape[0]):
+        leq = leq | (leq[:, k, None] & leq[None, k, :])
+    return leq
+
+
+def test_reflexive_transitive_closure_matches_warshall():
+    rng = np.random.default_rng(7)
+    for size in [*range(1, 41), 64, 65, 130]:
+        rel = rng.random((size, size)) < rng.random() * 3 / size
+        assert np.array_equal(reflexive_transitive_closure(rel), _warshall(rel))
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -489,9 +515,10 @@ def test_closure_from_closed_members_matches_closure_indices(free1):
             assert sorted(cl.order) == cl.members() == closure_indices(A, closed + [x])
 
 
-def test_subuniverse_guard():
+def test_subuniverse_guard(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_SUBUNIVERSE_GUARD", 10)
     with pytest.raises(GuardExceeded):
-        enumerate_subuniverses(product([build_jn(1)] * 2), max_carrier=10)
+        enumerate_subuniverses(product([build_jn(1)] * 2))
 
 
 def _bilattice_isomorphism(A, B):

@@ -1,6 +1,7 @@
 """Priestley duality at finite scale: H two ways, K in both orientations."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,6 +93,30 @@ def test_downset_lattice_shape():
 def test_distributivity_paths_agree():
     for L in sample_lattices():
         assert distributive_by_triples(L) == is_distributive(L)
+
+
+def _bounded_poset(rng, max_inner):
+    """A random poset with a new bottom and top; often, but not always, a lattice."""
+    inner = random_poset(rng, max_inner)
+    n = inner.n + 2
+    leq = np.zeros((n, n), dtype=bool)
+    leq[0, :] = leq[:, -1] = True
+    leq[1:-1, 1:-1] = inner.leq
+    return Lattice(["0", *inner.elements, "1"], leq)
+
+
+def test_birkhoff_test_matches_the_triple_oracle():
+    rng = random.Random(20261018)
+    tally = Counter()
+    for _ in range(3000):
+        L = _bounded_poset(rng, 8)
+        try:
+            expected = distributive_by_triples(L)
+        except NotALattice:
+            expected = None
+        assert is_distributive(L) == bool(expected)
+        tally[expected] += 1
+    assert min(tally[None], tally[True], tally[False]) >= 100, tally
 
 
 def test_nondistributive_rejected():

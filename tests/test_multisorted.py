@@ -347,14 +347,15 @@ def test_a7_family_oracle_agrees():
     assert checked > 50
 
 
-def test_counit_on_small_instances():
+def test_counit_on_small_instances(monkeypatch):
     one = MultiSortedStructure(1, (("p",), ()), ((),),
                                (frozenset({(0, 0)}), frozenset()), {})
     assert verify_counit_iso(one)
     d = natural_dual(build_mk(1, 1), 1)
     assert verify_counit_iso(d.structure)
+    monkeypatch.setattr(multisorted, "COUNIT_E_GUARD", 10)
     with pytest.raises(GuardExceeded):
-        verify_counit_iso(build_alter_ego(1), max_e_size=10)
+        verify_counit_iso(build_alter_ego(1))
 
 
 def test_structure_validation():

@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from bilatdual import posets
 from bilatdual.algebra import GuardExceeded
 from bilatdual.posets import (Poset, antichain, are_isomorphic, chain, check_relation,
                               count_downsets, count_downsets_bruteforce, direct_product,
                               disjoint_union, dual, enumerate_downsets,
-                              from_covers, grid, is_order_isomorphism, linear_sum)
+                              from_covers, grid, is_order_isomorphism, is_order_preserving,
+                              linear_sum)
 
 
 def random_poset(rng, max_n=10):
@@ -90,9 +92,10 @@ def test_downset_family_consistency():
                         assert mask >> j & 1
 
 
-def test_count_budget_guard():
+def test_count_budget_guard(monkeypatch):
+    monkeypatch.setattr(posets, "DEFAULT_COUNT_BUDGET", 10)
     with pytest.raises(GuardExceeded):
-        count_downsets(antichain(30), budget=10)
+        count_downsets(antichain(30))
 
 
 def test_isomorphism_with_witness():
@@ -104,6 +107,19 @@ def test_isomorphism_with_witness():
     assert are_isomorphic(chain(2), antichain(2)) is None
     wid = are_isomorphic(P, P)
     assert wid is not None and is_order_isomorphism(wid, P, P)
+
+
+def test_order_preserving_matches_a_pair_loop():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        P, Q = random_poset(rng, 7), random_poset(rng, 7)
+        mapping = [rng.randrange(Q.n) for _ in range(P.n)]
+        expected = all(Q.leq[mapping[i], mapping[j]]
+                       for i in range(P.n) for j in range(P.n) if P.leq[i, j])
+        assert is_order_preserving(mapping, P, Q) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_isomorphism_is_equivalence_on_corpus():
