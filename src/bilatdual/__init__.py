@@ -6,10 +6,10 @@ ranked single-sorted presentations, constructs Priestley duals of lattice
 reducts two independent ways, and reproduces the free-algebra counts exactly.
 """
 
-from .algebra import (FiniteAlgebra, GuardExceeded, Homomorphism, SignatureN,
-                      build_jn, build_mk, enumerate_homs, enumerate_subuniverses,
-                      free_algebra, generated_subalgebra, generated_subalgebra_in_product,
-                      is_homomorphism, lattice_reduct, mk_algebras, product)
+from .algebra import (FiniteAlgebra, GuardExceeded, SignatureN, build_jn, build_mk,
+                      enumerate_homs, enumerate_subuniverses, free_algebra,
+                      generated_subalgebra, generated_subalgebra_in_product, is_homomorphism,
+                      lattice_reduct, mk_algebras, product)
 from .bridge import (DoubledSpace, FreeSizes, construct_P, free_size_formula,
                      partitioned_downset_count, verify_translation)
 from .distlat import (Lattice, lattice_of_downsets, lattice_of_upsets,
@@ -19,9 +19,9 @@ from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
                           natural_dual, verify_counit_iso, verify_unit_iso)
 from .piggyback import (Carrier, build_carrier_space, build_carriers, check_sep,
                         piggyback_relations, table3_report, verify_piggyback_iso)
-from .posets import (Poset, antichain, are_isomorphic, chain, check_relation,
-                     count_downsets, direct_product, disjoint_union, dual,
-                     enumerate_downsets, grid, linear_sum)
+from .posets import (Poset, antichain, chain, check_relation, count_downsets,
+                     direct_product, disjoint_union, dual, enumerate_downsets, grid,
+                     linear_sum)
 from .ranked import RankedPriestleySpace, check_axioms_B, functor_F, functor_G
 from .verify import run_suite
 

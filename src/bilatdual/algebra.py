@@ -500,23 +500,6 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     return results
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A verified structure-preserving map between algebras of one signature."""
-
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if not is_homomorphism(self.mapping, self.source, self.target):
-            raise ValueError("map does not preserve the operations")
-
-    def __call__(self, element: int) -> int:
-        return self.mapping[element]
-
-
 def enumerate_homs_bruteforce(A, B, guard: int = DEFAULT_HOM_ORACLE_GUARD):
     """Oracle-grade naive scanner over all |B|^|A| maps; refuses large instances."""
     if A.signature != B.signature:

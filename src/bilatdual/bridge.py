@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, GuardExceeded, lattice_reduct
-from .distlat import priestley_dual_of_lattice
+from .algebra import FiniteAlgebra, GuardExceeded
 from .multisorted import MultiMorphism, MultiSortedStructure, build_alter_ego, natural_dual
-from .posets import (Poset, are_isomorphic, count_downsets, enumerate_downsets,
-                     is_order_isomorphism, is_order_preserving)
+from .piggyback import carrier_map_is_iso, tagged_points
+from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
 
 
@@ -89,14 +88,10 @@ def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -
 
 
 def verify_translation(A: FiniteAlgebra) -> bool:
-    """H(A-flat) is order-isomorphic to P(D(A)), with the witness verified both ways."""
-    H = priestley_dual_of_lattice(lattice_reduct(A))
+    """H(A-flat) ≅ P(D(A)) by the carrier map: plain points via gamma, hatted via delta."""
     dual_A = natural_dual(A)
     P = construct_P(dual_A.structure)
-    witness = are_isomorphic(H, P.poset)
-    if witness is None:
-        return False
-    return is_order_isomorphism(witness, H, P.poset)
+    return carrier_map_is_iso(A, dual_A.homs, tagged_points(dual_A.structure), P.poset)
 
 
 # ----------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgebra,
-                      mk_algebras, product)
-from .multisorted import (MultiSortedStructure, build_alter_ego, enumerate_multimorphisms,
+from .algebra import FiniteAlgebra, build_jn, generated_subalgebra, mk_algebras, product
+from .multisorted import (MultiMorphism, MultiSortedStructure, _search, build_alter_ego,
                           pointwise_structure)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
@@ -113,15 +112,17 @@ def structure_corpus(n: int, count: int, seed: int,
 
 
 def sample_morphisms(structures, n: int, count: int, seed: int):
-    """Sampled (source, target, morphism) triples between corpus structures."""
+    """Sampled (source, target, morphism) triples, drawn from each structure's first morphisms."""
     rng = random.Random(seed)
     ego = build_alter_ego(n)
     pool = []
     for X in structures:
-        try:
-            ms = enumerate_multimorphisms(X, ego, max_count=SAMPLE_PAIR_CAP)
-        except GuardExceeded as err:
-            ms = getattr(err, "partial", [])
-        pool.extend((X, ego, phi) for phi in ms)
+        start = len(pool)
+
+        def collect(maps) -> bool:
+            pool.append((X, ego, MultiMorphism(X, ego, maps)))
+            return len(pool) - start == SAMPLE_PAIR_CAP
+
+        _search(X, ego, collect)
     rng.shuffle(pool)
     return pool[:count]

@@ -291,23 +291,21 @@ def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
     return visit(0)
 
 
-def enumerate_multimorphisms(X: MultiSortedStructure, Y: MultiSortedStructure,
-                             max_count: int = DEFAULT_MORPHISM_GUARD) -> list[MultiMorphism]:
+def enumerate_multimorphisms(X: MultiSortedStructure,
+                             Y: MultiSortedStructure) -> list[MultiMorphism]:
     """All morphisms X -> Y in lexicographic order of their per-sort maps.
 
-    Raises GuardExceeded, carrying the first `max_count` in `.partial`, when
-    there are more.
+    Raises GuardExceeded when there are more than DEFAULT_MORPHISM_GUARD.
     """
     if X.n != Y.n:
         raise ValueError("source and target must share the same n")
+    cap = DEFAULT_MORPHISM_GUARD
     out: list[MultiMorphism] = []
 
     def collect(maps) -> bool:
         out.append(MultiMorphism(X, Y, maps))
-        if len(out) > max_count:
-            err = GuardExceeded(f"morphism enumeration exceeded {max_count}")
-            err.partial = out[:max_count]
-            raise err
+        if len(out) > cap:
+            raise GuardExceeded(f"morphism enumeration exceeded {cap}")
         return False
 
     _search(X, Y, collect)

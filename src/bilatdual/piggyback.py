@@ -18,8 +18,9 @@ import numpy as np
 from .algebra import (FiniteAlgebra, enumerate_subuniverses, lattice_reduct,
                       mk_algebras, product)
 from .distlat import priestley_dual_of_lattice
-from .multisorted import NaturalDual, build_alter_ego, natural_dual, pointwise_relation
-from .posets import Poset, are_isomorphic, check_relation, is_order_isomorphism
+from .multisorted import (MultiSortedStructure, NaturalDual, build_alter_ego, natural_dual,
+                          pointwise_relation)
+from .posets import Poset, check_relation, is_order_isomorphism
 
 
 @dataclass(frozen=True)
@@ -342,22 +343,38 @@ def build_carrier_space(A: FiniteAlgebra) -> CarrierSpace:
     return CarrierSpace(A, poset, points, dual_A)
 
 
+def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
+    """The points of P(X) in order, tagged by carrier kind: plain gamma, hatted delta."""
+    return [(k, i, kind) for kind in ("gamma", "delta") for k, i in X.points()]
+
+
+def carrier_map_is_iso(A: FiniteAlgebra, homs, points, poset: Poset) -> bool:
+    """Whether the carriers map `poset` order-isomorphically onto H(A-flat).
+
+    Point (k, i, kind) goes to the truth-order prime filter of the kind's
+    carrier at sort k composed with homs[k][i]. H's points are the up-sets of
+    the join-irreducibles; a filter that is not one of them fails the map.
+    """
+    L = lattice_reduct(A)
+    H = priestley_dual_of_lattice(L)
+    filters = {L.leq[j].tobytes(): a for a, j in enumerate(L._irreducible_order()[0])}
+    carriers = {(w.sort, w.kind): np.asarray(w.values, dtype=bool)
+                for w in all_carriers(A.signature.n)}
+    mapping = []
+    for k, i, kind in points:
+        a = filters.get(carriers[(k, kind)][np.asarray(homs[k][i])].tobytes())
+        if a is None:
+            return False
+        mapping.append(a)
+    return is_order_isomorphism(mapping, poset, H)
+
+
 def verify_piggyback_iso(A: FiniteAlgebra) -> bool:
-    """Hat-to-delta relabelling is an order-iso, and the space matches H(A-flat)."""
+    """Hat-to-delta relabelling is an order-iso, and the carriers map the space onto H(A-flat)."""
     from .bridge import construct_P
     space = build_carrier_space(A)
     doubled = construct_P(space.dual.structure)
     pos = {pt: i for i, pt in enumerate(space.points)}
-    eta = []
-    base_points = space.dual.structure.points()
-    for k, i in base_points:
-        eta.append(pos[(k, i, "gamma")])
-    for k, i in base_points:
-        eta.append(pos[(k, i, "delta")])
-    if sorted(eta) != list(range(space.poset.n)):
-        return False
-    if not is_order_isomorphism(tuple(eta), doubled.poset, space.poset):
-        return False
-    H = priestley_dual_of_lattice(lattice_reduct(A))
-    witness = are_isomorphic(H, space.poset)
-    return witness is not None and is_order_isomorphism(witness, H, space.poset)
+    eta = [pos[pt] for pt in tagged_points(space.dual.structure)]
+    return (is_order_isomorphism(eta, doubled.poset, space.poset)
+            and carrier_map_is_iso(A, space.dual.homs, space.points, space.poset))

@@ -299,7 +299,7 @@ def _refine_labels(P: Poset) -> tuple[int, ...]:
 
 
 def are_isomorphic(P: Poset, Q: Poset) -> tuple[int, ...] | None:
-    """Order-isomorphism by invariant refinement plus backtracking.
+    """Order-isomorphism by invariant refinement plus backtracking (a test oracle).
 
     Returns a witness mapping (image index per element of P) or None. Gives up
     (GuardExceeded) past DEFAULT_ISO_GUARD points when refinement leaves the

@@ -8,8 +8,8 @@ import pytest
 from bilatdual import multisorted
 from bilatdual.algebra import (GuardExceeded, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
-from bilatdual.corpus import (corpus_algebras, member_substructure, random_structure,
-                              structure_corpus)
+from bilatdual.corpus import (SAMPLE_PAIR_CAP, corpus_algebras, member_substructure,
+                              random_structure, sample_morphisms, structure_corpus)
 from bilatdual.multisorted import (MultiSortedStructure, a7_by_families,
                                    build_alter_ego, check_axioms, dual_of_hom,
                                    enumerate_multimorphisms, hom_algebra_E,
@@ -305,6 +305,21 @@ def test_constant_to_true_morphism_always_present():
         morphs = enumerate_multimorphisms(X, ego)
         wanted = tuple(tuple(targets[k] for _ in X.sorts[k]) for k in range(3))
         assert any(phi.maps == wanted for phi in morphs)
+
+
+def test_sampler_takes_the_first_morphisms_of_each_structure():
+    ego = build_alter_ego(2)
+    sample = sample_morphisms([ego], 2, 10**6, seed=11)
+    first = [phi.maps for phi in enumerate_multimorphisms(ego, ego)[:SAMPLE_PAIR_CAP]]
+    assert SAMPLE_PAIR_CAP == 200
+    assert sorted(phi.maps for _, _, phi in sample) == first
+
+
+def test_morphism_guard_is_read_at_call_time(monkeypatch):
+    ego = build_alter_ego(1)
+    monkeypatch.setattr(multisorted, "DEFAULT_MORPHISM_GUARD", 5)
+    with pytest.raises(GuardExceeded):
+        enumerate_multimorphisms(ego, ego)
 
 
 def test_axioms_equal_separation_on_random_corpus():

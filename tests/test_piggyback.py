@@ -5,14 +5,17 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from bilatdual import bridge, piggyback
 from bilatdual.algebra import (build_jn, build_mk, enumerate_subuniverses,
                                lattice_reduct, mk_algebras, product)
+from bilatdual.bridge import construct_P, verify_translation
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
-from bilatdual.piggyback import (all_carriers, build_carrier_space, build_carriers,
-                                 build_S_relations, check_sep,
+from bilatdual.multisorted import natural_dual
+from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, build_carriers,
+                                 build_S_relations, carrier_map_is_iso, check_sep,
                                  name_relation, piggyback_relations,
-                                 preimage_sublattice, table3_report,
+                                 preimage_sublattice, table3_report, tagged_points,
                                  verify_piggyback_iso)
 from bilatdual.posets import are_isomorphic, count_downsets
 
@@ -266,3 +269,39 @@ def test_carrier_space_matches_the_pair_scan():
             space = build_carrier_space(item.algebra)
             assert np.array_equal(space.poset.leq, _carrier_matrix_by_pair_scan(space, n)), \
                 item.label
+
+
+def test_carrier_map_verifiers_agree_with_the_search_oracle():
+    for n in (1, 2, 3, 4):
+        for item in corpus_algebras(n, seed=3, subalgebras=5):
+            A = item.algebra
+            assert verify_translation(A), item.label
+            assert verify_piggyback_iso(A), item.label
+            H = priestley_dual_of_lattice(lattice_reduct(A))
+            assert are_isomorphic(H, construct_P(natural_dual(A).structure).poset) is not None
+
+
+@pytest.mark.parametrize("sort", (0, 1))
+def test_swapping_gamma_and_delta_at_one_sort_fails(free1, monkeypatch, sort):
+    swapped = tuple((Carrier(k, "gamma", d.values), Carrier(k, "delta", g.values))
+                    if k == sort else (g, d) for k, (g, d) in enumerate(build_carriers(1)))
+    monkeypatch.setattr(piggyback, "build_carriers", lambda n: swapped)
+    assert not verify_translation(free1.algebra)
+    assert not verify_piggyback_iso(free1.algebra)
+
+
+def test_a_non_prime_filter_fails_the_carrier_map():
+    A = build_mk(1, 1)
+    d = natural_dual(A)
+    P = construct_P(d.structure).poset
+    points = tagged_points(d.structure)
+    assert carrier_map_is_iso(A, d.homs, points, P)
+    # a constant map sends every element to one value: the whole carrier or nothing
+    top0 = build_mk(1, 0).index("top0")
+    homs = ((tuple([top0] * A.size),) + tuple(d.homs[0][1:]),) + tuple(d.homs[1:])
+    assert not carrier_map_is_iso(A, homs, points, P)
+
+
+def test_verifiers_bind_no_isomorphism_search():
+    assert not hasattr(bridge, "are_isomorphic")
+    assert not hasattr(piggyback, "are_isomorphic")
