@@ -765,10 +765,10 @@ def free_algebra(n: int) -> ProductSubalgebra:
     return generated_subalgebra_in_product(factors, [gen])
 
 
-def free_algebra_size(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> int:
-    """Size of the one-generated free algebra, by closure alone (no tables)."""
+def free_algebra_rows(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.ndarray:
+    """Rows of the one-generated free algebra in `free_algebra` order, by closure alone."""
     factors, gen = _free_generator(n)
-    return product_closure_rows(factors, [gen], max_elements).shape[0]
+    return product_closure_rows(factors, [gen], max_elements)
 
 
 # ----------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, GuardExceeded
-from .multisorted import MultiMorphism, MultiSortedStructure, build_alter_ego, natural_dual
+from .algebra import FiniteAlgebra, GuardExceeded, free_algebra_rows, mk_algebras
+from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
+                          dual_from_homs, natural_dual)
 from .piggyback import carrier_map_is_iso, tagged_points
 from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
@@ -89,9 +90,24 @@ def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -
 
 def verify_translation(A: FiniteAlgebra) -> bool:
     """H(A-flat) ≅ P(D(A)) by the carrier map: plain points via gamma, hatted via delta."""
-    dual_A = natural_dual(A)
-    P = construct_P(dual_A.structure)
-    return carrier_map_is_iso(A, dual_A.homs, tagged_points(dual_A.structure), P.poset)
+    return _carrier_map_onto_P(A.size, natural_dual(A))
+
+
+def verify_free_translation(n: int) -> bool:
+    """verify_translation for F_V(n)(1) from its closure rows: no tables, no hom search.
+
+    The generator row takes each value of M_k once among the sort-k coordinates
+    (laid out sort by sort), so their projections are all |M_k| homs F -> M_k.
+    """
+    rows = free_algebra_rows(n)
+    columns = iter(rows.T.tolist())
+    homs = tuple(tuple(tuple(next(columns)) for _ in range(m.size)) for m in mk_algebras(n))
+    return _carrier_map_onto_P(rows.shape[0], dual_from_homs(homs))
+
+
+def _carrier_map_onto_P(size: int, dual: NaturalDual) -> bool:
+    P = construct_P(dual.structure)
+    return carrier_map_is_iso(size, dual.homs, tagged_points(dual.structure), P.poset)
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn, build_mk,
-                      free_algebra_size)
+                      free_algebra_rows)
 from .bridge import construct_P, free_size_formula, partitioned_downset_count
 from .multisorted import MultiSortedStructure, build_alter_ego, natural_dual
 from .piggyback import build_carrier_space
@@ -141,7 +141,7 @@ def cmd_free_size(args) -> int:
         try:
             if fs.total > limit:
                 raise GuardExceeded(f"formula size {fs.total} exceeds guard {limit}")
-            row["brute_force_size"] = free_algebra_size(n, max_elements=limit)
+            row["brute_force_size"] = free_algebra_rows(n, max_elements=limit).shape[0]
             agree &= row["brute_force_size"] == fs.total
         except GuardExceeded as err:
             notices.append(f"generate skipped: {err}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, build_jn, generated_subalgebra, mk_algebras, product
+from .algebra import FiniteAlgebra, build_jn, generated_subalgebra_in_product, mk_algebras
 from .multisorted import (MultiMorphism, MultiSortedStructure, _search, build_alter_ego,
                           pointwise_structure)
 
@@ -28,12 +28,11 @@ def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
     """Seeded generated subalgebras of J_n squared (draws may repeat carriers)."""
     rng = random.Random(seed)
     jn = build_jn(n)
-    square = product([jn, jn])
     out: list[CorpusAlgebra] = []
     for i in range(count):
         k = rng.choice((1, 1, 2))
-        gens = tuple(sorted(rng.sample(range(square.size), k)))
-        sub = generated_subalgebra(square, gens)
+        gens = tuple(sorted(rng.sample(range(jn.size ** 2), k)))
+        sub = generated_subalgebra_in_product([jn, jn], [divmod(g, jn.size) for g in gens])
         out.append(CorpusAlgebra(f"sub(J{n}^2)#{i}", sub.algebra))
     return out
 

@@ -23,7 +23,7 @@ DEFAULT_HOM_SCAN_GUARD = 20
 class Lattice:
     """Bounded lattice on an indexed carrier, stored as its order matrix."""
 
-    __slots__ = ("elements", "leq", "bot", "top", "_meet", "_join", "_irreducibles")
+    __slots__ = ("elements", "leq", "bot", "top", "_irreducibles")
 
     def __init__(self, elements, leq, check: bool = True):
         poset = Poset(elements, leq, check=check)
@@ -35,8 +35,6 @@ class Lattice:
             raise NotALattice("carrier is not bounded")
         self.bot = mins[0]
         self.top = maxs[0]
-        self._meet = None
-        self._join = None
         self._irreducibles = None
 
     @property
@@ -45,15 +43,6 @@ class Lattice:
 
     def poset(self) -> Poset:
         return Poset(self.elements, self.leq, check=False)
-
-    def _tables(self):
-        if self._meet is None:
-            meet, join = lattice_tables_from_leq(self.leq)
-            meet.setflags(write=False)
-            join.setflags(write=False)
-            self._meet = meet
-            self._join = join
-        return self._meet, self._join
 
     def _irreducible_order(self) -> tuple[list[int], Poset]:
         """J(L) and its induced order (points named by position), computed once."""
@@ -64,12 +53,6 @@ class Lattice:
                           check=False)
             self._irreducibles = (ji, order)
         return self._irreducibles
-
-    def meet(self, i: int, j: int) -> int:
-        return int(self._tables()[0][i, j])
-
-    def join(self, i: int, j: int) -> int:
-        return int(self._tables()[1][i, j])
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -84,7 +67,7 @@ def distributive_by_triples(L: Lattice, guard: int = 512) -> bool:
     """Exhaustive triple check of a meet(b join c) = (a meet b) join (a meet c)."""
     if L.n > guard:
         raise GuardExceeded(f"{L.n} elements exceed the triple-check guard {guard}")
-    meet, join = L._tables()
+    meet, join = lattice_tables_from_leq(L.leq)
     for a in range(L.n):
         lhs = meet[a, join]
         rhs = join[meet[a][:, None], meet[a][None, :]]
@@ -133,7 +116,7 @@ def priestley_dual_by_homs(L: Lattice, guard: int = DEFAULT_HOM_SCAN_GUARD) -> P
     """Oracle construction of H(L): scan all 0,1-maps for lattice homomorphisms."""
     if L.n > guard:
         raise GuardExceeded(f"{L.n} elements exceed the hom-scan guard {guard}")
-    meet, join = L._tables()
+    meet, join = lattice_tables_from_leq(L.leq)
     homs = []
     for bits in itertools.product((0, 1), repeat=L.n):
         h = np.asarray(bits, dtype=np.int16)

@@ -337,7 +337,6 @@ class NaturalDual:
 
     structure: MultiSortedStructure
     homs: tuple[tuple[tuple[int, ...], ...], ...]
-    algebra: FiniteAlgebra
 
 
 def natural_dual(A: FiniteAlgebra, n: int | None = None) -> NaturalDual:
@@ -346,10 +345,14 @@ def natural_dual(A: FiniteAlgebra, n: int | None = None) -> NaturalDual:
     if n < 1:
         raise ValueError("natural duals require n >= 1")
     mks = mk_algebras(n)
-    homs = tuple(tuple(enumerate_homs(A, mks[k])) for k in range(n + 1))
+    return dual_from_homs(tuple(tuple(enumerate_homs(A, mks[k])) for k in range(n + 1)))
+
+
+def dual_from_homs(homs) -> NaturalDual:
+    """D(A) given its hom-sets, homs[k] the homs into M_k as tuples: all pointwise."""
+    n = len(homs) - 1
     sorts = tuple(tuple(f"h{k}_{i}" for i in range(len(homs[k]))) for k in range(n + 1))
-    structure = pointwise_structure(build_alter_ego(n), sorts, homs)
-    return NaturalDual(structure, homs, A)
+    return NaturalDual(pointwise_structure(build_alter_ego(n), sorts, homs), homs)
 
 
 def pointwise_structure(ego: MultiSortedStructure, sorts, tuples) -> MultiSortedStructure:

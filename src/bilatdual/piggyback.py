@@ -15,12 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, enumerate_subuniverses, lattice_reduct,
-                      mk_algebras, product)
-from .distlat import priestley_dual_of_lattice
+from .algebra import (FiniteAlgebra, bool_compose, enumerate_subuniverses, mk_algebras,
+                      product)
 from .multisorted import (MultiSortedStructure, NaturalDual, build_alter_ego, natural_dual,
                           pointwise_relation)
-from .posets import Poset, check_relation, is_order_isomorphism
+from .posets import Poset, check_relation, count_downsets, is_order_isomorphism
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,9 @@ class Carrier:
         return self.values[element]
 
 
+@lru_cache(maxsize=None)
 def build_carriers(n: int) -> tuple[tuple[Carrier, Carrier], ...]:
-    """The pairs (gamma_k, delta_k) for k in [0, n], with their invariants verified."""
+    """The pairs (gamma_k, delta_k) for k in [0, n], verified once and cached (immutable)."""
     if n < 1:
         raise ValueError("carriers require n >= 1")
     mks = mk_algebras(n)
@@ -64,15 +64,12 @@ def build_carriers(n: int) -> tuple[tuple[Carrier, Carrier], ...]:
 
 
 def _assert_carrier(w: Carrier, mk: FiniteAlgebra):
-    lat = lattice_reduct(mk)
-    if w.values[lat.bot] != 0 or w.values[lat.top] != 1:
+    v = np.asarray(w.values)
+    if v[mk.consts["f_0"]] != 0 or v[mk.consts["t_0"]] != 1:
         raise AssertionError(f"{w.name} does not preserve the bounds")
-    for a in range(mk.size):
-        for b in range(mk.size):
-            if w.values[lat.meet(a, b)] != min(w.values[a], w.values[b]):
-                raise AssertionError(f"{w.name} does not preserve truth meet")
-            if w.values[lat.join(a, b)] != max(w.values[a], w.values[b]):
-                raise AssertionError(f"{w.name} does not preserve truth join")
+    for op, pointwise in (("meet", np.minimum), ("join", np.maximum)):
+        if not np.array_equal(v[mk.tables[f"{op}_t"]], pointwise.outer(v, v)):
+            raise AssertionError(f"{w.name} does not preserve truth {op}")
 
 
 def all_carriers(n: int) -> list[Carrier]:
@@ -304,7 +301,6 @@ def table3_report(n: int) -> list[Table3Row]:
 
 @dataclass
 class CarrierSpace:
-    algebra: FiniteAlgebra
     poset: Poset
     points: list[tuple[int, int, str]]   # (sort, hom index, carrier kind)
     dual: NaturalDual
@@ -340,7 +336,7 @@ def build_carrier_space(A: FiniteAlgebra) -> CarrierSpace:
         raise AssertionError(f"carrier-space relation fails {res.kind} at {res.witness}")
     names = [f"h{k}_{i}:{kind}" for k, i, kind in points]
     poset = Poset(names, mat, check=False)
-    return CarrierSpace(A, poset, points, dual_A)
+    return CarrierSpace(poset, points, dual_A)
 
 
 def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
@@ -348,25 +344,23 @@ def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
     return [(k, i, kind) for kind in ("gamma", "delta") for k, i in X.points()]
 
 
-def carrier_map_is_iso(A: FiniteAlgebra, homs, points, poset: Poset) -> bool:
-    """Whether the carriers map `poset` order-isomorphically onto H(A-flat).
+def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
+    """Whether the carriers map `poset` order-isomorphically onto H(A-flat), where |A| = size.
 
-    Point (k, i, kind) goes to the truth-order prime filter of the kind's
-    carrier at sort k composed with homs[k][i]. H's points are the up-sets of
-    the join-irreducibles; a filter that is not one of them fails the map.
+    Point (k, i, kind) gets the mask of the kind's carrier at sort k composed with
+    the homomorphism homs[k][i]: a prime filter of A-flat. Certificate: the masks
+    are ordered by inclusion as `poset` is, give `size` distinct columns, and
+    `poset` has `size` down-sets. Then a -> {points whose mask holds a} embeds
+    A-flat into the up-sets of `poset` (prime filters turn joins into unions),
+    onto by the count; by Birkhoff's theorem each prime filter of A-flat is then
+    the mask of exactly one point, so the carrier map is the iso onto H(A-flat).
     """
-    L = lattice_reduct(A)
-    H = priestley_dual_of_lattice(L)
-    filters = {L.leq[j].tobytes(): a for a, j in enumerate(L._irreducible_order()[0])}
     carriers = {(w.sort, w.kind): np.asarray(w.values, dtype=bool)
-                for w in all_carriers(A.signature.n)}
-    mapping = []
-    for k, i, kind in points:
-        a = filters.get(carriers[(k, kind)][np.asarray(homs[k][i])].tobytes())
-        if a is None:
-            return False
-        mapping.append(a)
-    return is_order_isomorphism(mapping, poset, H)
+                for w in all_carriers(len(homs) - 1)}
+    masks = np.array([carriers[(k, kind)][np.asarray(homs[k][i])] for k, i, kind in points])
+    return (np.array_equal(~bool_compose(masks, ~masks.T), poset.leq)
+            and np.unique(masks, axis=1).shape[1] == size
+            and count_downsets(poset) == size)
 
 
 def verify_piggyback_iso(A: FiniteAlgebra) -> bool:
@@ -377,4 +371,4 @@ def verify_piggyback_iso(A: FiniteAlgebra) -> bool:
     pos = {pt: i for i, pt in enumerate(space.points)}
     eta = [pos[pt] for pt in tagged_points(space.dual.structure)]
     return (is_order_isomorphism(eta, doubled.poset, space.poset)
-            and carrier_map_is_iso(A, space.dual.homs, space.points, space.poset))
+            and carrier_map_is_iso(A.size, space.dual.homs, space.points, space.poset))

@@ -10,10 +10,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import GuardExceeded, build_mk, free_algebra
+from .algebra import GuardExceeded, build_mk
 from .bridge import (free_size_formula, partitioned_downset_count,
                      table_avoiding_expected, table_meeting_expected,
-                     verify_translation)
+                     verify_free_translation, verify_translation)
 from .corpus import corpus_algebras, sample_morphisms, structure_corpus
 from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
                           check_axioms, hom_algebra_E, is_multimorphism,
@@ -195,7 +195,7 @@ def suite_translation(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResu
         r.check(f"translation:{item.label}",
                 lambda item=item: verify_translation(item.algebra))
     if n <= 2:
-        r.check(f"translation:F_V{n}(1)", lambda: verify_translation(free_algebra(n).algebra))
+        r.check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
     return r.result
 
 

@@ -1,17 +1,20 @@
 """The doubled space, its block structure, counting, and the reduct translation."""
 
+import numpy as np
 import pytest
 
-from bilatdual.algebra import build_jn, build_mk, lattice_reduct
+from bilatdual import algebra, multisorted
+from bilatdual.algebra import build_jn, build_mk, free_algebra_rows, lattice_reduct
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
-                              transport_morphism, verify_translation)
+                              transport_morphism, verify_free_translation, verify_translation)
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import (MultiMorphism, build_alter_ego,
                                    enumerate_multimorphisms, natural_dual)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,
                               disjoint_union, grid, is_order_isomorphism)
+from bilatdual.verify import run_suite
 
 
 def test_doubled_space_size():
@@ -133,6 +136,34 @@ def test_translation_free_algebra(free1):
     assert H.n == 20 and P.poset.n == 20
     w = are_isomorphic(H, P.poset)
     assert w is not None and is_order_isomorphism(w, H, P.poset)
+
+
+def test_the_rows_route_agrees_with_the_table_route(free1, free2):
+    for n, F in ((1, free1), (2, free2)):
+        assert np.array_equal(free_algebra_rows(n), np.array(F.rows))
+        assert verify_free_translation(n)
+        assert verify_translation(F.algebra)
+
+
+def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra(monkeypatch):
+    F_SIZE = 1434
+    search, tables = multisorted.enumerate_homs, algebra._product_subalgebra
+
+    def search_off_F(A, B):
+        if A.size == F_SIZE:
+            raise RuntimeError("hom search on F_V2(1)")
+        return search(A, B)
+
+    def tables_off_F(factors, rows):
+        if rows.shape[0] == F_SIZE:
+            raise RuntimeError("tables for F_V2(1)")
+        return tables(factors, rows)
+
+    monkeypatch.setattr(multisorted, "enumerate_homs", search_off_F)
+    monkeypatch.setattr(algebra, "_product_subalgebra", tables_off_F)
+    result = run_suite("translation", 2)
+    assert [c.status for c in result.checks if c.id == "translation:F_V2(1)"] == ["pass"]
+    assert result.overall == "pass"
 
 
 def test_transport_identity_and_composition():

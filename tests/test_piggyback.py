@@ -5,10 +5,10 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from bilatdual import bridge, piggyback
+from bilatdual import bridge, piggyback, verify
 from bilatdual.algebra import (build_jn, build_mk, enumerate_subuniverses,
                                lattice_reduct, mk_algebras, product)
-from bilatdual.bridge import construct_P, verify_translation
+from bilatdual.bridge import construct_P, verify_free_translation, verify_translation
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import natural_dual
@@ -17,7 +17,7 @@ from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, bui
                                  name_relation, piggyback_relations,
                                  preimage_sublattice, table3_report, tagged_points,
                                  verify_piggyback_iso)
-from bilatdual.posets import are_isomorphic, count_downsets
+from bilatdual.posets import Poset, are_isomorphic, count_downsets
 
 
 def test_carrier_values():
@@ -287,6 +287,7 @@ def test_swapping_gamma_and_delta_at_one_sort_fails(free1, monkeypatch, sort):
                     if k == sort else (g, d) for k, (g, d) in enumerate(build_carriers(1)))
     monkeypatch.setattr(piggyback, "build_carriers", lambda n: swapped)
     assert not verify_translation(free1.algebra)
+    assert not verify_free_translation(1)
     assert not verify_piggyback_iso(free1.algebra)
 
 
@@ -295,13 +296,41 @@ def test_a_non_prime_filter_fails_the_carrier_map():
     d = natural_dual(A)
     P = construct_P(d.structure).poset
     points = tagged_points(d.structure)
-    assert carrier_map_is_iso(A, d.homs, points, P)
+    assert carrier_map_is_iso(A.size, d.homs, points, P)
     # a constant map sends every element to one value: the whole carrier or nothing
     top0 = build_mk(1, 0).index("top0")
     homs = ((tuple([top0] * A.size),) + tuple(d.homs[0][1:]),) + tuple(d.homs[1:])
-    assert not carrier_map_is_iso(A, homs, points, P)
+    assert not carrier_map_is_iso(A.size, homs, points, P)
+
+
+def test_each_certificate_condition_fails_alone():
+    A = build_mk(1, 1)
+    d = natural_dual(A)
+    P = construct_P(d.structure).poset
+    points = tagged_points(d.structure)
+    assert carrier_map_is_iso(A.size, d.homs, points, P)
+    assert not carrier_map_is_iso(A.size + 1, d.homs, points, P)
+    # every hom sends f1 where it sends bot1: the masks keep their order and P
+    # keeps its 6 down-sets, but the columns number only 5
+    bot, f = A.index("bot1"), A.index("f1")
+    glued = tuple(tuple(tuple(h[bot] if v == f else h[v] for v in range(A.size)) for h in hk)
+                  for hk in d.homs)
+    assert count_downsets(P) == A.size
+    assert not carrier_map_is_iso(A.size, glued, points, P)
+    # a sort-0 map that is no hom: its masks separate M_1 and are ordered as Q,
+    # but Q has 8 down-sets, so the columns are not all of its up-sets
+    m0 = build_mk(1, 0)
+    homs = ((tuple(m0.index(e) for e in ("bot0", "f0", "bot0", "t0", "bot0", "top0")),),
+            d.homs[1])
+    carriers = {(w.sort, w.kind): np.asarray(w.values, dtype=bool) for w in all_carriers(1)}
+    masks = np.array([carriers[(k, kind)][list(homs[k][i])] for k, i, kind in points])
+    Q = Poset([str(p) for p in points], np.all(~masks[:, None, :] | masks[None, :, :], axis=2))
+    assert count_downsets(Q) == 8
+    assert not carrier_map_is_iso(A.size, homs, points, Q)
 
 
 def test_verifiers_bind_no_isomorphism_search():
-    assert not hasattr(bridge, "are_isomorphic")
-    assert not hasattr(piggyback, "are_isomorphic")
+    for module in (bridge, piggyback):
+        for name in ("are_isomorphic", "priestley_dual_of_lattice", "lattice_reduct"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(verify, "free_algebra")
