@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, build_jn, generated_subalgebra_in_product, mk_algebras
-from .multisorted import (MultiMorphism, MultiSortedStructure, _search, build_alter_ego,
+from .multisorted import (MultiMorphism, MultiSortedStructure, _kernel, build_alter_ego,
                           pointwise_structure)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
@@ -122,6 +122,6 @@ def sample_morphisms(structures, n: int, count: int, seed: int):
             pool.append((X, ego, MultiMorphism(X, ego, maps)))
             return len(pool) - start == SAMPLE_PAIR_CAP
 
-        _search(X, ego, collect)
+        _kernel(X, ego)(collect)
     rng.shuffle(pool)
     return pool[:count]

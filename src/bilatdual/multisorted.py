@@ -197,14 +197,14 @@ class _NodeBudget:
     spent: int = 0
 
 
-def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
-            injective: bool = False, pins=(), budget: _NodeBudget | None = None) -> bool:
-    """Backtracking over the sort-respecting maps X -> Y that are morphisms.
+def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
+    """Set up the backtracking search over the morphisms X -> Y; return `search`.
 
     Points are visited in `X.points()` order, sort 0 first, so every later
     point draws its candidates from one g-fibre of Y. Each relation pair of X
     is checked once, at the later of its two points (a reflexive pair at its
-    own point). With `injective`, values already used in a sort are skipped.
+    own point). The check tables, fibres and roots are built here, once per
+    pair; `search(found, pins=(), budget=None)` runs one search at a time.
     `pins` lists triples (k, i, v) that restrict point i of sort k to the one
     value v; a pin on a point of sort k >= 1 also pins its sort-0 root to the
     g-image of v, and pins that disagree on a point end the search at once.
@@ -214,16 +214,6 @@ def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
     """
     points = X.points()
     pos = {pt: p for p, pt in enumerate(points)}
-    domains: list[tuple[int] | None] = [None] * len(points)
-    for k, i, v in pins:
-        forced = [(pos[(k, i)], v)]
-        if k:
-            forced.append((pos[(0, X.g[k - 1][i])], Y.g[k - 1][v]))
-        for p, w in forced:
-            if domains[p] is None:
-                domains[p] = (w,)
-            elif domains[p] != (w,):
-                return False
     # checks[p]: (q, table) meaning the value at p must lie in table[image of q]
     checks: list[list] = [[] for _ in points]
 
@@ -256,16 +246,16 @@ def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
     for sort in X.sorts:
         spans.append((start, start + len(sort)))
         start += len(sort)
-    used = [set() for _ in Y.sorts]
     img = [0] * len(points)
+    domains = emit = meter = None   # the search under way: per-point domains, `found`, budget
 
     def visit(p: int) -> bool:
-        if budget is not None:
-            budget.spent += 1
-            if budget.spent > budget.cap:
-                raise GuardExceeded(f"search exceeded {budget.cap} nodes")
+        if meter is not None:
+            meter.spent += 1
+            if meter.spent > meter.cap:
+                raise GuardExceeded(f"search exceeded {meter.cap} nodes")
         if p == len(points):
-            return found(tuple(tuple(img[s:e]) for s, e in spans))
+            return emit(tuple(tuple(img[s:e]) for s, e in spans))
         k = points[p][0]
         root = roots[p]
         # a pinned point of sort k >= 1 has its root pinned too, so the pin lies in the fibre
@@ -273,22 +263,31 @@ def _search(X: MultiSortedStructure, Y: MultiSortedStructure, found,
         if candidates is None:
             candidates = everything if root is None else fibres[k - 1].get(img[root], ())
         for v in candidates:
-            if injective and v in used[k]:
-                continue
             img[p] = v
             for q, table in checks[p]:
                 if v not in table[img[q]]:
                     break
             else:
-                if injective:
-                    used[k].add(v)
-                stop = visit(p + 1)
-                used[k].discard(v)
-                if stop:
+                if visit(p + 1):
                     return True
         return False
 
-    return visit(0)
+    def search(found, pins=(), budget: _NodeBudget | None = None) -> bool:
+        nonlocal domains, emit, meter
+        domains = [None] * len(points)
+        for k, i, v in pins:
+            forced = [(pos[(k, i)], v)]
+            if k:
+                forced.append((pos[(0, X.g[k - 1][i])], Y.g[k - 1][v]))
+            for p, w in forced:
+                if domains[p] is None:
+                    domains[p] = (w,)
+                elif domains[p] != (w,):
+                    return False
+        emit, meter = found, budget
+        return visit(0)
+
+    return search
 
 
 def enumerate_multimorphisms(X: MultiSortedStructure,
@@ -308,15 +307,15 @@ def enumerate_multimorphisms(X: MultiSortedStructure,
             raise GuardExceeded(f"morphism enumeration exceeded {cap}")
         return False
 
-    _search(X, Y, collect)
+    _kernel(X, Y)(collect)
     return out
 
 
 def _sizes(X: MultiSortedStructure) -> tuple:
     """Depth, sort sizes and relation sizes.
 
-    An injective morphism between structures of equal sizes maps every relation
-    onto its target relation, so it is an isomorphism.
+    A morphism between structures of equal sizes that is injective on every sort
+    maps every relation onto its target relation, so it is an isomorphism.
     """
     return (X.n, [len(s) for s in X.sorts], [len(r) for r in X.rel_sort],
             [len(X.rel_cross[key]) for key in sorted(X.rel_cross)])
@@ -324,7 +323,8 @@ def _sizes(X: MultiSortedStructure) -> tuple:
 
 def structures_isomorphic(X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
     """Sort-wise bijections preserving g and both relation families exactly."""
-    return _sizes(X) == _sizes(Y) and _search(X, Y, lambda maps: True, injective=True)
+    return _sizes(X) == _sizes(Y) and \
+        _kernel(X, Y)(lambda maps: all(len(set(m)) == len(m) for m in maps))   # see _sizes
 
 
 # ----------------------------------------------------------------------------
@@ -675,6 +675,7 @@ def membership_by_separation(X: MultiSortedStructure) -> bool:
             if (a, b) not in rel:
                 needs.append((j, a, k, b, ego.rel_cross[(j, k)]))
     total = len(needs)
+    search = _kernel(X, ego)
     budget = _NodeBudget(SEPARATION_NODE_GUARD)
     found = []
 
@@ -687,7 +688,7 @@ def membership_by_separation(X: MultiSortedStructure) -> bool:
             j, a, k, b, allowed = needs[0]
             for u, v in itertools.product(range(len(ego.sorts[j])), range(len(ego.sorts[k]))):
                 if (u, v) not in allowed and \
-                        _search(X, ego, first, pins=((j, a, u), (k, b, v)), budget=budget):
+                        search(first, pins=((j, a, u), (k, b, v)), budget=budget):
                     maps = found.pop()
                     needs = [r for r in needs if (maps[r[0]][r[1]], maps[r[2]][r[3]]) in r[4]]
                     break

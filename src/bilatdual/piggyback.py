@@ -204,23 +204,15 @@ class PiggybackRelationSet:
 
 
 def preimage_sublattice(w1: Carrier, w2: Carrier, n: int) -> frozenset:
-    """Pairs (a, b) with w1(a) <= w2(b); verified closed under truth meet/join."""
+    """Pairs (a, b) with w1(a) <= w2(b).
+
+    Both carriers are bounded-lattice homs onto {0,1}, checked by `_assert_carrier`
+    when they are built, so the relation is closed under truth meet and join and
+    holds at the f_0 and t_0 pairs without a check of its own.
+    """
     mks = mk_algebras(n)
-    mj, mk = mks[w1.sort], mks[w2.sort]
-    rel = frozenset((a, b) for a in range(mj.size) for b in range(mk.size)
-                    if w1(a) <= w2(b))
-    mt_j, jt_j = mj.tables["meet_t"], mj.tables["join_t"]
-    mt_k, jt_k = mk.tables["meet_t"], mk.tables["join_t"]
-    for (a, b), (c, d) in itertools.product(rel, rel):
-        if (int(mt_j[a, c]), int(mt_k[b, d])) not in rel:
-            raise AssertionError("preimage not closed under truth meet")
-        if (int(jt_j[a, c]), int(jt_k[b, d])) not in rel:
-            raise AssertionError("preimage not closed under truth join")
-    bot = (mj.consts["f_0"], mk.consts["f_0"])
-    top = (mj.consts["t_0"], mk.consts["t_0"])
-    if bot not in rel or top not in rel:
-        raise AssertionError("preimage misses a bound pair")
-    return rel
+    return frozenset((a, b) for a in range(mks[w1.sort].size) for b in range(mks[w2.sort].size)
+                     if w1(a) <= w2(b))
 
 
 @lru_cache(maxsize=None)

@@ -236,14 +236,11 @@ def suite_tables(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
         fs = free_size_formula(n)
         if (pc.avoiding_top, pc.meeting_top) != (fs.avoiding_top, fs.meeting_top):
             return False, "top split does not match the closed forms"
-        if n <= 4:
-            exp1, exp2 = table_avoiding_expected(n), table_meeting_expected(n)
-            for key, val in exp1.items():
-                if pc.by_centre.get(key, 0) != val:
-                    return False, f"centre cell {sorted(key)} tallies {pc.by_centre.get(key, 0)}"
-            for key, val in exp2.items():
-                if pc.by_min_top.get(key, 0) != val:
-                    return False, f"top cell {sorted(key)} tallies {pc.by_min_top.get(key, 0)}"
+        for block, got, expected in (("centre", pc.by_centre, table_avoiding_expected(n)),
+                                     ("top", pc.by_min_top, table_meeting_expected(n))):
+            for key in sorted(got.keys() | expected.keys(), key=sorted):
+                if got.get(key, 0) != expected.get(key, 0):
+                    return False, f"{block} cell {sorted(key)} tallies {got.get(key, 0)}"
         return True, None
     r.check("grouped-downset-tallies", tallies)
 

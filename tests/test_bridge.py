@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bilatdual import algebra, multisorted
+from bilatdual import algebra, multisorted, verify
 from bilatdual.algebra import build_jn, build_mk, free_algebra_rows, lattice_reduct
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
@@ -103,6 +103,21 @@ def test_partitioned_tallies_match_tables():
             assert pc.by_min_top.get(key, 0) == val, (n, sorted(key))
         assert set(pc.by_centre) <= set(exp1)
         assert set(pc.by_min_top) <= set(exp2)
+
+
+def test_tables_suite_compares_every_tally_cell(monkeypatch):
+    def tallies(result):
+        return [c.status for c in result.checks if c.id == "grouped-downset-tallies"]
+
+    assert tallies(run_suite("tables", 5)) == ["pass"]
+
+    def one_cell_off(n):
+        table = table_meeting_expected(n)
+        key = min(table, key=sorted)
+        return {**table, key: table[key] + 1}
+
+    monkeypatch.setattr(verify, "table_meeting_expected", one_cell_off)
+    assert tallies(run_suite("tables", 5)) == ["fail"]
 
 
 def test_specific_table_cells_n2():

@@ -1,7 +1,10 @@
 """Command-line behaviour: documents, exit codes, determinism."""
 
+import hashlib
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 from bilatdual import algebra, bridge, cli, verify
 from bilatdual.algebra import GuardExceeded
@@ -241,3 +244,24 @@ def test_build_guard_refuses_before_building(capsys):
     code, out, _ = run(capsys, ["build", "jn", "--n", "100"])
     assert code == 0
     assert len(json.loads(out)["elements"]) == 204
+
+
+def _bench_digests():
+    """The recorded stdout digests of the benchmark's CLI invocations, read from its checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("_bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.DIGESTS
+
+
+def test_reports_match_the_benchmark_digests(capsys):
+    wanted = ["verify --suite all --n 2 --seed 20260809",
+              "verify --suite axioms --n 4 --seed 20260809",
+              "free-size --method all --n 1", "free-size --method all --n 2",
+              *(f"free-size --method downsets --n {n}" for n in (3, 4, 5))]
+    digests = _bench_digests()
+    for invocation in wanted:
+        code, out, _ = run(capsys, invocation.split())
+        assert code == 0, invocation
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[invocation], invocation

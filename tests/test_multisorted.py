@@ -182,10 +182,11 @@ def test_pinned_kernel_matches_bruteforce_oracle():
             every = _morphisms_by_bruteforce(X, Y)
             pins = _random_pins(X, Y, rng)
             expected = [m for m in every if all(m[k][i] == v for k, i, v in pins)]
+            search = multisorted._kernel(X, Y)
             listed = []
-            assert not multisorted._search(X, Y, listed.append, pins=pins)
+            assert not search(listed.append, pins=pins)
             assert listed == expected
-            assert multisorted._search(X, Y, lambda m: True, pins=pins) == bool(expected)
+            assert search(lambda m: True, pins=pins) == bool(expected)
             values = {}
             for k, i, v in pins:
                 values.setdefault((k, i), set()).add(v)
@@ -202,6 +203,31 @@ def test_pinned_kernel_matches_bruteforce_oracle():
             if not conflict and every and not expected:
                 seen.add("pins with no morphism")
     assert seen == {"two pins on one point", "root conflict", "pins with no morphism"}
+
+
+def test_separation_sets_up_one_kernel_per_structure(monkeypatch):
+    built, asked = [], []
+
+    def counted(X, Y):
+        built.append(X)
+        search = kernel(X, Y)
+
+        def counted_search(*args, **kwargs):
+            asked.append(X)
+            return search(*args, **kwargs)
+        return counted_search
+
+    kernel = multisorted._kernel
+    monkeypatch.setattr(multisorted, "_kernel", counted)
+    most = 0
+    for n in (1, 2):
+        for X in structure_corpus(n, 20, seed=400 + n):
+            built.clear()
+            asked.clear()
+            membership_by_separation(X)
+            assert built == [X]
+            most = max(most, len(asked))
+    assert most > 1   # some structure asks several pins through its one kernel
 
 
 def test_isomorphism_kernel_matches_permutation_oracle():

@@ -61,6 +61,20 @@ def test_dropping_a_carrier_breaks_separation():
     assert d0(m0.index("top0")) == d0(m0.index("f0"))
 
 
+def test_assert_carrier_rejects_a_non_hom():
+    m0 = build_mk(1, 0)
+
+    def carrier(ones):
+        return Carrier(0, "gamma", tuple(int(e in ones) for e in m0.elements))
+
+    # bot0 and top0 truth-meet to f0, which this map sends to 0
+    with pytest.raises(AssertionError, match="truth meet"):
+        piggyback._assert_carrier(carrier({"bot0", "t0", "top0"}), m0)
+    with pytest.raises(AssertionError, match="bounds"):
+        piggyback._assert_carrier(carrier(set(m0.elements)), m0)
+    piggyback._assert_carrier(build_carriers(1)[0][0], m0)
+
+
 def test_preimage_examples():
     n = 2
     pairs = build_carriers(n)
