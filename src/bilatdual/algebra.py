@@ -91,6 +91,9 @@ class FiniteAlgebra:
         if self.neg.shape != (n,):
             raise ValueError("neg table has wrong shape")
         self.consts = dict(consts)
+        if len(self.consts) < 2 * signature.n + 4:
+            raise ValueError(f"{len(self.consts)} constants given, but depth "
+                             f"n={signature.n} needs {2 * signature.n + 4}")
         for sym in signature.constant_symbols:
             if sym not in self.consts:
                 raise ValueError(f"missing constant {sym}")
@@ -332,19 +335,14 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 
 class _Closure:
-    """Incremental closure of a subset of A under all operations, one rule per element.
+    """Incremental closure of a subset of A under all operations, one rule per element."""
 
-    `closed` lists members already known to form a subuniverse; they count as
-    combined, so saturating combines only pairs that involve a later element.
-    """
-
-    def __init__(self, A: FiniteAlgebra, closed=()):
+    def __init__(self, A: FiniteAlgebra):
         self.A = A
         self.known = np.zeros(A.size, dtype=bool)
-        self.order: list[int] = list(closed)
-        self.known[self.order] = True
-        self.rules: dict[int, tuple] = dict.fromkeys(self.order, ("seed",))
-        self.combined = len(self.order)   # order[:combined] have been combined with each other
+        self.order: list[int] = []
+        self.rules: dict[int, tuple] = {}
+        self.combined = 0   # order[:combined] have been combined with each other
 
     def add_seed(self, x: int):
         if not self.known[x]:
@@ -789,30 +787,23 @@ class SubuniverseSet:
 
 
 def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
-    """Closure expansion from the constant-generated subuniverse.
+    """Sub(A) as the joins of Sg(∅) with one-generated subuniverses.
 
-    Each member S is extended by every x outside it; S is already closed, so
-    the closure of S + x combines only pairs that involve a new element.
+    Every subuniverse T is Sg(∅) joined with Sg(x) for each x in T, so the
+    family starts at {Sg(∅)} and is joined with each distinct Sg(x) in turn;
+    a join is the closure of the union, skipped when Sg(x) is already inside.
     """
     if A.size > DEFAULT_SUBUNIVERSE_GUARD:
         raise GuardExceeded(f"carrier {A.size} exceeds subuniverse guard "
                             f"{DEFAULT_SUBUNIVERSE_GUARD}")
     n = A.size
-    seed = sum(1 << i for i in closure_indices(A, ()))
-    family = {seed}
-    queue = [seed]
-    while queue:
-        s = queue.pop()
-        closed = [i for i in range(n) if s >> i & 1]
-        for x in range(n):
-            if not s >> x & 1:
-                cl = _Closure(A, closed)
-                cl.add_seed(x)
-                cl.saturate()
-                t = sum(1 << i for i in cl.order)
-                if t not in family:
-                    family.add(t)
-                    queue.append(t)
+
+    def closed(mask: int) -> int:
+        return sum(1 << i for i in closure_indices(A, (i for i in range(n) if mask >> i & 1)))
+
+    family = {closed(0)}
+    for p in {closed(1 << x) for x in range(n)}:
+        family |= {closed(s | p) for s in family if p & ~s}
     masks = sorted(family, key=lambda mk: (bin(mk).count("1"), mk))
     members = tuple(frozenset(i for i in range(n) if mk >> i & 1) for mk in masks)
     full = (1 << n) - 1

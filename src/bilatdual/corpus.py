@@ -14,6 +14,7 @@ from .multisorted import (MultiMorphism, MultiSortedStructure, _kernel, build_al
                           pointwise_structure)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
+MAX_SORT = 3           # largest sort size drawn for a corpus structure
 MEMBER_SHARE = 0.5     # chance that a structure_corpus draw is a guaranteed member
 SAMPLE_PAIR_CAP = 200  # morphisms listed per structure when sampling
 
@@ -45,9 +46,9 @@ def corpus_algebras(n: int, seed: int = 0, subalgebras: int = 5) -> list[CorpusA
     return out
 
 
-def random_structure(n: int, rng: random.Random, max_sort: int = 3) -> MultiSortedStructure:
+def random_structure(n: int, rng: random.Random) -> MultiSortedStructure:
     """An arbitrary structure in the signature; most of these fail the axioms."""
-    sizes = [rng.randint(1, max_sort)] + [rng.randint(0, max_sort) for _ in range(n)]
+    sizes = [rng.randint(1, MAX_SORT)] + [rng.randint(0, MAX_SORT) for _ in range(n)]
     sorts = tuple(tuple(f"s{k}e{i}" for i in range(sizes[k])) for k in range(n + 1))
     g = tuple(tuple(rng.randrange(sizes[0]) for _ in range(sizes[k]))
               for k in range(1, n + 1))
@@ -71,7 +72,7 @@ def random_structure(n: int, rng: random.Random, max_sort: int = 3) -> MultiSort
     return MultiSortedStructure(n, sorts, g, tuple(rel_sort), cross)
 
 
-def member_substructure(n: int, rng: random.Random, max_sort: int = 3) -> MultiSortedStructure:
+def member_substructure(n: int, rng: random.Random) -> MultiSortedStructure:
     """A closed substructure of the alter ego raised to a small power.
 
     Substructures only need closure under the g-operations; relations are
@@ -82,7 +83,7 @@ def member_substructure(n: int, rng: random.Random, max_sort: int = 3) -> MultiS
     for k in range(n + 1):
         size = len(ego.sorts[k])
         points = set()
-        for _ in range(rng.randint(0, max_sort)):
+        for _ in range(rng.randint(0, MAX_SORT)):
             points.add(tuple(rng.randrange(size) for _ in range(MEMBER_POWER)))
         chosen.append(points)
     for k in range(1, n + 1):
@@ -97,16 +98,15 @@ def member_substructure(n: int, rng: random.Random, max_sort: int = 3) -> MultiS
     return pointwise_structure(ego, sorts, points)
 
 
-def structure_corpus(n: int, count: int, seed: int,
-                     max_sort: int = 3) -> list[MultiSortedStructure]:
+def structure_corpus(n: int, count: int, seed: int) -> list[MultiSortedStructure]:
     """A mix of arbitrary structures and guaranteed members, seeded."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
         if rng.random() < MEMBER_SHARE:
-            out.append(member_substructure(n, rng, max_sort=max_sort))
+            out.append(member_substructure(n, rng))
         else:
-            out.append(random_structure(n, rng, max_sort=max_sort))
+            out.append(random_structure(n, rng))
     return out
 
 

@@ -454,17 +454,23 @@ def test_subuniverse_families():
 
 
 def test_subuniverses_closed_and_intersection_closed():
-    m1 = build_mk(1, 1)
-    sq = product([m1, m1])
-    fam = enumerate_subuniverses(sq)
-    consts = set(sq.consts.values())
-    members = [set(s) for s in fam.members]
-    for s in members:
-        assert consts <= s
-        assert set(closure_indices(sq, s)) == s
-    for a in members:
-        for b in members:
-            assert a & b in [set(m) for m in members]
+    """Closed members, closed under meet and join, holding Sg(∅) and each Sg(x): all of Sub(A)."""
+    j1 = build_jn(1)
+    cases = [product([a, b]) for n in (1, 2, 3) for a in mk_algebras(n) for b in mk_algebras(n)]
+    cases.append(product([j1, j1]))
+    for A in cases:
+        fam = enumerate_subuniverses(A)
+        members = set(fam.members)
+        assert len(members) == len(fam.members)
+        for s in members:
+            assert frozenset(closure_indices(A, s)) == s
+        for a in members:
+            for b in members:
+                assert a & b in members
+                assert frozenset(closure_indices(A, a | b)) in members
+        assert frozenset(closure_indices(A, ())) in members
+        for x in range(A.size):
+            assert frozenset(closure_indices(A, [x])) in members
 
 
 def _subuniverses_by_subset_scan(A):
@@ -509,8 +515,9 @@ def test_closure_from_closed_members_matches_closure_indices(free1):
         for _ in range(20):
             closed = closure_indices(A, rng.sample(range(A.size), rng.randint(0, 2)))
             x = rng.randrange(A.size)
-            cl = _Closure(A, closed)
-            cl.add_seed(x)
+            cl = _Closure(A)
+            for i in closed + [x]:
+                cl.add_seed(i)
             cl.saturate()
             assert sorted(cl.order) == cl.members() == closure_indices(A, closed + [x])
 

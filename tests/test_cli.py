@@ -111,6 +111,16 @@ def test_in_document_depth_must_match_n(tmp_path, capsys):
         assert err == f"error: --in document has depth n=1 but --n is {n}\n", kind
 
 
+def test_constant_count_is_checked_before_the_symbols_are_spelled(tmp_path, capsys):
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    src = tmp_path / "deep.json"
+    src.write_text(json.dumps(dict(json.loads(j1), signature={"n": 10 ** 6})))
+    code, out, err = run(capsys, ["build", "dual", "--n", str(10 ** 6), "--in", str(src)])
+    assert (code, out) == (2, "")
+    assert err == ("error: bad --in document: 6 constants given, "
+                   "but depth n=1000000 needs 2000004\n")
+
+
 def test_free_size_all_methods(capsys):
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "all"])
     assert code == 0
@@ -246,22 +256,30 @@ def test_build_guard_refuses_before_building(capsys):
     assert len(json.loads(out)["elements"]) == 204
 
 
-def _bench_digests():
-    """The recorded stdout digests of the benchmark's CLI invocations, read from its checks."""
+def _bench_checks():
+    """The benchmark's output checks, with its recorded stdout and input digests."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
     spec = importlib.util.spec_from_file_location("_bench_checks", path)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
-    return checks.DIGESTS
+    return checks
 
 
-def test_reports_match_the_benchmark_digests(capsys):
+def test_reports_match_the_benchmark_digests(tmp_path, capsys):
     wanted = ["verify --suite all --n 2 --seed 20260809",
               "verify --suite axioms --n 4 --seed 20260809",
               "free-size --method all --n 1", "free-size --method all --n 2",
               *(f"free-size --method downsets --n {n}" for n in (3, 4, 5))]
-    digests = _bench_digests()
+    checks = _bench_checks()
     for invocation in wanted:
         code, out, _ = run(capsys, invocation.split())
         assert code == 0, invocation
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[invocation], invocation
+        assert hashlib.sha256(out.encode()).hexdigest() == checks.DIGESTS[invocation], invocation
+    f1 = tmp_path / "F1.json"
+    f1.write_text(algebra.free_algebra(1).algebra.to_json())
+    assert hashlib.sha256(f1.read_bytes()).hexdigest() == checks.F1_SHA256
+    for kind in ("dual", "carrier-space"):
+        invocation = f"build {kind} --n 1 --in perfbench/_work/F1.json"
+        code, out, _ = run(capsys, ["build", kind, "--n", "1", "--in", str(f1)])
+        assert code == 0, invocation
+        assert hashlib.sha256(out.encode()).hexdigest() == checks.DIGESTS[invocation], invocation

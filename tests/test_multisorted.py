@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bilatdual import multisorted
+from bilatdual import corpus, multisorted
 from bilatdual.algebra import (GuardExceeded, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
 from bilatdual.corpus import (SAMPLE_PAIR_CAP, corpus_algebras, member_substructure,
@@ -150,8 +150,8 @@ def test_morphism_kernel_matches_bruteforce_oracle():
     rng = random.Random(20260818)
     for n in (1, 2):
         for _ in range(60):
-            X = random_structure(n, rng, max_sort=3)
-            Y = random_structure(n, rng, max_sort=3)
+            X = random_structure(n, rng)
+            Y = random_structure(n, rng)
             expected = _morphisms_by_bruteforce(X, Y)
             assert [phi.maps for phi in enumerate_multimorphisms(X, Y)] == expected
 
@@ -177,8 +177,8 @@ def test_pinned_kernel_matches_bruteforce_oracle():
     seen = set()
     for n in (1, 2):
         for _ in range(150):
-            X = random_structure(n, rng, max_sort=3)
-            Y = random_structure(n, rng, max_sort=3)
+            X = random_structure(n, rng)
+            Y = random_structure(n, rng)
             every = _morphisms_by_bruteforce(X, Y)
             pins = _random_pins(X, Y, rng)
             expected = [m for m in every if all(m[k][i] == v for k, i, v in pins)]
@@ -235,7 +235,7 @@ def test_isomorphism_kernel_matches_permutation_oracle():
     positives = negatives = 0
     for n in (1, 2):
         for _ in range(40):
-            X = random_structure(n, rng, max_sort=3)
+            X = random_structure(n, rng)
             perms = [rng.sample(range(len(s)), len(s)) for s in X.sorts]
             Y = _relabel(X, perms)
             assert structures_isomorphic(X, Y)
@@ -366,7 +366,7 @@ def test_a7_family_oracle_agrees():
     rng = random.Random(12)
     checked = 0
     for _ in range(40):
-        X = random_structure(2, rng, max_sort=3)
+        X = random_structure(2, rng)
         rel_pairs = [(j, k) for (j, k) in X.rel_cross]
         rep = check_axioms(X)
         for (j, k) in rel_pairs:
@@ -415,13 +415,14 @@ def test_interchange_roundtrip():
     assert MultiSortedStructure.from_json(ego.to_json()) == ego
 
 
-def test_three_sort_transitivity_axiom_fires():
+def test_three_sort_transitivity_axiom_fires(monkeypatch):
     # below n=3 the three-sort chain axiom is vacuous; make sure it really
     # both fires and fails on arbitrary structures at n=3
+    monkeypatch.setattr(corpus, "MAX_SORT", 2)
     rng = random.Random(99)
     fired = failed = 0
     for _ in range(200):
-        X = random_structure(3, rng, max_sort=2)
+        X = random_structure(3, rng)
         rep = check_axioms(X)
         if rep.verdicts["A5"].instances > 0:
             fired += 1
@@ -430,8 +431,9 @@ def test_three_sort_transitivity_axiom_fires():
     assert fired > 5 and failed > 0
 
 
-def test_axioms_equal_separation_at_n3():
-    for X in structure_corpus(3, 40, seed=77, max_sort=2):
+def test_axioms_equal_separation_at_n3(monkeypatch):
+    monkeypatch.setattr(corpus, "MAX_SORT", 2)
+    for X in structure_corpus(3, 40, seed=77):
         assert check_axioms(X).ok == membership_by_separation(X)
 
 
