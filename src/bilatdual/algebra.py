@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,9 +64,12 @@ class SignatureN:
 
 
 def _as_table(values, size: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int16)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
+        raise ValueError("table entries must be integers")
     if arr.min(initial=0) < 0 or (arr.size and arr.max() >= size):
         raise ValueError("table entry out of carrier range")
+    arr = arr.astype(np.int16, copy=False)
     arr.setflags(write=False)
     return arr
 
@@ -155,7 +159,7 @@ class FiniteAlgebra:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FiniteAlgebra":
-        sig = SignatureN(int(doc["signature"]["n"]))
+        sig = SignatureN(operator.index(doc["signature"]["n"]))
         elements = tuple(doc["elements"])
         index = {name: i for i, name in enumerate(elements)}
         ops = doc["ops"]

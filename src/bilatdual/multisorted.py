@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class MultiSortedStructure:
         self.sorts = tuple(tuple(s) for s in self.sorts)
         if len(self.g) != self.n:
             raise ValueError("need one g map per sort k >= 1")
-        self.g = tuple(tuple(m) for m in self.g)
+        self.g = tuple(tuple(map(index, m)) for m in self.g)
         for k in range(1, self.n + 1):
             if len(self.g[k - 1]) != len(self.sorts[k]):
                 raise ValueError(f"g_{k} is not total")
@@ -49,7 +50,7 @@ class MultiSortedStructure:
                 raise ValueError(f"g_{k} image out of sort 0")
         if len(self.rel_sort) != self.n + 1:
             raise ValueError("need one sort relation per sort")
-        self.rel_sort = tuple(frozenset((int(a), int(b)) for a, b in r) for r in self.rel_sort)
+        self.rel_sort = tuple(frozenset((index(a), index(b)) for a, b in r) for r in self.rel_sort)
         for k, rel in enumerate(self.rel_sort):
             for a, b in rel:
                 if not (0 <= a < len(self.sorts[k]) and 0 <= b < len(self.sorts[k])):
@@ -58,7 +59,7 @@ class MultiSortedStructure:
         for (j, k), rel in self.rel_cross.items():
             if not 1 <= j < k <= self.n:
                 raise ValueError(f"cross relation slot ({j},{k}) out of range")
-            rel = frozenset((int(a), int(b)) for a, b in rel)
+            rel = frozenset((index(a), index(b)) for a, b in rel)
             for a, b in rel:
                 if not (0 <= a < len(self.sorts[j]) and 0 <= b < len(self.sorts[k])):
                     raise ValueError(f"cross relation ({j},{k}) pair out of range")
@@ -95,7 +96,7 @@ class MultiSortedStructure:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiSortedStructure":
-        n = int(doc["n"])
+        n = index(doc["n"])
         sorts = tuple(tuple(s) for s in doc["sorts"])
         g = tuple(tuple(doc["g"][str(k)]) for k in range(1, n + 1))
         rel_sort = tuple(frozenset(map(tuple, doc["rel_k"][str(k)])) for k in range(n + 1))
@@ -350,6 +351,8 @@ def natural_dual(A: FiniteAlgebra, n: int | None = None) -> NaturalDual:
 
 def dual_from_homs(homs) -> NaturalDual:
     """D(A) given its hom-sets, homs[k] the homs into M_k as tuples: all pointwise."""
+    if not any(homs):
+        raise ValueError("algebra has no homomorphism into any M_k, so it lies outside the class")
     n = len(homs) - 1
     sorts = tuple(tuple(f"h{k}_{i}" for i in range(len(homs[k]))) for k in range(n + 1))
     return NaturalDual(pointwise_structure(build_alter_ego(n), sorts, homs), homs)
@@ -402,7 +405,14 @@ class HomAlgebra:
 
     algebra: FiniteAlgebra
     points: list[tuple[int, int]]
-    row_index: dict[tuple[int, ...], int]
+    rows: list[tuple[int, ...]]
+
+
+def morphism_rows(X: MultiSortedStructure) -> list[tuple[int, ...]]:
+    """E(X) as rows: the morphisms X -> alter ego as tuples over X.points(), lexicographic."""
+    points = X.points()
+    return [tuple(phi.maps[k][i] for k, i in points)
+            for phi in enumerate_multimorphisms(X, build_alter_ego(X.n))]
 
 
 def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
@@ -412,40 +422,32 @@ def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
     order the table builder expects; the builder raises if an operation leaves
     the hom-set, so compatibility is checked while the tables are built.
     """
-    ego = build_alter_ego(X.n)
     mks = mk_algebras(X.n)
     points = X.points()
-    factors = [mks[k] for k, _ in points]
-    rows = [tuple(phi.maps[k][i] for k, i in points) for phi in enumerate_multimorphisms(X, ego)]
+    rows = morphism_rows(X)
     if any(a >= b for a, b in zip(rows, rows[1:])):
         raise AssertionError("morphism rows are not strictly increasing")
-    algebra = _product_subalgebra(factors, np.array(rows, dtype=np.int16))
-    return HomAlgebra(algebra, points, {r: i for i, r in enumerate(rows)})
+    algebra = _product_subalgebra([mks[k] for k, _ in points], np.array(rows, dtype=np.int16))
+    return HomAlgebra(algebra, points, rows)
 
 
 def verify_unit_iso(A: FiniteAlgebra) -> bool:
-    """Evaluation A -> E(D(A)): true iff it is a bijective homomorphism.
+    """Evaluation e_A: A -> E(D(A)), a -> (h(a))_h: true iff it is an isomorphism.
 
-    Algebras outside the generated class can have an empty dual, in which case
-    the evaluation cannot be an isomorphism and False is returned.
+    A certificate on rows, with no table of E(D(A)) built. The evaluation row of a
+    lists h(a) over the points h of D(A), sort by sort. Every such h is a
+    homomorphism A -> M_k that `enumerate_homs` verified, so e_A is a homomorphism
+    into the power. Distinct evaluation rows make it injective, and evaluation rows
+    equal as a set to the morphism rows D(A) -> alter ego make it onto E(D(A)),
+    which as the image of a homomorphism is then a subuniverse. Both conditions
+    are also necessary. An algebra outside the class may have an empty dual: False.
     """
     try:
         dual_A = natural_dual(A)
     except ValueError:
         return False
-    E = hom_algebra_E(dual_A.structure)
-    if E.algebra.size != A.size:
-        return False
-    images = []
-    for a in range(A.size):
-        row = tuple(dual_A.homs[k][i][a] for k, i in E.points)
-        ix = E.row_index.get(row)
-        if ix is None:
-            return False
-        images.append(ix)
-    if len(set(images)) != A.size:
-        return False
-    return is_homomorphism(images, A, E.algebra)
+    evaluations = set(zip(*(h for homs in dual_A.homs for h in homs)))
+    return len(evaluations) == A.size and evaluations == set(morphism_rows(dual_A.structure))
 
 
 def verify_counit_iso(X: MultiSortedStructure) -> bool:
@@ -454,19 +456,12 @@ def verify_counit_iso(X: MultiSortedStructure) -> bool:
     if E.algebra.size > COUNIT_E_GUARD:
         raise GuardExceeded(f"E(X) has {E.algebra.size} elements (> {COUNIT_E_GUARD})")
     DE = natural_dual(E.algebra)
-    rows = sorted(E.row_index, key=E.row_index.get)
-    point_pos = {pt: c for c, pt in enumerate(E.points)}
-    maps = []
-    for k in range(X.n + 1):
-        layer = []
-        for i in range(len(X.sorts[k])):
-            c = point_pos[(k, i)]
-            ev = tuple(row[c] for row in rows)
-            try:
-                layer.append(DE.homs[k].index(ev))
-            except ValueError:
-                return False
-        maps.append(tuple(layer))
+    position = [{h: i for i, h in enumerate(homs)} for homs in DE.homs]
+    maps = [[] for _ in DE.homs]
+    for (k, _), ev in zip(E.points, zip(*E.rows)):   # evaluation at a point: its column
+        if ev not in position[k]:
+            return False
+        maps[k].append(position[k][ev])
     if _sizes(X) != _sizes(DE.structure) or any(len(set(m)) != len(m) for m in maps):
         return False
     # bijective and relation-preserving between equal sizes: it reflects the relations

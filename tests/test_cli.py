@@ -78,14 +78,39 @@ def test_build_bad_input_file(tmp_path, capsys):
 
 def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
     _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    _, ego, _ = run(capsys, ["build", "alter-ego", "--n", "1"])
     wrong_ops = dict(json.loads(j1), ops=3)
-    for i, doc in enumerate(([1, 2], {"n": 1, "sorts": 5}, wrong_ops)):
+    docs = [[1, 2], {"n": 1, "sorts": 5}, wrong_ops]
+    for entry in (70000, 2 ** 70, 1.7):   # too large for int16, beyond int64, not an integer
+        doc = json.loads(j1)
+        doc["ops"]["meet_t"][0][0] = entry
+        docs.append(doc)
+    float_pair, float_g = json.loads(ego), json.loads(ego)
+    float_pair["rel_k"]["0"][0] = [0.9, 1]
+    float_g["g"]["1"][0] = 0.5
+    docs += [float_pair, float_g, dict(json.loads(ego), n=1.0),
+             dict(json.loads(j1), signature={"n": 1.0})]
+    for i, doc in enumerate(docs):
         src = tmp_path / f"doc{i}.json"
         src.write_text(json.dumps(doc))
         for kind in ("dual", "priestley", "carrier-space"):
             code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
             assert (code, out) == (2, ""), (doc, kind)
             assert err.startswith("error: bad --in document: "), (doc, kind)
+
+
+def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    doc = json.loads(j1)
+    size = len(doc["elements"])
+    doc["ops"]["meet_t"] = [[a] * size for a in range(size)]   # a projection: no hom to any M_k
+    src = tmp_path / "outside.json"
+    src.write_text(json.dumps(doc))
+    for kind in ("dual", "carrier-space"):
+        code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+        assert (code, out) == (2, ""), kind
+        assert err == ("error: algebra has no homomorphism into any M_k, "
+                       "so it lies outside the class\n"), kind
 
 
 def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):

@@ -5,11 +5,11 @@ import random
 
 import numpy as np
 
-from bilatdual.algebra import (build_jn, build_mk, closure_indices,
+from bilatdual.algebra import (FiniteAlgebra, build_jn, build_mk, closure_indices,
                                enumerate_homs,
                                enumerate_homs_bruteforce, generated_subalgebra,
                                generated_subalgebra_in_product, mk_algebras, product)
-from bilatdual.multisorted import natural_dual, verify_unit_iso
+from bilatdual.multisorted import morphism_rows, natural_dual, verify_unit_iso
 from bilatdual.posets import (Poset, are_isomorphic, chain, count_downsets,
                               direct_product, is_order_isomorphism)
 
@@ -112,17 +112,31 @@ def test_unit_iso_holds_at_depth_three():
     assert verify_unit_iso(build_jn(3))
 
 
-def test_unit_iso_rejects_a_law_breaking_algebra():
-    # damage one negation entry; the damaged algebra is no longer in the class,
-    # so evaluation cannot be a bijection onto the double dual
+def damaged_m1():
+    """M_1 with one negation entry damaged: it fixes f1, breaking the pairing with t1."""
     m1 = build_mk(1, 1)
     neg = m1.neg.copy()
-    f, t = m1.index("f1"), m1.index("t1")
-    neg[f] = f   # negation fixes f, breaking the involution pairing with t
-    from bilatdual.algebra import FiniteAlgebra
-    damaged = FiniteAlgebra(m1.signature, tuple(f"d{e}" for e in m1.elements),
-                            {op: m1.tables[op] for op in m1.tables}, neg, m1.consts)
-    assert not verify_unit_iso(damaged)
+    f = m1.index("f1")
+    neg[f] = f
+    return FiniteAlgebra(m1.signature, tuple(f"d{e}" for e in m1.elements),
+                         {op: m1.tables[op] for op in m1.tables}, neg, m1.consts)
+
+
+def test_unit_iso_rejects_a_law_breaking_algebra():
+    # the damaged algebra is no longer in the class, so evaluation cannot be a
+    # bijection onto the double dual
+    assert not verify_unit_iso(damaged_m1())
+
+
+def test_unit_iso_rejects_a_non_injective_evaluation():
+    # M_0 x damaged M_1: its 24 elements give only 4 evaluation rows, and those are
+    # exactly the 4 morphism rows, so injectivity is the one condition that fails
+    A = product([build_mk(1, 0), damaged_m1()])
+    dual = natural_dual(A)
+    evaluations = set(zip(*(h for homs in dual.homs for h in homs)))
+    assert (A.size, len(evaluations)) == (24, 4)
+    assert evaluations == set(morphism_rows(dual.structure))
+    assert not verify_unit_iso(A)
 
 
 def test_hom_counts_add_over_direct_factors():

@@ -16,6 +16,7 @@ from bilatdual.multisorted import (MultiSortedStructure, a7_by_families,
                                    is_multimorphism, membership_by_separation,
                                    natural_dual, structures_isomorphic, verify_counit_iso,
                                    verify_unit_iso)
+from bilatdual.verify import run_suite
 
 
 def test_alter_ego_relation_sizes():
@@ -307,6 +308,23 @@ def test_unit_iso_on_two_generated_subalgebra():
     sq = product([build_jn(1)] * 2)
     sub = generated_subalgebra(sq, [1, 8])
     assert verify_unit_iso(sub.algebra)
+
+
+def test_unit_iso_rejects_rows_that_miss_a_morphism(monkeypatch):
+    # the evaluation rows of M_1 stay distinct, so only the set equality can fail
+    full = enumerate_multimorphisms
+    monkeypatch.setattr(multisorted, "enumerate_multimorphisms", lambda X, Y: full(X, Y)[:-1])
+    assert not verify_unit_iso(build_mk(1, 1))
+
+
+def test_duality_suite_builds_no_E_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the unit check needs neither E tables nor a hom re-check")
+
+    monkeypatch.setattr(multisorted, "_product_subalgebra", refuse)
+    monkeypatch.setattr(multisorted, "is_homomorphism", refuse)
+    result = run_suite("duality", 2)
+    assert result.checks and all(c.status == "pass" for c in result.checks)
 
 
 def test_unit_iso_size_consequence():
