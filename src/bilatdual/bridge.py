@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, GuardExceeded, free_algebra_rows, mk_algebras
+from .algebra import FiniteAlgebra, GuardExceeded
 from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
-                          dual_from_homs, natural_dual)
+                          dual_from_homs, morphism_rows, natural_dual)
 from .piggyback import carrier_map_is_iso, tagged_points
 from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
@@ -94,15 +94,21 @@ def verify_translation(A: FiniteAlgebra) -> bool:
 
 
 def verify_free_translation(n: int) -> bool:
-    """verify_translation for F_V(n)(1) from its closure rows: no tables, no hom search.
+    """verify_translation for F_V(n)(1), read off the endomorphisms of the alter ego.
 
-    The generator row takes each value of M_k once among the sort-k coordinates
-    (laid out sort by sort), so their projections are all |M_k| homs F -> M_k.
+    F ≅ E(D(F)) by the unit and D(F) ≅ M~ (a hom F -> M_k is fixed by its value at the
+    generator), so F's elements are the rows of the morphisms M~ -> M~ over the points
+    (k, a), which run sort by sort as the generator's coordinates do; the identity's
+    row is the generator, and the sort-k columns are the |M_k| homs F -> M_k. Pinned
+    to the closure rows by `test_the_kernel_rows_are_the_closure_rows`.
     """
-    rows = free_algebra_rows(n)
-    columns = iter(rows.T.tolist())
-    homs = tuple(tuple(tuple(next(columns)) for _ in range(m.size)) for m in mk_algebras(n))
-    return _carrier_map_onto_P(rows.shape[0], dual_from_homs(homs))
+    ego = build_alter_ego(n)
+    rows = morphism_rows(ego)
+    if tuple(i for _, i in ego.points()) not in rows:
+        raise AssertionError("the identity of the alter ego is not among its endomorphisms")
+    columns = iter(zip(*rows))
+    homs = tuple(tuple(next(columns) for _ in sort) for sort in ego.sorts)
+    return _carrier_map_onto_P(len(rows), dual_from_homs(homs))
 
 
 def _carrier_map_onto_P(size: int, dual: NaturalDual) -> bool:

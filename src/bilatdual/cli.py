@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn, build_mk,
                       free_algebra_rows)
@@ -58,7 +59,7 @@ def cmd_build(args) -> int:
     if args.infile and args.kind in ("dual", "priestley", "carrier-space"):
         decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
         try:
-            source = decoder.from_json(_read(args.infile))
+            source = decoder.from_json(Path(args.infile).read_text(encoding="utf-8"))
         except (OSError, TypeError, KeyError, ValueError) as err:
             return _fail_usage(f"bad --in document: {err}")
         depth = source.n if args.kind == "priestley" else source.signature.n
@@ -83,6 +84,7 @@ def cmd_build(args) -> int:
                 dot = functor_F(ego).to_dot("alter_ego")
         elif args.kind == "dual":
             dual = natural_dual(source or build_jn(n))
+            _check_separated(source, dual.homs)
             doc = dual.structure.to_dict()
             if args.dot:
                 dot = functor_F(dual.structure).to_dot("dual")
@@ -93,6 +95,7 @@ def cmd_build(args) -> int:
                 dot = space.poset.to_dot("priestley")
         elif args.kind == "carrier-space":
             space = build_carrier_space(source or build_jn(n))
+            _check_separated(source, space.dual.homs)
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("carrier_space")
@@ -100,20 +103,19 @@ def cmd_build(args) -> int:
             return _fail_usage(f"unknown kind {args.kind}")
     except (ValueError, KeyError, GuardExceeded) as err:
         return _fail_usage(str(err))
-    text = _dump(doc)
-    _emit(text, args.out)
+    _emit(_dump(doc), args.out)
     if dot is not None:
-        if args.out:
-            with open(args.out + ".dot", "w", encoding="utf-8") as fh:
-                fh.write(dot)
-        else:
-            sys.stdout.write("\n" + dot)
+        _emit(dot if args.out else "\n" + dot, args.out and args.out + ".dot")
     return 0
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _check_separated(A: FiniteAlgebra | None, homs) -> None:
+    """Raise unless the homs separate A's points, i.e. A is in ISP(M_k); None stands for J_n."""
+    first: dict = {}
+    for a, row in enumerate(zip(*(h for hs in homs for h in hs)) if A else ()):
+        if (b := first.setdefault(row, a)) != a:
+            raise ValueError(f"no homomorphism into any M_k separates {A.elements[b]} and "
+                             f"{A.elements[a]}, so the algebra lies outside the class")
 
 
 def cmd_free_size(args) -> int:

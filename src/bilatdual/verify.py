@@ -194,7 +194,7 @@ def suite_translation(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResu
     for item in corpus_algebras(n, seed):
         r.check(f"translation:{item.label}",
                 lambda item=item: verify_translation(item.algebra))
-    if n <= 2:
+    if n <= 3:
         r.check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
     return r.result
 

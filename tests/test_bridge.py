@@ -11,7 +11,7 @@ from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downse
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import (MultiMorphism, build_alter_ego,
-                                   enumerate_multimorphisms, natural_dual)
+                                   enumerate_multimorphisms, morphism_rows, natural_dual)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,
                               disjoint_union, grid, is_order_isomorphism)
 from bilatdual.verify import run_suite
@@ -160,9 +160,24 @@ def test_the_rows_route_agrees_with_the_table_route(free1, free2):
         assert verify_translation(F.algebra)
 
 
+def test_the_kernel_rows_are_the_closure_rows():
+    for n in (1, 2, 3):
+        ego = build_alter_ego(n)
+        rows = morphism_rows(ego)
+        assert np.array_equal(np.array(rows), free_algebra_rows(n)), n
+        assert tuple(i for _, i in ego.points()) in rows, n
+
+
+def test_the_translation_suite_checks_F_V3():
+    result = run_suite("translation", 3)
+    assert [c.status for c in result.checks if c.id == "translation:F_V3(1)"] == ["pass"]
+    assert result.overall == "pass"
+
+
 def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra(monkeypatch):
     F_SIZE = 1434
     search, tables = multisorted.enumerate_homs, algebra._product_subalgebra
+    closure = algebra.product_closure_rows
 
     def search_off_F(A, B):
         if A.size == F_SIZE:
@@ -174,8 +189,14 @@ def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra
             raise RuntimeError("tables for F_V2(1)")
         return tables(factors, rows)
 
+    def closure_off_F(factors, *args):
+        if len(factors) > 2:   # the corpus closes only in J_n x J_n
+            raise RuntimeError("product closure of F_V2(1)")
+        return closure(factors, *args)
+
     monkeypatch.setattr(multisorted, "enumerate_homs", search_off_F)
     monkeypatch.setattr(algebra, "_product_subalgebra", tables_off_F)
+    monkeypatch.setattr(algebra, "product_closure_rows", closure_off_F)
     result = run_suite("translation", 2)
     assert [c.status for c in result.checks if c.id == "translation:F_V2(1)"] == ["pass"]
     assert result.overall == "pass"

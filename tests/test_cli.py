@@ -113,6 +113,19 @@ def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):
                        "so it lies outside the class\n"), kind
 
 
+def test_an_algebra_whose_homs_do_not_separate_its_points_is_outside_the_class(tmp_path, capsys):
+    doc = json.loads(algebra.free_algebra(1).algebra.to_json())
+    join_k = doc["ops"]["join_k"]
+    join_k[0][1] = join_k[0][2]   # 266 elements, 198 distinct evaluation rows
+    src = tmp_path / "unseparated.json"
+    src.write_text(json.dumps(doc))
+    for kind in ("dual", "carrier-space"):
+        code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+        assert (code, out) == (2, ""), kind
+        assert err.startswith("error: no homomorphism into any M_k separates "), kind
+        assert err.endswith(", so the algebra lies outside the class\n"), kind
+
+
 def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise GuardExceeded("carrier too large")
