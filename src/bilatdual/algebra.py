@@ -75,7 +75,7 @@ def _as_table(values, size: int) -> np.ndarray:
 
 
 class FiniteAlgebra:
-    """A finite algebra in some SignatureN, given by dense operation tables."""
+    """A finite algebra in some SignatureN, given by dense tables; binary ones commute."""
 
     __slots__ = ("signature", "elements", "tables", "neg", "consts", "_index")
 
@@ -90,6 +90,8 @@ class FiniteAlgebra:
             tab = _as_table(tables[op], n)
             if tab.shape != (n, n):
                 raise ValueError(f"{op} table has wrong shape")
+            if not np.array_equal(tab, tab.T):
+                raise ValueError(f"{op} table is not commutative")
             self.tables[op] = tab
         self.neg = _as_table(neg, n)
         if self.neg.shape != (n,):
@@ -368,15 +370,14 @@ class _Closure:
             self.rules[v] = ("bin", op, int(left[i]), int(right[j]))
 
     def saturate(self):
-        """Close under all operations, combining only pairs that involve a new element."""
+        """Close under all operations, combining each new element with every member once."""
         A = self.A
         while self.combined < len(self.order):
             members = np.array(self.order, dtype=np.int64)
-            old, fresh = members[:self.combined], members[self.combined:]
+            fresh = members[self.combined:]
             self.combined = len(self.order)
             for op in BINARY_OPS:
                 self._adopt(op, fresh, members)
-                self._adopt(op, old, fresh)
             for src, v in zip(fresh.tolist(), A.neg[fresh].tolist()):
                 if not self.known[v]:
                     self.known[v] = True
@@ -413,25 +414,22 @@ class _Stage:
             return
         self.new = np.array(cl.order[start:end], dtype=np.int64)
         self.members = np.array(cl.order[:end], dtype=np.int64)
-        self.old = self.members[:start]
         self.neg_new = A.neg[self.new]
         self.new_by_members = [A.tables[op][np.ix_(self.new, self.members)]
                                for op in BINARY_OPS]
-        self.old_by_new = [A.tables[op][np.ix_(self.old, self.new)] for op in BINARY_OPS]
 
     def holds(self, h: np.ndarray, B: FiniteAlgebra) -> bool:
         """Whether h is a homomorphism on S_t, given that it is one on S_{t-1}.
 
-        Only pairs with a new element are compared: S_t is closed, so every
-        product lands where h is defined, and older pairs were compared before.
+        Only pairs (new, member) are compared: S_t is closed, so every product
+        lands where h is defined, older pairs were compared before, and the
+        operations of A and B commute, so each pair needs one order.
         """
-        hn, hm, ho = h[self.new], h[self.members], h[self.old]
+        hn, hm = h[self.new], h[self.members]
         if not np.array_equal(h[self.neg_new], B.neg[hn]):
             return False
-        for op, left, right in zip(BINARY_OPS, self.new_by_members, self.old_by_new):
-            tab = B.tables[op]
-            if not (np.array_equal(h[left], tab[hn][:, hm])
-                    and np.array_equal(h[right], tab[ho][:, hn])):
+        for op, left in zip(BINARY_OPS, self.new_by_members):
+            if not np.array_equal(h[left], B.tables[op][hn][:, hm]):
                 return False
         return True
 
@@ -613,11 +611,6 @@ class _PackedKeys:
         self.radices = [f.size for f in self.factors]
         if math.prod(self.radices) >= 2**62:
             raise GuardExceeded("product coordinate space too large to pack into int64 keys")
-        for f in {id(f): f for f in self.factors}.values():
-            for op in BINARY_OPS:
-                if not np.array_equal(f.tables[op], f.tables[op].T):
-                    raise ValueError(f"{op} of a factor is not commutative; pointwise "
-                                     "closure combines each pair in one order only")
         self.groups = []   # (first coordinate, end coordinate, radix product)
         start = 0
         while start < len(self.radices):
@@ -710,8 +703,8 @@ def product_closure_rows(factors, generator_rows,
     Returns the closed rows sorted by packed key, without building tables. The
     ambient product is never materialized; only reachable tuples are kept, and
     prod(sizes) must stay below 2**62. Each round combines all rows with the
-    new ones only, which is complete because every binary operation is
-    commutative (the kernel refuses a factor where one is not).
+    new ones only, which is complete because every binary operation of a
+    FiniteAlgebra is commutative.
     """
     kernel = _PackedKeys(factors)
     seed = [tuple(int(v) for v in row) for row in generator_rows]
@@ -828,7 +821,8 @@ def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
 def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]:
     """Violations of the two-lattice-plus-involution laws; empty list means all hold.
 
-    Associativity is checked over all triples, so the carrier is guarded.
+    Commutativity is not listed: FiniteAlgebra refuses a table that is not
+    symmetric. Associativity is checked over all triples, so the carrier is guarded.
     """
     if A.size > max_size:
         raise GuardExceeded(f"carrier {A.size} exceeds law-check guard {max_size}")
@@ -837,8 +831,6 @@ def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]
     diag = np.broadcast_to(rng[:, None], (A.size, A.size))
     for which, meet_name, join_name in (("k", "meet_k", "join_k"), ("t", "meet_t", "join_t")):
         meet, join = A.tables[meet_name], A.tables[join_name]
-        if not (np.array_equal(meet, meet.T) and np.array_equal(join, join.T)):
-            out.append(f"{which}: commutativity")
         if not (np.array_equal(meet[rng, rng], rng) and np.array_equal(join[rng, rng], rng)):
             out.append(f"{which}: idempotence")
         if not np.array_equal(meet[rng[:, None], join], diag):

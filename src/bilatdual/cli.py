@@ -33,12 +33,16 @@ def _built_from_n(kind: str, n: int) -> tuple[str, int]:
     return "J_n", 4 * m * m
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the --out file, or to stdout; 0, or 2 if the file cannot be written."""
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        return _fail_usage(f"cannot write --out {out}: {err.strerror or err}")
+    return 0
 
 
 def _dump(doc: dict) -> str:
@@ -56,7 +60,9 @@ def cmd_build(args) -> int:
         return _fail_usage("build requires --n")
     dot = None
     source = None
-    if args.infile and args.kind in ("dual", "priestley", "carrier-space"):
+    if args.infile and args.kind not in ("dual", "priestley", "carrier-space"):
+        return _fail_usage(f"build {args.kind} takes no --in document")
+    if args.infile:
         decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
         try:
             source = decoder.from_json(Path(args.infile).read_text(encoding="utf-8"))
@@ -103,10 +109,10 @@ def cmd_build(args) -> int:
             return _fail_usage(f"unknown kind {args.kind}")
     except (ValueError, KeyError, GuardExceeded) as err:
         return _fail_usage(str(err))
-    _emit(_dump(doc), args.out)
-    if dot is not None:
-        _emit(dot if args.out else "\n" + dot, args.out and args.out + ".dot")
-    return 0
+    code = _emit(_dump(doc), args.out)
+    if dot is not None and not code:
+        code = _emit(dot if args.out else "\n" + dot, args.out and args.out + ".dot")
+    return code
 
 
 def _check_separated(A: FiniteAlgebra | None, homs) -> None:
@@ -151,7 +157,7 @@ def cmd_free_size(args) -> int:
     if notices:
         row["notices"] = notices
     if args.format == "structured":
-        _emit(_dump(row), args.out)
+        text = _dump(row)
     else:
         parts = [f"n={n}", f"f={row['f_formula']}", f"g={row['g_formula']}",
                  f"total={row['total_formula']}"]
@@ -163,8 +169,7 @@ def cmd_free_size(args) -> int:
         text = "  ".join(parts) + "\n"
         for notice in notices:
             text += f"note: {notice}\n"
-        _emit(text, args.out)
-    return 0 if agree else 1
+    return _emit(text, args.out) or (0 if agree else 1)
 
 
 def cmd_verify(args) -> int:
@@ -175,10 +180,10 @@ def cmd_verify(args) -> int:
     except ValueError as err:
         return _fail_usage(str(err))
     if args.format == "structured":
-        _emit(_dump(result.to_dict(timings=args.timings)), args.out)
+        text = _dump(result.to_dict(timings=args.timings))
     else:
-        _emit(result.format_text(timings=args.timings), args.out)
-    return 0 if result.overall == "pass" else 1
+        text = result.format_text(timings=args.timings)
+    return _emit(text, args.out) or (0 if result.overall == "pass" else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -341,19 +341,15 @@ class NaturalDual:
 
 
 def natural_dual(A: FiniteAlgebra, n: int | None = None) -> NaturalDual:
+    """D(A): the homs into each M_k as tuples, with the pointwise structure."""
     if n is None:
         n = A.signature.n
     if n < 1:
         raise ValueError("natural duals require n >= 1")
     mks = mk_algebras(n)
-    return dual_from_homs(tuple(tuple(enumerate_homs(A, mks[k])) for k in range(n + 1)))
-
-
-def dual_from_homs(homs) -> NaturalDual:
-    """D(A) given its hom-sets, homs[k] the homs into M_k as tuples: all pointwise."""
+    homs = tuple(tuple(enumerate_homs(A, mks[k])) for k in range(n + 1))
     if not any(homs):
         raise ValueError("algebra has no homomorphism into any M_k, so it lies outside the class")
-    n = len(homs) - 1
     sorts = tuple(tuple(f"h{k}_{i}" for i in range(len(homs[k]))) for k in range(n + 1))
     return NaturalDual(pointwise_structure(build_alter_ego(n), sorts, homs), homs)
 

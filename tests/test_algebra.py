@@ -336,19 +336,14 @@ def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, blo
     assert trips < 40
 
 
-def test_product_closure_rejects_a_non_commutative_factor():
-    """Rows x frontier is complete only for commutative operations, so the kernel checks."""
+def test_a_non_commutative_table_is_refused_at_construction():
+    """The closures and the hom search combine each pair in one order, so algebras commute."""
     m1 = build_mk(1, 1)
     left_projection = np.repeat(np.arange(m1.size)[:, None], m1.size, axis=1)
     for tab in (left_projection, left_projection.T):
-        bad = FiniteAlgebra(m1.signature, m1.elements, {**m1.tables, "join_k": tab},
-                            m1.neg, m1.consts)
-        with pytest.raises(ValueError, match="join_k of a factor is not commutative"):
-            product_closure_rows([m1, bad], [(0, 1)])
-        with pytest.raises(ValueError, match="not commutative"):
-            generated_subalgebra_in_product([bad], [(2,)])
-        with pytest.raises(ValueError, match="not commutative"):
-            product([bad, m1])
+        with pytest.raises(ValueError, match="join_k table is not commutative"):
+            FiniteAlgebra(m1.signature, m1.elements, {**m1.tables, "join_k": tab},
+                          m1.neg, m1.consts)
 
 
 def test_free_algebra_2_matches_its_pinned_digest(free2):

@@ -11,7 +11,8 @@ from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downse
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import (MultiMorphism, build_alter_ego,
-                                   enumerate_multimorphisms, morphism_rows, natural_dual)
+                                   enumerate_multimorphisms, morphism_rows, natural_dual,
+                                   pointwise_structure)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,
                               disjoint_union, grid, is_order_isomorphism)
 from bilatdual.verify import run_suite
@@ -166,6 +167,18 @@ def test_the_kernel_rows_are_the_closure_rows():
         rows = morphism_rows(ego)
         assert np.array_equal(np.array(rows), free_algebra_rows(n)), n
         assert tuple(i for _, i in ego.points()) in rows, n
+
+
+def test_the_pointwise_structure_on_the_endomorphism_columns_is_the_alter_ego():
+    """Why the free translation check lifts nothing: D(F_V(n)(1)) on End(M~)'s columns is M~."""
+    for n in (1, 2, 3):
+        ego = build_alter_ego(n)
+        columns = iter(zip(*morphism_rows(ego)))
+        homs = tuple(tuple(next(columns) for _ in sort) for sort in ego.sorts)
+        lifted = pointwise_structure(ego, ego.sorts, homs)
+        assert lifted.g == ego.g, n
+        assert lifted.rel_sort == ego.rel_sort, n
+        assert lifted.rel_cross == ego.rel_cross, n
 
 
 def test_the_translation_suite_checks_F_V3():

@@ -103,7 +103,7 @@ def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):
     _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
     doc = json.loads(j1)
     size = len(doc["elements"])
-    doc["ops"]["meet_t"] = [[a] * size for a in range(size)]   # a projection: no hom to any M_k
+    doc["ops"]["meet_t"] = [[0] * size for _ in range(size)]   # constantly bot: no hom to any M_k
     src = tmp_path / "outside.json"
     src.write_text(json.dumps(doc))
     for kind in ("dual", "carrier-space"):
@@ -116,7 +116,7 @@ def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):
 def test_an_algebra_whose_homs_do_not_separate_its_points_is_outside_the_class(tmp_path, capsys):
     doc = json.loads(algebra.free_algebra(1).algebra.to_json())
     join_k = doc["ops"]["join_k"]
-    join_k[0][1] = join_k[0][2]   # 266 elements, 198 distinct evaluation rows
+    join_k[0][1] = join_k[1][0] = join_k[0][2]   # 266 elements, 198 distinct evaluation rows
     src = tmp_path / "unseparated.json"
     src.write_text(json.dumps(doc))
     for kind in ("dual", "carrier-space"):
@@ -124,6 +124,27 @@ def test_an_algebra_whose_homs_do_not_separate_its_points_is_outside_the_class(t
         assert (code, out) == (2, ""), kind
         assert err.startswith("error: no homomorphism into any M_k separates "), kind
         assert err.endswith(", so the algebra lies outside the class\n"), kind
+
+
+def test_a_non_commutative_document_is_refused_at_parse(tmp_path, capsys):
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    doc = json.loads(j1)
+    size = len(doc["elements"])
+    doc["ops"]["join_k"] = [[a] * size for a in range(size)]   # a left projection
+    src = tmp_path / "noncommutative.json"
+    src.write_text(json.dumps(doc))
+    for kind in ("dual", "carrier-space"):
+        code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+        assert (code, out) == (2, ""), kind
+        assert err == "error: bad --in document: join_k table is not commutative\n", kind
+
+
+def test_kinds_built_from_n_alone_refuse_an_in_document(tmp_path, capsys):
+    for argv in (["jn"], ["mk", "--k", "0"], ["alter-ego"]):
+        code, out, err = run(capsys, ["build", *argv, "--n", "1",
+                                      "--in", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: build {argv[0]} takes no --in document\n"
 
 
 def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
@@ -279,6 +300,19 @@ def test_dot_file_next_to_out(tmp_path, capsys):
                               "--out", str(target)])
     assert code == 0
     assert (tmp_path / "ego.json.dot").read_text().startswith("digraph")
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "ego.json.dot").mkdir()
+    for argv, target in ((["build", "jn", "--n", "1"], tmp_path),
+                         (["verify", "--suite", "tables", "--n", "1"], tmp_path),
+                         (["free-size", "--n", "1", "--method", "formula"],
+                          tmp_path / "absent" / "x.txt"),
+                         (["build", "alter-ego", "--n", "1", "--dot"], tmp_path / "ego.json")):
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write --out "), argv
+        assert "Traceback" not in err, argv
 
 
 def test_build_guard_refuses_before_building(capsys):
