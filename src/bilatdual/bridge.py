@@ -229,13 +229,9 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     top_indices = [i for i in range(P.n) if top_mask >> i & 1]
     top_sub = P.restrict(top_indices)
     min_top_mask = sum(1 << top_indices[i] for i in top_sub.minimal_elements())
-    by_centre: Counter[int] = Counter()
-    by_min_top: Counter[int] = Counter()
-    for mask in enumerate_downsets(P):
-        if mask & top_mask:
-            by_min_top[mask & min_top_mask] += 1
-        else:
-            by_centre[mask & centre_mask] += 1
+    masks = enumerate_downsets(P)
+    by_centre = Counter(mask & centre_mask for mask in masks if not mask & top_mask)
+    by_min_top = Counter(mask & min_top_mask for mask in masks if mask & top_mask)
 
     def named(tally: Counter[int]) -> dict[frozenset[str], int]:
         return {frozenset(P.elements[i] for i in range(P.n) if trace >> i & 1): count

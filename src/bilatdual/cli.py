@@ -112,6 +112,8 @@ def cmd_build(args) -> int:
     code = _emit(_dump(doc), args.out)
     if dot is not None and not code:
         code = _emit(dot if args.out else "\n" + dot, args.out and args.out + ".dot")
+        if code:   # a usage error leaves no output behind
+            Path(args.out).unlink()
     return code
 
 

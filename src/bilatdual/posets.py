@@ -83,14 +83,8 @@ class Poset:
 
     # -- masks and covers ---------------------------------------------------
 
-    def up_masks(self) -> list[int]:
-        return [int.from_bytes(np.packbits(self.leq[i], bitorder="little").tobytes(), "little")
-                for i in range(self.n)]
-
     def down_masks(self) -> list[int]:
-        t = self.leq.T
-        return [int.from_bytes(np.packbits(t[i], bitorder="little").tobytes(), "little")
-                for i in range(self.n)]
+        return _row_masks(self.leq.T)
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with i covered by j."""
@@ -199,41 +193,45 @@ def grid(a: int, b: int) -> Poset:
 # down-sets
 
 
-def _minimal_in(mask: int, strict_down) -> int:
-    """The lowest element of a nonempty `mask` with nothing strictly below it in `mask`."""
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if strict_down[i] & mask == 0:
-            return i
-        m &= m - 1
-    raise ValueError("an empty mask has no minimal element")
+def _row_masks(mat) -> list[int]:
+    """Each row of a boolean matrix as a bit mask, bit j for column j."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(mat, axis=1, bitorder="little")]
+
+
+def _ranked(P: Poset) -> tuple[list[int], list[int]]:
+    """Up-set masks indexed by rank along a linear extension, and each rank's bit in P.
+
+    Ranks sort the points by down-set size, ties by index. A point strictly below
+    another has the smaller down-set, so in rank space the lowest set bit of any
+    nonempty mask is a minimal element of that mask.
+    """
+    order = np.argsort(P.leq.sum(axis=0), kind="stable")
+    return _row_masks(P.leq[np.ix_(order, order)]), [1 << int(i) for i in order]
 
 
 def count_downsets(P: Poset) -> int:
     """Exact number of down-sets, by branching on a minimal element with memoization.
 
-    Branch: a down-set either misses x's up-set entirely, or contains x and is
-    otherwise free on the rest. Memoized on the residual element mask;
-    DEFAULT_COUNT_BUDGET bounds the number of recursion nodes.
+    Branch on the lowest-ranked point x left: a down-set either misses x's up-set
+    or contains x and is free on the rest. Memoized on the residual rank-space
+    mask; DEFAULT_COUNT_BUDGET bounds the number of recursion nodes. enumerate_downsets
+    branches the same way, taking the include branch in its inner loop.
     """
-    up = P.up_masks()
-    sdown = [m & ~(1 << i) for i, m in enumerate(P.down_masks())]
-    memo: dict[int, int] = {}
+    up, _ = _ranked(P)
+    memo: dict[int, int] = {0: 1}
     nodes = 0
 
     def rec(mask: int) -> int:
         nonlocal nodes
-        if mask == 0:
-            return 1
         hit = memo.get(mask)
         if hit is not None:
             return hit
         nodes += 1
         if nodes > DEFAULT_COUNT_BUDGET:
             raise GuardExceeded(f"down-set counting exceeded {DEFAULT_COUNT_BUDGET} nodes")
-        i = _minimal_in(mask, sdown)
-        res = rec(mask & ~(1 << i)) + rec(mask & ~up[i])
+        low = mask & -mask
+        res = rec(mask ^ low) + rec(mask & ~up[low.bit_length() - 1])
         memo[mask] = res
         return res
 
@@ -241,20 +239,19 @@ def count_downsets(P: Poset) -> int:
 
 
 def enumerate_downsets(P: Poset) -> list[int]:
-    """All down-sets as bit masks, by the same include/exclude branching."""
-    up = P.up_masks()
-    sdown = [m & ~(1 << i) for i, m in enumerate(P.down_masks())]
+    """All down-sets as bit masks, each once, depth-first along the linear extension."""
+    up, bit = _ranked(P)
     out: list[int] = []
-
-    def rec(mask: int, acc: int):
-        if mask == 0:
-            out.append(acc)
-            return
-        i = _minimal_in(mask, sdown)
-        rec(mask & ~(1 << i), acc | (1 << i))
-        rec(mask & ~up[i], acc)
-
-    rec((1 << P.n) - 1, 0)
+    stack = [((1 << P.n) - 1, 0)]
+    while stack:
+        mask, acc = stack.pop()
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            stack.append((mask & ~up[i], acc))
+            mask ^= low
+            acc |= bit[i]
+        out.append(acc)
     return out
 
 

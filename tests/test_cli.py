@@ -313,6 +313,7 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: cannot write --out "), argv
         assert "Traceback" not in err, argv
+    assert not (tmp_path / "ego.json").exists()
 
 
 def test_build_guard_refuses_before_building(capsys):

@@ -7,11 +7,13 @@ import pytest
 
 from bilatdual import posets
 from bilatdual.algebra import GuardExceeded
+from bilatdual.bridge import construct_P
+from bilatdual.multisorted import build_alter_ego
 from bilatdual.posets import (Poset, antichain, are_isomorphic, chain, check_relation,
                               count_downsets, count_downsets_bruteforce, direct_product,
                               disjoint_union, dual, enumerate_downsets,
-                              from_covers, grid, is_order_isomorphism, is_order_preserving,
-                              linear_sum)
+                              from_covers, grid, is_downset_mask, is_order_isomorphism,
+                              is_order_preserving, linear_sum)
 
 
 def random_poset(rng, max_n=10):
@@ -68,6 +70,38 @@ def test_count_matches_bruteforce_on_random_posets():
         assert count_downsets(P) == expected
         assert len(enumerate_downsets(P)) == expected
         assert count_downsets(dual(P)) == expected
+
+
+def test_downset_kernels_on_index_orders_that_are_not_linear_extensions():
+    # random_poset only relates i < j; a seeded relabelling breaks that
+    rng = random.Random(29)
+    inverted = 0
+    for _ in range(40):
+        P = random_poset(rng, max_n=12)
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        relabelled = Poset(P.elements, P.leq[np.ix_(perm, perm)])
+        inverted += bool(np.tril(relabelled.leq, -1).any())
+        for Q in (relabelled, dual(relabelled)):
+            down = Q.down_masks()
+            scan = {mask for mask in range(1 << Q.n) if is_downset_mask(mask, down)}
+            masks = enumerate_downsets(Q)
+            assert len(set(masks)) == len(masks)
+            assert set(masks) == scan
+            assert count_downsets(Q) == len(scan)
+    assert inverted >= 20
+
+
+def test_the_ranking_is_a_linear_extension_of_the_doubled_space():
+    for n, inverted in ((1, 20), (2, 43), (3, 74)):
+        P = construct_P(build_alter_ego(n)).poset
+        assert int(np.tril(P.leq, -1).sum()) == inverted   # the index order is not one
+        up, bit = posets._ranked(P)
+        assert sorted(bit) == [1 << i for i in range(P.n)]
+        order = [b.bit_length() - 1 for b in bit]
+        ranked = P.leq[np.ix_(order, order)]
+        assert not np.tril(ranked, -1).any()
+        assert up == [sum(1 << s for s in np.flatnonzero(row)) for row in ranked]
 
 
 def test_combinator_count_identities():
