@@ -272,6 +272,12 @@ def build_jn(n: int) -> FiniteAlgebra:
     return _algebra_from_orders(sig, elements, k_leq, t_leq, neg, consts)
 
 
+def mk_elements(k: int) -> tuple[str, ...]:
+    """M_k's element names in element order, 4 for k=0 and 6 for k>=1."""
+    stems = ("bot", "f", "t", "top") if k == 0 else ("bot", "f", "0", "t", "1", "top")
+    return tuple(f"{s}{k}" for s in stems)
+
+
 def build_mk(n: int, k: int) -> FiniteAlgebra:
     """The k-th generating algebra in SignatureN(n): 4 elements for k=0, 6 for k>=1.
 
@@ -281,8 +287,8 @@ def build_mk(n: int, k: int) -> FiniteAlgebra:
     if not 0 <= k <= n:
         raise ValueError(f"sort index k={k} out of range [0, {n}]")
     sig = SignatureN(n)
+    elements = mk_elements(k)
     if k == 0:
-        elements = ("bot0", "f0", "t0", "top0")
         k_covers = [("bot0", "f0"), ("bot0", "t0"), ("f0", "top0"), ("t0", "top0")]
         t_covers = [("f0", "top0"), ("f0", "bot0"), ("top0", "t0"), ("bot0", "t0")]
         neg = {"bot0": "bot0", "top0": "top0", "f0": "t0", "t0": "f0"}
@@ -291,8 +297,7 @@ def build_mk(n: int, k: int) -> FiniteAlgebra:
             consts[f"f_{i}"] = "f0"
             consts[f"t_{i}"] = "t0"
     else:
-        b, f, z, t, o, tp = (f"bot{k}", f"f{k}", f"0{k}", f"t{k}", f"1{k}", f"top{k}")
-        elements = (b, f, z, t, o, tp)
+        b, f, z, t, o, tp = elements
         k_covers = [(b, f), (b, t), (f, z), (t, o), (z, tp), (o, tp)]
         t_covers = [(z, f), (f, tp), (f, b), (tp, t), (b, t), (t, o)]
         neg = {b: b, tp: tp, f: t, t: f, z: o, o: z}

@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 
 import numpy as np
 
 from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, enumerate_homs,
-                      is_homomorphism, mk_algebras, reflexive_transitive_closure)
+                      is_homomorphism, mk_algebras, mk_elements, reflexive_transitive_closure)
 from .posets import check_relation
 
 DEFAULT_MORPHISM_GUARD = 200_000
@@ -118,36 +119,22 @@ class MultiSortedStructure:
 # the alter ego
 
 
+# Every sort k >= 1 is (bot, f, 0, t, 1, top) in M_k's element order, with the stretched
+# order f <= 0, t <= 1 inside it and between any two such sorts, and the collapse g onto
+# M_0's (bot, f, t, top). Sort 0 carries M_0's knowledge order: bot0 <= all <= top0.
+STRETCHED_ORDER = frozenset({(i, i) for i in range(6)} | {(1, 2), (3, 4)})
+COLLAPSE = (0, 1, 1, 2, 2, 3)
+M0_KNOWLEDGE_ORDER = frozenset((a, b) for a in range(4) for b in range(4) if a in (0, b) or b == 3)
+
+
+@lru_cache(maxsize=None)
 def build_alter_ego(n: int) -> MultiSortedStructure:
-    """Sorts M_0..M_n with the g-collapse maps and the stretched order relations."""
+    """Sorts M_0..M_n with the collapse maps and the stretched order; built once per depth."""
     if n < 1:
         raise ValueError("the alter ego requires n >= 1")
-    mks = mk_algebras(n)
-    sorts = tuple(m.elements for m in mks)
-    m0 = mks[0]
-    g = []
-    for k in range(1, n + 1):
-        mk = mks[k]
-        image = {f"f{k}": "f0", f"0{k}": "f0", f"t{k}": "t0", f"1{k}": "t0",
-                 f"top{k}": "top0", f"bot{k}": "bot0"}
-        g.append(tuple(m0.index(image[name]) for name in mk.elements))
-    rel_sort = [frozenset((int(a), int(b))
-                          for a, b in np.argwhere(m0.order_matrix("k")))]
-    for k in range(1, n + 1):
-        mk = mks[k]
-        pairs = [(f"top{k}", f"top{k}"), (f"bot{k}", f"bot{k}"),
-                 (f"f{k}", f"f{k}"), (f"f{k}", f"0{k}"), (f"0{k}", f"0{k}"),
-                 (f"t{k}", f"t{k}"), (f"t{k}", f"1{k}"), (f"1{k}", f"1{k}")]
-        rel_sort.append(frozenset((mk.index(a), mk.index(b)) for a, b in pairs))
-    cross = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            mj, mk = mks[j], mks[k]
-            pairs = [(f"top{j}", f"top{k}"), (f"bot{j}", f"bot{k}"),
-                     (f"f{j}", f"f{k}"), (f"f{j}", f"0{k}"), (f"0{j}", f"0{k}"),
-                     (f"t{j}", f"t{k}"), (f"t{j}", f"1{k}"), (f"1{j}", f"1{k}")]
-            cross[(j, k)] = frozenset((mj.index(a), mk.index(b)) for a, b in pairs)
-    return MultiSortedStructure(n, sorts, tuple(g), tuple(rel_sort), cross)
+    cross = {(j, k): STRETCHED_ORDER for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    return MultiSortedStructure(n, tuple(mk_elements(k) for k in range(n + 1)), (COLLAPSE,) * n,
+                                (M0_KNOWLEDGE_ORDER,) + (STRETCHED_ORDER,) * n, cross)
 
 
 # ----------------------------------------------------------------------------

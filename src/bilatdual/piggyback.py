@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, bool_compose, enumerate_subuniverses, mk_algebras,
-                      product)
+from .algebra import (BINARY_OPS, FiniteAlgebra, bool_compose, enumerate_subuniverses, mk_algebras,
+                      mk_elements, product)
 from .multisorted import (MultiSortedStructure, NaturalDual, build_alter_ego, natural_dual,
                           pointwise_relation)
 from .posets import Poset, check_relation, count_downsets, is_order_isomorphism
@@ -38,28 +38,23 @@ class Carrier:
         return self.values[element]
 
 
+# Carrier values in element order: gamma_0 holds t0 and top0, delta_0 bot0 and t0; for
+# k >= 1, gamma_k holds 1_k alone and delta_k everything but 0_k.
+CARRIER_VALUES = (((0, 0, 1, 1), (1, 0, 1, 0)), ((0, 0, 0, 0, 1, 0), (1, 1, 0, 1, 1, 1)))
+
+
 @lru_cache(maxsize=None)
 def build_carriers(n: int) -> tuple[tuple[Carrier, Carrier], ...]:
     """The pairs (gamma_k, delta_k) for k in [0, n], verified once and cached (immutable)."""
     if n < 1:
         raise ValueError("carriers require n >= 1")
-    mks = mk_algebras(n)
     out = []
-    for k in range(n + 1):
-        mk = mks[k]
-        if k == 0:
-            gamma_ones = {"top0", "t0"}
-            delta_ones = {"bot0", "t0"}
-        else:
-            gamma_ones = {f"1{k}"}
-            delta_ones = set(mk.elements) - {f"0{k}"}
-        gamma = Carrier(k, "gamma",
-                        tuple(1 if e in gamma_ones else 0 for e in mk.elements))
-        delta = Carrier(k, "delta",
-                        tuple(1 if e in delta_ones else 0 for e in mk.elements))
-        for w in (gamma, delta):
+    for k, mk in enumerate(mk_algebras(n)):
+        pair = tuple(Carrier(k, kind, values)
+                     for kind, values in zip(("gamma", "delta"), CARRIER_VALUES[k > 0]))
+        for w in pair:
             _assert_carrier(w, mk)
-        out.append((gamma, delta))
+        out.append(pair)
     return tuple(out)
 
 
@@ -101,11 +96,8 @@ def check_sep(n: int) -> tuple[bool, tuple | None]:
 
 
 def _g_map(n: int, k: int) -> tuple[int, ...]:
-    mks = mk_algebras(n)
-    if k == 0:
-        return tuple(range(mks[0].size))
-    ego = build_alter_ego(n)
-    return ego.g[k - 1]
+    """g_k into M_0, with g_0 the identity."""
+    return build_alter_ego(n).g[k - 1] if k else tuple(range(len(mk_elements(0))))
 
 
 def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
@@ -123,19 +115,13 @@ def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
     s_ge = frozenset((a, b) for a in range(mj.size) for b in range(mk.size)
                      if le0[gk[b], gj[a]])
 
-    def false_consts(m, s):
-        return {m.index("f0")} if s == 0 else {m.index(f"f{s}"), m.index(f"0{s}")}
+    def values(m, truth):   # the values of f_0..f_n (or t_0..t_n) in m
+        return {m.consts[f"{truth}_{i}"] for i in range(n + 1)}
 
-    def true_consts(m, s):
-        return {m.index("t0")} if s == 0 else {m.index(f"t{s}"), m.index(f"1{s}")}
-
-    top_k = mk.index("top0" if k == 0 else f"top{k}")
-    bot_j = mj.index("bot0" if j == 0 else f"bot{j}")
-    union = set()
-    union |= {(a, top_k) for a in range(mj.size)}
-    union |= {(bot_j, b) for b in range(mk.size)}
-    union |= set(itertools.product(false_consts(mj, j), false_consts(mk, k)))
-    union |= set(itertools.product(true_consts(mj, j), true_consts(mk, k)))
+    union = {(a, mk.consts["top"]) for a in range(mj.size)}
+    union |= {(mj.consts["bot"], b) for b in range(mk.size)}
+    for truth in "ft":
+        union |= set(itertools.product(values(mj, truth), values(mk, truth)))
     if frozenset(union) != s_le:
         raise AssertionError(f"S_le^{j}{k} does not match its explicit union")
     # converse identity: S_ge from j to k equals the converse of S_le from k to j
@@ -215,14 +201,25 @@ def preimage_sublattice(w1: Carrier, w2: Carrier, n: int) -> frozenset:
                      if w1(a) <= w2(b))
 
 
-@lru_cache(maxsize=None)
+_SUB_FAMILIES: dict[tuple, tuple[tuple[frozenset, bool], ...]] = {}
+
+
 def subuniverse_pairs(n: int, j: int, k: int) -> tuple[tuple[frozenset, bool], ...]:
-    """Sub(M_j x M_k) as relations from M_j to M_k, each with its meet-irreducible flag."""
+    """Sub(M_j x M_k) as relations from M_j to M_k, each with its meet-irreducible flag.
+
+    Sub of a product is fixed by its factors' tables and negations and by its constant
+    pairs, so the family is memoised under that content: six families at any n >= 2.
+    """
     mks = mk_algebras(n)
-    family = enumerate_subuniverses(product([mks[j], mks[k]]))
-    size_k = mks[k].size
-    return tuple((frozenset(divmod(i, size_k) for i in member), mi)
-                 for member, mi in zip(family.members, family.meet_irreducible))
+    mj, mk = mks[j], mks[k]
+    key = tuple(tuple(m.tables[op].tobytes() for op in BINARY_OPS) + (m.neg.tobytes(),)
+                for m in (mj, mk))
+    key += (frozenset((mj.consts[c], mk.consts[c]) for c in mj.signature.constant_symbols),)
+    if key not in _SUB_FAMILIES:
+        family = enumerate_subuniverses(product([mj, mk]))
+        _SUB_FAMILIES[key] = tuple((frozenset(divmod(i, mk.size) for i in member), mi)
+                                   for member, mi in zip(family.members, family.meet_irreducible))
+    return _SUB_FAMILIES[key]
 
 
 @lru_cache(maxsize=None)

@@ -214,28 +214,30 @@ def count_downsets(P: Poset) -> int:
     """Exact number of down-sets, by branching on a minimal element with memoization.
 
     Branch on the lowest-ranked point x left: a down-set either misses x's up-set
-    or contains x and is free on the rest. Memoized on the residual rank-space
-    mask; DEFAULT_COUNT_BUDGET bounds the number of recursion nodes. enumerate_downsets
-    branches the same way, taking the include branch in its inner loop.
+    or contains x and is free on the rest. A mask leaves the stack once both branches
+    are in the memo, keyed by rank-space masks; DEFAULT_COUNT_BUDGET bounds its size.
+    enumerate_downsets branches the same way, taking the include branch in its inner loop.
     """
     up, _ = _ranked(P)
     memo: dict[int, int] = {0: 1}
-    nodes = 0
-
-    def rec(mask: int) -> int:
-        nonlocal nodes
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        nodes += 1
-        if nodes > DEFAULT_COUNT_BUDGET:
-            raise GuardExceeded(f"down-set counting exceeded {DEFAULT_COUNT_BUDGET} nodes")
+    full = (1 << P.n) - 1
+    stack = [full] if full else []
+    while stack:
+        mask = stack[-1]
         low = mask & -mask
-        res = rec(mask ^ low) + rec(mask & ~up[low.bit_length() - 1])
-        memo[mask] = res
-        return res
-
-    return rec((1 << P.n) - 1)
+        miss, hit = mask & ~up[low.bit_length() - 1], mask ^ low
+        below_miss, below_hit = memo.get(miss), memo.get(hit)
+        if below_miss is not None and below_hit is not None:
+            memo[mask] = below_miss + below_hit
+            stack.pop()
+            if len(memo) > DEFAULT_COUNT_BUDGET + 1:   # the seeded empty mask is no node
+                raise GuardExceeded(f"down-set counting exceeded {DEFAULT_COUNT_BUDGET} nodes")
+            continue
+        if below_miss is None:
+            stack.append(miss)
+        if below_hit is None:
+            stack.append(hit)
+    return memo[full]
 
 
 def enumerate_downsets(P: Poset) -> list[int]:

@@ -3,9 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from bilatdual import corpus, multisorted
+from bilatdual import algebra, corpus, multisorted
 from bilatdual.algebra import (GuardExceeded, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
 from bilatdual.corpus import (SAMPLE_PAIR_CAP, corpus_algebras, member_substructure,
@@ -16,17 +17,59 @@ from bilatdual.multisorted import (MultiSortedStructure, a7_by_families,
                                    is_multimorphism, membership_by_separation,
                                    natural_dual, structures_isomorphic, verify_counit_iso,
                                    verify_unit_iso)
+from bilatdual.posets import check_relation
 from bilatdual.verify import run_suite
 
 
+def _alter_ego_by_names(n):
+    """The alter ego written out per index from element names: an oracle."""
+    mks = [build_mk(n, k) for k in range(n + 1)]
+    m0 = mks[0]
+    image = {"f": "f0", "0": "f0", "t": "t0", "1": "t0", "top": "top0", "bot": "bot0"}
+    g = [tuple(m0.index(image[name[:-len(str(k))]]) for name in mks[k].elements)
+         for k in range(1, n + 1)]
+    rel_sort = [frozenset((int(a), int(b)) for a, b in np.argwhere(m0.order_matrix("k")))]
+    stretched = [("top", "top"), ("bot", "bot"), ("f", "f"), ("f", "0"), ("0", "0"),
+                 ("t", "t"), ("t", "1"), ("1", "1")]
+    for k in range(1, n + 1):
+        rel_sort.append(frozenset((mks[k].index(f"{a}{k}"), mks[k].index(f"{b}{k}"))
+                                  for a, b in stretched))
+    cross = {(j, k): frozenset((mks[j].index(f"{a}{j}"), mks[k].index(f"{b}{k}"))
+                               for a, b in stretched)
+             for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    return MultiSortedStructure(n, tuple(m.elements for m in mks), tuple(g),
+                                tuple(rel_sort), cross)
+
+
 def test_alter_ego_relation_sizes():
-    for n in (1, 2, 3):
+    for n in range(1, 9):
         ego = build_alter_ego(n)
+        assert ego.to_dict() == _alter_ego_by_names(n).to_dict(), n
         assert len(ego.rel_sort[0]) == 9
         for k in range(1, n + 1):
             assert len(ego.rel_sort[k]) == 8
+            assert ego.rel_sort[k] == multisorted.STRETCHED_ORDER
+            assert ego.g[k - 1] == multisorted.COLLAPSE
         for rel in ego.rel_cross.values():
             assert len(rel) == 8
+            assert rel == multisorted.STRETCHED_ORDER
+    R = np.zeros((6, 6), dtype=bool)
+    for a, b in multisorted.STRETCHED_ORDER:
+        R[a, b] = True
+    assert check_relation(R).ok
+
+
+def test_alter_ego_is_cached_and_reads_no_algebra(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the alter ego reads no generating algebra")
+
+    build_alter_ego.cache_clear()
+    monkeypatch.setattr(multisorted, "mk_algebras", refuse)
+    monkeypatch.setattr(algebra, "mk_algebras", refuse)
+    monkeypatch.setattr(algebra, "build_mk", refuse)
+    ego = build_alter_ego(3)
+    assert build_alter_ego(3) is ego
+    assert ego.sorts[2] == ("bot2", "f2", "02", "t2", "12", "top2")
 
 
 def test_alter_ego_cross_relation_membership():

@@ -15,8 +15,8 @@ from bilatdual.multisorted import natural_dual
 from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, build_carriers,
                                  build_S_relations, carrier_map_is_iso, check_sep,
                                  name_relation, piggyback_relations,
-                                 preimage_sublattice, table3_report, tagged_points,
-                                 verify_piggyback_iso)
+                                 preimage_sublattice, subuniverse_pairs, table3_report,
+                                 tagged_points, verify_piggyback_iso)
 from bilatdual.posets import Poset, are_isomorphic, count_downsets
 
 
@@ -348,3 +348,36 @@ def test_verifiers_bind_no_isomorphism_search():
         for name in ("are_isomorphic", "priestley_dual_of_lattice", "lattice_reduct"):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(verify, "free_algebra")
+
+
+def test_subuniverse_families_match_a_direct_enumeration():
+    for n in range(1, 6):
+        mks = mk_algebras(n)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                fam = enumerate_subuniverses(product([mks[j], mks[k]]))
+                direct = tuple((frozenset(divmod(i, mks[k].size) for i in member), mi)
+                               for member, mi in zip(fam.members, fam.meet_irreducible))
+                assert subuniverse_pairs(n, j, k) == direct, (n, j, k)
+
+
+def test_subuniverse_families_are_shared_by_content(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A.size)
+        return enumerate_subuniverses(A)
+
+    monkeypatch.setattr(piggyback, "_SUB_FAMILIES", {})
+    monkeypatch.setattr(piggyback, "enumerate_subuniverses", counted)
+    for j in range(2):
+        for k in range(2):
+            subuniverse_pairs(1, j, k)
+    assert len(calls) == 4
+    monkeypatch.setattr(piggyback, "_SUB_FAMILIES", {})
+    calls.clear()
+    for n in range(2, 7):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                subuniverse_pairs(n, j, k)
+    assert sorted(calls) == [16, 24, 24, 36, 36, 36]

@@ -176,3 +176,8 @@ def test_interchange_and_dot():
     dot = P.to_dot()
     assert "digraph" in dot and dot.count("->") == 3
     assert set(P.covers()) == {(0, 1), (1, 2), (0, 3)}
+
+
+def test_counting_a_long_chain_needs_no_recursion():
+    assert count_downsets(chain(3000)) == 3001
+    assert count_downsets(dual(chain(3000))) == 3001
