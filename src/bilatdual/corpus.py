@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra, build_jn, generated_subalgebra_in_product, mk_algebras
 from .multisorted import (MultiMorphism, MultiSortedStructure, _kernel, build_alter_ego,
-                          pointwise_structure)
+                          pointwise_structure, relation_slots)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
 MAX_SORT = 3           # largest sort size drawn for a corpus structure
@@ -52,24 +52,15 @@ def random_structure(n: int, rng: random.Random) -> MultiSortedStructure:
     sorts = tuple(tuple(f"s{k}e{i}" for i in range(sizes[k])) for k in range(n + 1))
     g = tuple(tuple(rng.randrange(sizes[0]) for _ in range(sizes[k]))
               for k in range(1, n + 1))
-    rel_sort = []
-    for k in range(n + 1):
-        pairs = {(i, i) for i in range(sizes[k]) if rng.random() < 0.9}
-        for a in range(sizes[k]):
-            for b in range(sizes[k]):
-                if a != b and rng.random() < 0.25:
-                    pairs.add((a, b))
-        rel_sort.append(frozenset(pairs))
-    cross = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            pairs = set()
-            for a in range(sizes[j]):
-                for b in range(sizes[k]):
-                    if rng.random() < 0.3:
-                        pairs.add((a, b))
-            cross[(j, k)] = frozenset(pairs)
-    return MultiSortedStructure(n, sorts, g, tuple(rel_sort), cross)
+    rel = {}
+    for j, k in relation_slots(n):
+        # a sort relation draws its diagonal first, then each other pair; a cross relation each pair
+        pairs = {(i, i) for i in range(sizes[k]) if j == k and rng.random() < 0.9}
+        share = 0.25 if j == k else 0.3
+        pairs.update((a, b) for a in range(sizes[j]) for b in range(sizes[k])
+                     if (a != b or j < k) and rng.random() < share)
+        rel[(j, k)] = frozenset(pairs)
+    return MultiSortedStructure(n, sorts, g, rel)
 
 
 def member_substructure(n: int, rng: random.Random) -> MultiSortedStructure:

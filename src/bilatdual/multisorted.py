@@ -1,9 +1,9 @@
 """Multi-sorted structures, the alter ego, the hom-functors D and E, and the axiom checkers.
 
-A structure has sorts X_0..X_n, a total map g_k: X_k -> X_0 per k >= 1, one binary
-relation per sort, and one relation from X_j to X_k per 1 <= j < k <= n. Everything
-is finite and discrete, so the topological side of the axioms is automatic; what is
-left to check is first order plus up-set separation.
+A structure has sorts X_0..X_n, a total map g_k: X_k -> X_0 per k >= 1, and one binary
+relation per slot: slot (k, k) on each sort X_k, and slot (j, k) from X_j to X_k for
+1 <= j < k <= n. Everything is finite and discrete, so the topological side of the
+axioms is automatic; what is left to check is first order plus up-set separation.
 """
 
 from __future__ import annotations
@@ -25,15 +25,24 @@ SEPARATION_NODE_GUARD = 1_000_000   # kernel nodes over all pinned searches of o
 COUNIT_E_GUARD = 500   # largest E(X) whose dual the counit check builds
 
 
+def relation_slots(n: int) -> list[tuple[int, int]]:
+    """The relation slots of depth n in canonical order.
+
+    Slot (k, k) holds the relation of sort k, for k = 0..n; slot (j, k) holds the cross
+    relation from sort j to sort k, for 1 <= j < k <= n, in lexicographic order.
+    """
+    return [(k, k) for k in range(n + 1)] + \
+        [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+
+
 @dataclass(eq=True)
 class MultiSortedStructure:
-    """Sorted carriers with g-maps and the two families of relations."""
+    """Sorted carriers with g-maps and one relation per slot (see `relation_slots`)."""
 
     n: int
     sorts: tuple[tuple[str, ...], ...]
     g: tuple[tuple[int, ...], ...]                       # g[k-1] : X_k -> X_0
-    rel_sort: tuple[frozenset[tuple[int, int]], ...]     # one per sort
-    rel_cross: dict[tuple[int, int], frozenset[tuple[int, int]]]  # (j,k), j < k
+    rel: dict[tuple[int, int], frozenset[tuple[int, int]]]   # missing cross slots are empty
 
     def __post_init__(self):
         if self.n < 1:
@@ -49,26 +58,20 @@ class MultiSortedStructure:
                 raise ValueError(f"g_{k} is not total")
             if any(not 0 <= v < len(self.sorts[0]) for v in self.g[k - 1]):
                 raise ValueError(f"g_{k} image out of sort 0")
-        if len(self.rel_sort) != self.n + 1:
-            raise ValueError("need one sort relation per sort")
-        self.rel_sort = tuple(frozenset((index(a), index(b)) for a, b in r) for r in self.rel_sort)
-        for k, rel in enumerate(self.rel_sort):
-            for a, b in rel:
-                if not (0 <= a < len(self.sorts[k]) and 0 <= b < len(self.sorts[k])):
-                    raise ValueError(f"sort-{k} relation pair out of range")
-        cross = {}
-        for (j, k), rel in self.rel_cross.items():
-            if not 1 <= j < k <= self.n:
-                raise ValueError(f"cross relation slot ({j},{k}) out of range")
-            rel = frozenset((index(a), index(b)) for a, b in rel)
+        given = dict(self.rel)
+        self.rel = {}
+        for j, k in relation_slots(self.n):
+            if j == k and (k, k) not in given:
+                raise ValueError(f"need a relation on sort {k}")
+            rel = frozenset((index(a), index(b)) for a, b in given.pop((j, k), ()))
             for a, b in rel:
                 if not (0 <= a < len(self.sorts[j]) and 0 <= b < len(self.sorts[k])):
-                    raise ValueError(f"cross relation ({j},{k}) pair out of range")
-            cross[(j, k)] = rel
-        for j in range(1, self.n + 1):
-            for k in range(j + 1, self.n + 1):
-                cross.setdefault((j, k), frozenset())
-        self.rel_cross = cross
+                    raise ValueError(f"relation ({j},{k}) pair out of range")
+            self.rel[(j, k)] = rel
+        if given:
+            j, k = min(given)
+            kind = "sort" if j == k else "cross"
+            raise ValueError(f"{kind} relation slot ({j},{k}) out of range")
         if all(len(s) == 0 for s in self.sorts):
             raise ValueError("a structure with all sorts empty is rejected")
         names = [nm for s in self.sorts for nm in s]
@@ -80,7 +83,7 @@ class MultiSortedStructure:
 
     def sort_matrix(self, k: int) -> np.ndarray:
         m = np.zeros((len(self.sorts[k]),) * 2, dtype=bool)
-        for a, b in self.rel_sort[k]:
+        for a, b in self.rel[(k, k)]:
             m[a, b] = True
         return m
 
@@ -89,23 +92,28 @@ class MultiSortedStructure:
             "n": self.n,
             "sorts": [list(s) for s in self.sorts],
             "g": {str(k): list(self.g[k - 1]) for k in range(1, self.n + 1)},
-            "rel_k": {str(k): sorted([a, b] for a, b in self.rel_sort[k])
-                      for k in range(self.n + 1)},
+            "rel_k": {str(k): sorted([a, b] for a, b in rel)
+                      for (j, k), rel in self.rel.items() if j == k},
             "rel_jk": {f"{j},{k}": sorted([a, b] for a, b in rel)
-                       for (j, k), rel in sorted(self.rel_cross.items())},
+                       for (j, k), rel in self.rel.items() if j < k},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiSortedStructure":
         n = index(doc["n"])
-        sorts = tuple(tuple(s) for s in doc["sorts"])
-        g = tuple(tuple(doc["g"][str(k)]) for k in range(1, n + 1))
-        rel_sort = tuple(frozenset(map(tuple, doc["rel_k"][str(k)])) for k in range(n + 1))
-        cross = {}
-        for key, rel in doc.get("rel_jk", {}).items():
+        if len(doc["g"]) != n or len(doc["rel_k"]) != n + 1:
+            raise ValueError("g must be keyed 1..n and rel_k 0..n")
+        rel = {(k, k): doc["rel_k"][str(k)] for k in range(n + 1)}
+        cross = doc.get("rel_jk", {})
+        if not isinstance(cross, dict):
+            raise TypeError("rel_jk must map \"j,k\" keys to relations")
+        for key, pairs in cross.items():
             j, k = map(int, key.split(","))
-            cross[(j, k)] = frozenset(map(tuple, rel))
-        return cls(n, sorts, g, rel_sort, cross)
+            if key != f"{j},{k}" or j >= k:   # a sort slot here would overwrite rel_k
+                raise ValueError(f"cross relation slot ({key}) out of range")
+            rel[(j, k)] = pairs
+        return cls(n, tuple(tuple(s) for s in doc["sorts"]),
+                   tuple(doc["g"][str(k)] for k in range(1, n + 1)), rel)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -132,9 +140,9 @@ def build_alter_ego(n: int) -> MultiSortedStructure:
     """Sorts M_0..M_n with the collapse maps and the stretched order; built once per depth."""
     if n < 1:
         raise ValueError("the alter ego requires n >= 1")
-    cross = {(j, k): STRETCHED_ORDER for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    rel = {**dict.fromkeys(relation_slots(n), STRETCHED_ORDER), (0, 0): M0_KNOWLEDGE_ORDER}
     return MultiSortedStructure(n, tuple(mk_elements(k) for k in range(n + 1)), (COLLAPSE,) * n,
-                                (M0_KNOWLEDGE_ORDER,) + (STRETCHED_ORDER,) * n, cross)
+                                rel)
 
 
 # ----------------------------------------------------------------------------
@@ -152,7 +160,7 @@ class MultiMorphism:
 
 
 def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
-    """Sort-preserving map that commutes with g and preserves both relation families."""
+    """Sort-preserving map that commutes with g and preserves the relation of every slot."""
     if X.n != Y.n:
         return False
     maps = tuple(tuple(m) for m in maps)
@@ -165,12 +173,8 @@ def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> 
         for i in range(len(X.sorts[k])):
             if maps[0][X.g[k - 1][i]] != Y.g[k - 1][maps[k][i]]:
                 return False
-    for k in range(X.n + 1):
-        for a, b in X.rel_sort[k]:
-            if (maps[k][a], maps[k][b]) not in Y.rel_sort[k]:
-                return False
-    for (j, k), rel in X.rel_cross.items():
-        target = Y.rel_cross[(j, k)]
+    for (j, k), rel in X.rel.items():
+        target = Y.rel[(j, k)]
         for a, b in rel:
             if (maps[j][a], maps[k][b]) not in target:
                 return False
@@ -218,10 +222,8 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
             else:
                 checks[x].append((y, pred))
 
-    for k in range(X.n + 1):
-        attach(X.rel_sort[k], Y.rel_sort[k], k, k)
-    for (j, k), rel in X.rel_cross.items():
-        attach(rel, Y.rel_cross[(j, k)], j, k)
+    for (j, k), rel in X.rel.items():
+        attach(rel, Y.rel[(j, k)], j, k)
     fibres = []
     for gk in Y.g:
         fibre: dict[int, list[int]] = {}
@@ -300,17 +302,16 @@ def enumerate_multimorphisms(X: MultiSortedStructure,
 
 
 def _sizes(X: MultiSortedStructure) -> tuple:
-    """Depth, sort sizes and relation sizes.
+    """Depth, sort sizes and relation sizes, slot by slot.
 
     A morphism between structures of equal sizes that is injective on every sort
     maps every relation onto its target relation, so it is an isomorphism.
     """
-    return (X.n, [len(s) for s in X.sorts], [len(r) for r in X.rel_sort],
-            [len(X.rel_cross[key]) for key in sorted(X.rel_cross)])
+    return X.n, [len(s) for s in X.sorts], [len(r) for r in X.rel.values()]
 
 
 def structures_isomorphic(X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
-    """Sort-wise bijections preserving g and both relation families exactly."""
+    """Sort-wise bijections preserving g and the relation of every slot exactly."""
     return _sizes(X) == _sizes(Y) and \
         _kernel(X, Y)(lambda maps: all(len(set(m)) == len(m) for m in maps))   # see _sizes
 
@@ -351,11 +352,8 @@ def pointwise_structure(ego: MultiSortedStructure, sorts, tuples) -> MultiSorted
     index0 = {t: i for i, t in enumerate(tuples[0])}
     g = tuple(tuple(index0[tuple(gk[v] for v in t)] for t in tuples[k])
               for k, gk in enumerate(ego.g, start=1))
-    rel_sort = tuple(pointwise_relation(rel, tuples[k], tuples[k])
-                     for k, rel in enumerate(ego.rel_sort))
-    cross = {(j, k): pointwise_relation(rel, tuples[j], tuples[k])
-             for (j, k), rel in ego.rel_cross.items()}
-    return MultiSortedStructure(ego.n, sorts, g, rel_sort, cross)
+    rel = {(j, k): pointwise_relation(r, tuples[j], tuples[k]) for (j, k), r in ego.rel.items()}
+    return MultiSortedStructure(ego.n, sorts, g, rel)
 
 
 def pointwise_relation(rel, xs, ys) -> frozenset:
@@ -475,15 +473,12 @@ class AxiomReport:
 
 
 def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Single-sorted relation on the disjoint union: sort relations plus cross relations."""
+    """Single-sorted relation on the disjoint union: the relations of all slots at once."""
     points = X.points()
     pos = {pt: i for i, pt in enumerate(points)}
     m = len(points)
     rel = np.zeros((m, m), dtype=bool)
-    for k in range(X.n + 1):
-        for a, b in X.rel_sort[k]:
-            rel[pos[(k, a)], pos[(k, b)]] = True
-    for (j, k), pairs in X.rel_cross.items():
+    for (j, k), pairs in X.rel.items():
         for a, b in pairs:
             rel[pos[(j, a)], pos[(k, b)]] = True
     return rel, points
@@ -492,38 +487,34 @@ def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tupl
 def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     """A1-A7 with witnesses; A1 is vacuous here (finite discrete topology).
 
-    A7 is decided through the amalgamated single-sorted relation: a separating
-    family of mutually increasing up-sets exists iff the target is unreachable
-    from the source along the combined relation.
+    Each axiom reads the slots in canonical order and each slot's pairs in sorted
+    order, and its witness is the first failure met. A5 looks up the z with
+    y R_kl z in an index of R_kl by first coordinate, so its instances are the
+    triples x R_jk y R_kl z. A7 is decided through the amalgamated single-sorted
+    relation: a separating family of mutually increasing up-sets exists iff the
+    target is unreachable from the source along the combined relation.
     """
     n = X.n
-    verdicts: dict[str, AxiomVerdict] = {}
-    verdicts["A1"] = AxiomVerdict(True, None, 0)
+    ordered = {slot: sorted(rel) for slot, rel in X.rel.items()}
+    cross = [(j, k) for j, k in ordered if j < k]
+    verdicts = {"A1": AxiomVerdict(True, None, 0)}
+
+    # A2 (sorts k >= 1) and A3 (cross slots): related points have the same g-image
+    for name, slots in (("A2", [(k, k) for k in range(1, n + 1)]), ("A3", cross)):
+        w = None
+        count = 0
+        for j, k in slots:
+            for a, b in ordered[(j, k)]:
+                count += 1
+                if X.g[j - 1][a] != X.g[k - 1][b] and w is None:
+                    w = (k, a, b) if j == k else (j, k, a, b)
+        verdicts[name] = AxiomVerdict(w is None, w, count)
 
     w = None
     count = 0
-    for k in range(1, n + 1):
-        for a, b in sorted(X.rel_sort[k]):
-            count += 1
-            if X.g[k - 1][a] != X.g[k - 1][b] and w is None:
-                w = (k, a, b)
-    verdicts["A2"] = AxiomVerdict(w is None, w, count)
-
-    w = None
-    count = 0
-    for (j, k), rel in sorted(X.rel_cross.items()):
-        for a, b in sorted(rel):
-            count += 1
-            if X.g[j - 1][a] != X.g[k - 1][b] and w is None:
-                w = (j, k, a, b)
-    verdicts["A3"] = AxiomVerdict(w is None, w, count)
-
-    w = None
-    count = 0
-    for (j, k), rel in sorted(X.rel_cross.items()):
-        relj = X.rel_sort[j]
-        relk = X.rel_sort[k]
-        for y, u in sorted(rel):
+    for j, k in cross:
+        rel, relj, relk = X.rel[(j, k)], X.rel[(j, j)], X.rel[(k, k)]
+        for y, u in ordered[(j, k)]:
             for x in range(len(X.sorts[j])):
                 if (x, y) not in relj:
                     continue
@@ -535,21 +526,21 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
                         w = (j, k, x, y, u, v)
     verdicts["A4"] = AxiomVerdict(w is None, w, count)
 
+    succ = {slot: {} for slot in cross}
+    for slot in cross:
+        for a, b in X.rel[slot]:
+            succ[slot].setdefault(a, set()).add(b)
+    empty = frozenset()
     w = None
     count = 0
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            for l in range(k + 1, n + 1):
-                jk = X.rel_cross[(j, k)]
-                kl = X.rel_cross[(k, l)]
-                jl = X.rel_cross[(j, l)]
-                for x, y in sorted(jk):
-                    for yy, z in sorted(kl):
-                        if y != yy:
-                            continue
-                        count += 1
-                        if (x, z) not in jl and w is None:
-                            w = (j, k, l, x, y, z)
+    for j, k in cross:
+        for l in range(k + 1, n + 1):
+            kl, jl = succ[(k, l)], succ[(j, l)]
+            for x, y in ordered[(j, k)]:
+                zs = kl.get(y, empty)
+                count += len(zs)
+                if w is None and not zs <= jl.get(x, empty):
+                    w = (j, k, l, x, y, min(zs - jl.get(x, empty)))
     verdicts["A5"] = AxiomVerdict(w is None, w, count)
 
     w = None
@@ -566,7 +557,8 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     pos = {pt: i for i, pt in enumerate(points)}
     w = None
     count = 0
-    for (j, k), pairs in sorted(X.rel_cross.items()):
+    for j, k in cross:
+        pairs = X.rel[(j, k)]
         for x in range(len(X.sorts[j])):
             for y in range(len(X.sorts[k])):
                 if (x, y) in pairs:
@@ -594,7 +586,7 @@ def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
 
     def upsets(l: int) -> list[int]:
         size = len(X.sorts[l])
-        rel = X.rel_sort[l]
+        rel = X.rel[(l, l)]
         out = []
         for mask in range(1 << size):
             if all(not (mask >> a & 1) or (mask >> b & 1) for a, b in rel):
@@ -610,7 +602,7 @@ def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
         ok = True
         for i in range(j, k + 1):
             for l in range(i, k + 1):
-                rel = X.rel_sort[i] if i == l else X.rel_cross[(i, l)]
+                rel = X.rel[(i, l)]
                 for a, b in rel:
                     if family[i - j] >> a & 1 and not family[l - j] >> b & 1:
                         ok = False
@@ -641,17 +633,13 @@ def membership_by_separation(X: MultiSortedStructure) -> bool:
     n = X.n
     ego = build_alter_ego(n)
     needs = []
-    for k in range(n + 1):
+    for (j, k), rel in X.rel.items():
         diagonal = frozenset((v, v) for v in range(len(ego.sorts[k])))
-        for a, b in itertools.product(range(len(X.sorts[k])), repeat=2):
-            if a != b:
-                needs.append((k, a, k, b, diagonal))
-            if (a, b) not in X.rel_sort[k]:
-                needs.append((k, a, k, b, ego.rel_sort[k]))
-    for (j, k), rel in X.rel_cross.items():
         for a, b in itertools.product(range(len(X.sorts[j])), range(len(X.sorts[k]))):
+            if j == k and a != b:
+                needs.append((k, a, k, b, diagonal))
             if (a, b) not in rel:
-                needs.append((j, a, k, b, ego.rel_cross[(j, k)]))
+                needs.append((j, a, k, b, ego.rel[(j, k)]))
     total = len(needs)
     search = _kernel(X, ego)
     budget = _NodeBudget(SEPARATION_NODE_GUARD)

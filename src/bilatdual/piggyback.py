@@ -145,13 +145,11 @@ def relation_catalogue(j: int, k: int, n: int) -> dict[str, frozenset]:
         if rel not in out.values():
             out[name] = rel
 
-    if j == k:
-        put(f"le{k}", ego.rel_sort[k])
-        put(f"ge{k}", frozenset((b, a) for a, b in ego.rel_sort[k]))
-    if 1 <= j < k:
-        put(f"le{j}_{k}", ego.rel_cross[(j, k)])
-    if 1 <= k < j:
-        put(f"ge{j}_{k}", frozenset((b, a) for a, b in ego.rel_cross[(k, j)]))
+    tag = k if j == k else f"{j}_{k}"
+    if (j, k) in ego.rel:
+        put(f"le{tag}", ego.rel[(j, k)])
+    if (k, j) in ego.rel:
+        put(f"ge{tag}", frozenset((b, a) for a, b in ego.rel[(k, j)]))
     s_le, s_ge = build_S_relations(j, k, n)
     put(f"Sle{j}_{k}", s_le)
     put(f"Sge{j}_{k}", s_ge)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import reflexive_transitive_closure
 from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure,
-                          amalgamated_relation, check_axioms)
+                          amalgamated_relation, check_axioms, relation_slots)
 from .posets import Poset, check_relation, is_order_preserving
 
 
@@ -120,24 +120,10 @@ def functor_G(Y: RankedPriestleySpace) -> MultiSortedStructure:
     g = []
     for k in range(1, n + 1):
         g.append(tuple(local[Y.g[i]][1] for i in blocks[k]))
-    rel_sort = []
-    for k in range(n + 1):
-        pairs = set()
-        for a in blocks[k]:
-            for b in blocks[k]:
-                if Y.poset.leq[a, b]:
-                    pairs.add((local[a][1], local[b][1]))
-        rel_sort.append(frozenset(pairs))
-    cross = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            pairs = set()
-            for a in blocks[j]:
-                for b in blocks[k]:
-                    if Y.poset.leq[a, b]:
-                        pairs.add((local[a][1], local[b][1]))
-            cross[(j, k)] = frozenset(pairs)
-    return MultiSortedStructure(n, sorts, tuple(g), tuple(rel_sort), cross)
+    rel = {(j, k): frozenset((local[a][1], local[b][1]) for a in blocks[j] for b in blocks[k]
+                             if Y.poset.leq[a, b])
+           for j, k in relation_slots(n)}
+    return MultiSortedStructure(n, sorts, tuple(g), rel)
 
 
 def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:

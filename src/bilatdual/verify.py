@@ -111,9 +111,8 @@ def suite_duality(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
 
 
 def _one_point_e_size(n: int) -> int:
-    one = MultiSortedStructure(
-        n, (("p",),) + ((),) * n, ((),) * n,
-        (frozenset({(0, 0)}),) + (frozenset(),) * n, {})
+    one = MultiSortedStructure(n, (("p",),) + ((),) * n, ((),) * n,
+                               {(k, k): {(0, 0)} if k == 0 else () for k in range(n + 1)})
     return len(morphism_rows(one))
 
 

@@ -177,8 +177,7 @@ def test_the_pointwise_structure_on_the_endomorphism_columns_is_the_alter_ego():
         homs = tuple(tuple(next(columns) for _ in sort) for sort in ego.sorts)
         lifted = pointwise_structure(ego, ego.sorts, homs)
         assert lifted.g == ego.g, n
-        assert lifted.rel_sort == ego.rel_sort, n
-        assert lifted.rel_cross == ego.rel_cross, n
+        assert lifted.rel == ego.rel, n
 
 
 def test_the_translation_suite_checks_F_V3():

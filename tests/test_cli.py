@@ -90,6 +90,15 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
     float_g["g"]["1"][0] = 0.5
     docs += [float_pair, float_g, dict(json.loads(ego), n=1.0),
              dict(json.loads(j1), signature={"n": 1.0})]
+    # keys that name no slot of depth 1: a sort slot or sort 0 among the cross slots,
+    # a sort beyond n among the sort relations, sort 0 or a sort beyond n among the g maps
+    slots = {}
+    for name, table, key in (("1,1", "rel_jk", "1,1"), ("0,1", "rel_jk", "0,1"),
+                             ("rel_k 2", "rel_k", "2"), ("g 0", "g", "0"), ("g 2", "g", "2")):
+        doc = json.loads(ego)
+        doc[table][key] = [[0, 0]] if table != "g" else [0]
+        slots[name] = doc
+    docs += [*slots.values(), dict(json.loads(ego), rel_jk=[[0, 0]])]
     for i, doc in enumerate(docs):
         src = tmp_path / f"doc{i}.json"
         src.write_text(json.dumps(doc))
@@ -97,6 +106,31 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
             code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
             assert (code, out) == (2, ""), (doc, kind)
             assert err.startswith("error: bad --in document: "), (doc, kind)
+    for key in ("1,1", "0,1"):
+        src = tmp_path / "slot.json"
+        src.write_text(json.dumps(slots[key]))
+        _, _, err = run(capsys, ["build", "priestley", "--n", "1", "--in", str(src)])
+        assert err == f"error: bad --in document: cross relation slot ({key}) out of range\n"
+
+
+def test_an_algebra_that_breaks_a_bilattice_law_is_outside_the_class(tmp_path, capsys):
+    """No law check is needed on --in: homs into the M_k that separate the points embed the
+    algebra in a product of M_k's, so it satisfies every identity they do; any other algebra
+    has no hom at all or homs that do not separate its points, and both are refused."""
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    idempotence, swapped = json.loads(j1), json.loads(j1)
+    idempotence["ops"]["join_k"][1][1] = idempotence["elements"].index("top")   # f0 join_k f0
+    consts = swapped["ops"]["consts"]
+    consts["f_0"], consts["t_0"] = consts["t_0"], consts["f_0"]
+    broken = algebra.bilattice_law_violations(algebra.FiniteAlgebra.from_dict(idempotence))
+    assert broken == ["k: idempotence", "k: absorption join(a, meet(a,b)) = a",
+                      "neg: does not preserve knowledge join"]
+    for i, doc in enumerate((idempotence, swapped)):
+        src = tmp_path / f"law{i}.json"
+        src.write_text(json.dumps(doc))
+        for kind in ("dual", "carrier-space"):
+            code, out, _ = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+            assert (code, out) == (2, ""), (i, kind)
 
 
 def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):

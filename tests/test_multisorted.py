@@ -1,6 +1,7 @@
 """Alter ego, hom-functors, axiom checker, separation-based membership."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -11,12 +12,12 @@ from bilatdual.algebra import (GuardExceeded, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
 from bilatdual.corpus import (SAMPLE_PAIR_CAP, corpus_algebras, member_substructure,
                               random_structure, sample_morphisms, structure_corpus)
-from bilatdual.multisorted import (MultiSortedStructure, a7_by_families,
+from bilatdual.multisorted import (AxiomVerdict, MultiSortedStructure, a7_by_families,
                                    build_alter_ego, check_axioms, dual_of_hom,
                                    enumerate_multimorphisms, hom_algebra_E,
                                    is_multimorphism, membership_by_separation,
-                                   natural_dual, structures_isomorphic, verify_counit_iso,
-                                   verify_unit_iso)
+                                   natural_dual, relation_slots, structures_isomorphic,
+                                   verify_counit_iso, verify_unit_iso)
 from bilatdual.posets import check_relation
 from bilatdual.verify import run_suite
 
@@ -28,29 +29,26 @@ def _alter_ego_by_names(n):
     image = {"f": "f0", "0": "f0", "t": "t0", "1": "t0", "top": "top0", "bot": "bot0"}
     g = [tuple(m0.index(image[name[:-len(str(k))]]) for name in mks[k].elements)
          for k in range(1, n + 1)]
-    rel_sort = [frozenset((int(a), int(b)) for a, b in np.argwhere(m0.order_matrix("k")))]
+    rel = {(0, 0): frozenset((int(a), int(b)) for a, b in np.argwhere(m0.order_matrix("k")))}
     stretched = [("top", "top"), ("bot", "bot"), ("f", "f"), ("f", "0"), ("0", "0"),
                  ("t", "t"), ("t", "1"), ("1", "1")]
-    for k in range(1, n + 1):
-        rel_sort.append(frozenset((mks[k].index(f"{a}{k}"), mks[k].index(f"{b}{k}"))
-                                  for a, b in stretched))
-    cross = {(j, k): frozenset((mks[j].index(f"{a}{j}"), mks[k].index(f"{b}{k}"))
-                               for a, b in stretched)
-             for j in range(1, n + 1) for k in range(j + 1, n + 1)}
-    return MultiSortedStructure(n, tuple(m.elements for m in mks), tuple(g),
-                                tuple(rel_sort), cross)
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            rel[(j, k)] = frozenset((mks[j].index(f"{a}{j}"), mks[k].index(f"{b}{k}"))
+                                    for a, b in stretched)
+    return MultiSortedStructure(n, tuple(m.elements for m in mks), tuple(g), rel)
 
 
 def test_alter_ego_relation_sizes():
     for n in range(1, 9):
         ego = build_alter_ego(n)
         assert ego.to_dict() == _alter_ego_by_names(n).to_dict(), n
-        assert len(ego.rel_sort[0]) == 9
+        assert len(ego.rel[(0, 0)]) == 9
         for k in range(1, n + 1):
-            assert len(ego.rel_sort[k]) == 8
-            assert ego.rel_sort[k] == multisorted.STRETCHED_ORDER
+            assert len(ego.rel[(k, k)]) == 8
+            assert ego.rel[(k, k)] == multisorted.STRETCHED_ORDER
             assert ego.g[k - 1] == multisorted.COLLAPSE
-        for rel in ego.rel_cross.values():
+        for rel in (rel for (j, k), rel in ego.rel.items() if j < k):
             assert len(rel) == 8
             assert rel == multisorted.STRETCHED_ORDER
     R = np.zeros((6, 6), dtype=bool)
@@ -75,7 +73,7 @@ def test_alter_ego_is_cached_and_reads_no_algebra(monkeypatch):
 def test_alter_ego_cross_relation_membership():
     ego = build_alter_ego(2)
     m1, m2 = build_mk(2, 1), build_mk(2, 2)
-    rel = ego.rel_cross[(1, 2)]
+    rel = ego.rel[(1, 2)]
     assert (m1.index("bot1"), m2.index("bot2")) in rel
     assert (m1.index("f1"), m2.index("02")) in rel
     assert (m1.index("f1"), m2.index("12")) not in rel
@@ -104,8 +102,8 @@ def test_a2_violation_witnessed():
     ego = build_alter_ego(1)
     m1 = build_mk(1, 1)
     extra = (m1.index("f1"), m1.index("t1"))   # relates two different g-fibres
-    rels = (ego.rel_sort[0], ego.rel_sort[1] | {extra})
-    X = MultiSortedStructure(1, ego.sorts, ego.g, rels, {})
+    rels = {(0, 0): ego.rel[(0, 0)], (1, 1): ego.rel[(1, 1)] | {extra}}
+    X = MultiSortedStructure(1, ego.sorts, ego.g, rels)
     rep = check_axioms(X)
     assert not rep.verdicts["A2"].holds
     assert rep.verdicts["A2"].witness == (1,) + extra
@@ -138,20 +136,16 @@ def test_dual_of_free_algebra_is_the_ego(free1, free2):
 
 def test_isomorphism_checks_reflexive_pairs():
     # neither bijection of {p, q} carries both (p, p) and (p, q) into Y's relation
-    X = MultiSortedStructure(1, (("p", "q"), ()), ((),),
-                             (frozenset({(0, 0), (0, 1)}), frozenset()), {})
-    Y = MultiSortedStructure(1, (("p", "q"), ()), ((),),
-                             (frozenset({(1, 1), (0, 1)}), frozenset()), {})
+    X = MultiSortedStructure(1, (("p", "q"), ()), ((),), {(0, 0): {(0, 0), (0, 1)}, (1, 1): ()})
+    Y = MultiSortedStructure(1, (("p", "q"), ()), ((),), {(0, 0): {(1, 1), (0, 1)}, (1, 1): ()})
     assert not structures_isomorphic(X, Y)
     assert structures_isomorphic(X, X)
 
 
 def _relations(X, maps):
-    """Images of X's sort and cross relations under per-sort maps."""
-    sort = [frozenset((maps[k][a], maps[k][b]) for a, b in rel) for k, rel in enumerate(X.rel_sort)]
-    cross = {(j, k): frozenset((maps[j][a], maps[k][b]) for a, b in rel)
-             for (j, k), rel in X.rel_cross.items()}
-    return sort, cross
+    """Images of X's relations under per-sort maps, slot by slot."""
+    return {(j, k): frozenset((maps[j][a], maps[k][b]) for a, b in rel)
+            for (j, k), rel in X.rel.items()}
 
 
 def _relabel(X, perms):
@@ -168,8 +162,7 @@ def _relabel(X, perms):
         for i, new in enumerate(perms[k]):
             layer[new] = perms[0][X.g[k - 1][i]]
         g.append(tuple(layer))
-    rel_sort, cross = _relations(X, perms)
-    return MultiSortedStructure(X.n, tuple(sorts), tuple(g), tuple(rel_sort), cross)
+    return MultiSortedStructure(X.n, tuple(sorts), tuple(g), _relations(X, perms))
 
 
 def _isomorphic_by_permutations(X, Y):
@@ -177,7 +170,7 @@ def _isomorphic_by_permutations(X, Y):
         return False
     for maps in itertools.product(*(itertools.permutations(range(len(s))) for s in X.sorts)):
         if is_multimorphism(maps, X, Y) and \
-                _relations(X, maps) == (list(Y.rel_sort), Y.rel_cross):
+                _relations(X, maps) == Y.rel:
             return True
     return False
 
@@ -286,15 +279,14 @@ def test_isomorphism_kernel_matches_permutation_oracle():
             assert _isomorphic_by_permutations(X, Y)
             # move one pair of one sort relation: same sizes, often not isomorphic
             k = rng.randrange(n + 1)
-            rel = set(Y.rel_sort[k])
+            rel = set(Y.rel[(k, k)])
             absent = [(a, b) for a in range(len(Y.sorts[k])) for b in range(len(Y.sorts[k]))
                       if (a, b) not in rel]
             if not rel or not absent:
                 continue
             rel.remove(rng.choice(sorted(rel)))
             rel.add(rng.choice(absent))
-            rel_sort = Y.rel_sort[:k] + (frozenset(rel),) + Y.rel_sort[k + 1:]
-            Z = MultiSortedStructure(n, Y.sorts, Y.g, rel_sort, Y.rel_cross)
+            Z = MultiSortedStructure(n, Y.sorts, Y.g, {**Y.rel, (k, k): frozenset(rel)})
             expected = _isomorphic_by_permutations(X, Z)
             assert structures_isomorphic(X, Z) == expected
             positives += expected
@@ -317,8 +309,7 @@ def test_E_of_alter_ego_is_the_free_size():
 
 
 def test_E_of_one_point_structure_is_m0():
-    one = MultiSortedStructure(1, (("p",), ()), ((),),
-                               (frozenset({(0, 0)}), frozenset()), {})
+    one = MultiSortedStructure(1, (("p",), ()), ((),), {(0, 0): {(0, 0)}, (1, 1): ()})
     E = hom_algebra_E(one)
     assert E.algebra.size == 4
     bijections = [h for h in enumerate_homs(E.algebra, build_mk(1, 0))
@@ -328,8 +319,7 @@ def test_E_of_one_point_structure_is_m0():
 
 def test_E_checks_the_rows_it_is_handed(monkeypatch):
     """E takes the kernel's rows as they come: out of order or not closed, it raises."""
-    one = MultiSortedStructure(1, (("p",), ()), ((),),
-                               (frozenset({(0, 0)}), frozenset()), {})
+    one = MultiSortedStructure(1, (("p",), ()), ((),), {(0, 0): {(0, 0)}, (1, 1): ()})
     homs = enumerate_multimorphisms(one, build_alter_ego(1))
     assert len(homs) == 4
     monkeypatch.setattr(multisorted, "enumerate_multimorphisms", lambda X, Y: homs[::-1])
@@ -428,12 +418,12 @@ def test_a7_family_oracle_agrees():
     checked = 0
     for _ in range(40):
         X = random_structure(2, rng)
-        rel_pairs = [(j, k) for (j, k) in X.rel_cross]
+        rel_pairs = [(j, k) for (j, k) in X.rel if j < k]
         rep = check_axioms(X)
         for (j, k) in rel_pairs:
             for x in range(len(X.sorts[j])):
                 for y in range(len(X.sorts[k])):
-                    if (x, y) in X.rel_cross[(j, k)]:
+                    if (x, y) in X.rel[(j, k)]:
                         continue
                     reach_ok = rep.verdicts["A7"].witness != (j, k, x, y)
                     fam_ok = a7_by_families(X, j, k, x, y)
@@ -450,8 +440,7 @@ def test_a7_family_oracle_agrees():
 
 
 def test_counit_on_small_instances(monkeypatch):
-    one = MultiSortedStructure(1, (("p",), ()), ((),),
-                               (frozenset({(0, 0)}), frozenset()), {})
+    one = MultiSortedStructure(1, (("p",), ()), ((),), {(0, 0): {(0, 0)}, (1, 1): ()})
     assert verify_counit_iso(one)
     d = natural_dual(build_mk(1, 1), 1)
     assert verify_counit_iso(d.structure)
@@ -462,10 +451,9 @@ def test_counit_on_small_instances(monkeypatch):
 
 def test_structure_validation():
     with pytest.raises(ValueError):
-        MultiSortedStructure(1, ((), ()), ((),), (frozenset(), frozenset()), {})
+        MultiSortedStructure(1, ((), ()), ((),), {(0, 0): (), (1, 1): ()})
     with pytest.raises(ValueError):
-        MultiSortedStructure(1, (("a",), ("b",)), ((5,),),
-                             (frozenset(), frozenset()), {})
+        MultiSortedStructure(1, (("a",), ("b",)), ((5,),), {(0, 0): (), (1, 1): ()})
 
 
 def test_interchange_roundtrip():
@@ -492,6 +480,57 @@ def test_three_sort_transitivity_axiom_fires(monkeypatch):
     assert fired > 5 and failed > 0
 
 
+def _a5_by_triple_loop(X):
+    """A5 by the first triple loop: scan all of R_kl for each pair of R_jk; an oracle."""
+    w = None
+    count = 0
+    for j in range(1, X.n + 1):
+        for k in range(j + 1, X.n + 1):
+            for l in range(k + 1, X.n + 1):
+                jk, kl, jl = X.rel[(j, k)], X.rel[(k, l)], X.rel[(j, l)]
+                for x, y in sorted(jk):
+                    for yy, z in sorted(kl):
+                        if y != yy:
+                            continue
+                        count += 1
+                        if (x, z) not in jl and w is None:
+                            w = (j, k, l, x, y, z)
+    return AxiomVerdict(w is None, w, count)
+
+
+def test_a5_matches_the_triple_loop_oracle():
+    rng = random.Random(20261019)
+    structures = [random_structure(3, rng) for _ in range(150)]
+    # the alter ego with one pair of R_13 dropped: x R_12 x R_23 z still chains to it
+    ego = build_alter_ego(3)
+    structures += [MultiSortedStructure(3, ego.sorts, ego.g,
+                                        {**ego.rel, (1, 3): ego.rel[(1, 3)] - {pair}})
+                   for pair in ego.rel[(1, 3)]]
+    seen = set()
+    for X in structures:
+        verdict = check_axioms(X).verdicts["A5"]
+        assert verdict == _a5_by_triple_loop(X)
+        seen.add((verdict.holds, verdict.instances > 0))
+    assert seen == {(True, False), (True, True), (False, True)}
+
+
+def test_relation_slots_are_stored_in_canonical_order():
+    X = structure_corpus(3, 5, seed=6)[-1]
+    shuffled = MultiSortedStructure(3, X.sorts, X.g, dict(reversed(X.rel.items())))
+    assert list(X.rel) == list(shuffled.rel) == relation_slots(3) == \
+        [(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)]
+    assert shuffled.to_json() == X.to_json()
+    assert membership_by_separation(shuffled) == membership_by_separation(X)
+    # as strings "1,10" sorts before "1,2", and a document lists its keys in that order
+    for Y in structure_corpus(10, 4, seed=7):
+        doc = json.loads(Y.to_json())
+        assert list(doc["rel_jk"])[:2] == ["1,10", "1,2"]
+        Z = MultiSortedStructure.from_dict(doc)
+        assert list(Z.rel) == relation_slots(10)
+        assert Z.to_json() == Y.to_json()
+        assert membership_by_separation(Z) == membership_by_separation(Y) == check_axioms(Z).ok
+
+
 def test_axioms_equal_separation_at_n3(monkeypatch):
     monkeypatch.setattr(corpus, "MAX_SORT", 2)
     for X in structure_corpus(3, 40, seed=77):
@@ -514,17 +553,12 @@ def _separation_by_scan(X):
     maps = [phi.maps for phi in enumerate_multimorphisms(X, ego)]
     if not maps:
         return False
-    for k in range(X.n + 1):
-        for a, b in itertools.product(range(len(X.sorts[k])), repeat=2):
-            if a != b and all(m[k][a] == m[k][b] for m in maps):
-                return False
-            if (a, b) not in X.rel_sort[k] and \
-                    all((m[k][a], m[k][b]) in ego.rel_sort[k] for m in maps):
-                return False
-    for (j, k), rel in X.rel_cross.items():
+    for (j, k), rel in X.rel.items():
         for a, b in itertools.product(range(len(X.sorts[j])), range(len(X.sorts[k]))):
+            if j == k and a != b and all(m[k][a] == m[k][b] for m in maps):
+                return False
             if (a, b) not in rel and \
-                    all((m[j][a], m[k][b]) in ego.rel_cross[(j, k)] for m in maps):
+                    all((m[j][a], m[k][b]) in ego.rel[(j, k)] for m in maps):
                 return False
     return True
 
@@ -555,7 +589,7 @@ def test_separation_guard_bounds_only_an_undecided_search(monkeypatch):
     # a <= b <= a: no morphism into the antisymmetric alter ego splits a from b,
     # and each of the 12 off-diagonal pins of (a, b) fails at b after 2 nodes
     cycle = frozenset({(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (3, 3)})
-    X = MultiSortedStructure(1, (("a", "b", "c", "d"), ()), ((),), (cycle, frozenset()), {})
+    X = MultiSortedStructure(1, (("a", "b", "c", "d"), ()), ((),), {(0, 0): cycle, (1, 1): ()})
     assert len(enumerate_multimorphisms(X, ego)) == 64
     monkeypatch.setattr(multisorted, "SEPARATION_NODE_GUARD", 23)
     with pytest.raises(GuardExceeded, match="after 23 kernel nodes, 22 of 22 requirements open"):

@@ -64,10 +64,10 @@ def test_functors_mutually_inverse_on_pool():
 def test_F_rejects_axiom_failures():
     ego = build_alter_ego(1)
     m1 = build_mk(1, 1)
-    bad_rel = (ego.rel_sort[0],
-               ego.rel_sort[1] | {(m1.index("f1"), m1.index("t1"))})
+    bad_rel = {(0, 0): ego.rel[(0, 0)],
+               (1, 1): ego.rel[(1, 1)] | {(m1.index("f1"), m1.index("t1"))}}
     from bilatdual.multisorted import MultiSortedStructure
-    X = MultiSortedStructure(1, ego.sorts, ego.g, bad_rel, {})
+    X = MultiSortedStructure(1, ego.sorts, ego.g, bad_rel)
     with pytest.raises(StructureAxiomError):
         functor_F(X)
 
@@ -145,13 +145,9 @@ def test_upset_slices_are_mutually_increasing():
         for mask in upset_masks:
             slices = [{i - offsets[k] for i in range(offsets[k], offsets[k + 1])
                        if mask >> i & 1} for k in range(n + 1)]
-            for (j, k), rel in X.rel_cross.items():
+            for (j, k), rel in X.rel.items():
                 for a, b in rel:
                     if a in slices[j]:
-                        assert b in slices[k]
-            for k in range(n + 1):
-                for a, b in X.rel_sort[k]:
-                    if a in slices[k]:
                         assert b in slices[k]
 
 
@@ -174,12 +170,7 @@ def test_mutually_increasing_families_extend_to_upsets():
         changed = True
         while changed:
             changed = False
-            for kk in range(n + 1):
-                for a, b in X.rel_sort[kk]:
-                    if a in slices[kk] and b not in slices[kk]:
-                        slices[kk].add(b)
-                        changed = True
-            for (jj, kk), rel in X.rel_cross.items():
+            for (jj, kk), rel in X.rel.items():
                 for a, b in rel:
                     if a in slices[jj] and b not in slices[kk]:
                         slices[kk].add(b)
