@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, GuardExceeded
+from .algebra import GuardExceeded
 from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
-                          morphism_rows, natural_dual)
+                          morphism_rows)
 from .piggyback import carrier_map_is_iso, tagged_points
 from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
@@ -88,9 +88,10 @@ def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -
     return full
 
 
-def verify_translation(A: FiniteAlgebra) -> bool:
-    """H(A-flat) ≅ P(D(A)) by the carrier map: plain points via gamma, hatted via delta."""
-    return _carrier_map_onto_P(A.size, natural_dual(A))
+def verify_translation(size: int, dual: NaturalDual) -> bool:
+    """H(A-flat) ≅ P(D(A)) by the carrier map (|A| = size): plain via gamma, hatted via delta."""
+    P = construct_P(dual.structure)
+    return carrier_map_is_iso(size, dual.homs, tagged_points(dual.structure), P.poset)
 
 
 def verify_free_translation(n: int) -> bool:
@@ -113,12 +114,7 @@ def verify_free_translation(n: int) -> bool:
         raise AssertionError("the identity of the alter ego is not among its endomorphisms")
     columns = iter(zip(*rows))
     homs = tuple(tuple(next(columns) for _ in sort) for sort in ego.sorts)
-    return _carrier_map_onto_P(len(rows), NaturalDual(ego, homs))
-
-
-def _carrier_map_onto_P(size: int, dual: NaturalDual) -> bool:
-    P = construct_P(dual.structure)
-    return carrier_map_is_iso(size, dual.homs, tagged_points(dual.structure), P.poset)
+    return verify_translation(len(rows), NaturalDual(ego, homs))
 
 
 # ----------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def cmd_build(args) -> int:
             if args.dot:
                 dot = space.poset.to_dot("priestley")
         elif args.kind == "carrier-space":
-            space = build_carrier_space(source or build_jn(n))
+            space = build_carrier_space(natural_dual(source or build_jn(n)))
             _check_separated(source, space.dual.homs)
             doc = space.poset.to_dict()
             if args.dot:

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
-from .algebra import FiniteAlgebra, build_jn, generated_subalgebra_in_product, mk_algebras
-from .multisorted import (MultiMorphism, MultiSortedStructure, _kernel, build_alter_ego,
-                          pointwise_structure, relation_slots)
+from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgebra_in_product,
+                      mk_algebras)
+from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, _kernel,
+                          build_alter_ego, natural_dual, pointwise_structure, relation_slots)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
 MAX_SORT = 3           # largest sort size drawn for a corpus structure
@@ -21,27 +24,43 @@ SAMPLE_PAIR_CAP = 200  # morphisms listed per structure when sampling
 
 @dataclass
 class CorpusAlgebra:
+    """A corpus algebra, labelled at the seeded draw; closed, then dualised, when first read."""
+
     label: str
-    algebra: FiniteAlgebra
+    close: Callable[[], FiniteAlgebra]
+
+    @cached_property
+    def _closed(self) -> FiniteAlgebra | GuardExceeded:
+        try:
+            return self.close()
+        except GuardExceeded as err:   # kept: every later check of the item skips at once
+            return err.with_traceback(None)
+
+    @property
+    def algebra(self) -> FiniteAlgebra:
+        if isinstance(self._closed, GuardExceeded):
+            raise self._closed.with_traceback(None)
+        return self._closed
+
+    @cached_property
+    def dual(self) -> NaturalDual:
+        return natural_dual(self.algebra)
 
 
 def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
-    """Seeded generated subalgebras of J_n squared (draws may repeat carriers)."""
+    """Seeded generated subalgebras of J_n squared, closed when read; fewer draws give a prefix."""
     rng = random.Random(seed)
     jn = build_jn(n)
-    out: list[CorpusAlgebra] = []
-    for i in range(count):
-        k = rng.choice((1, 1, 2))
-        gens = tuple(sorted(rng.sample(range(jn.size ** 2), k)))
-        sub = generated_subalgebra_in_product([jn, jn], [divmod(g, jn.size) for g in gens])
-        out.append(CorpusAlgebra(f"sub(J{n}^2)#{i}", sub.algebra))
-    return out
+    draws = [sorted(rng.sample(range(jn.size ** 2), rng.choice((1, 1, 2)))) for _ in range(count)]
+    return [CorpusAlgebra(f"sub(J{n}^2)#{i}", lambda gens=gens: generated_subalgebra_in_product(
+                [jn, jn], [divmod(g, jn.size) for g in gens]).algebra)
+            for i, gens in enumerate(draws)]
 
 
 def corpus_algebras(n: int, seed: int = 0, subalgebras: int = 5) -> list[CorpusAlgebra]:
-    """The standard verification corpus at depth n."""
-    out = [CorpusAlgebra(f"M{k}", alg) for k, alg in enumerate(mk_algebras(n))]
-    out.append(CorpusAlgebra(f"J{n}", build_jn(n)))
+    """The standard verification corpus at depth n: M_0..M_n, J_n, then the seeded draws."""
+    out = [CorpusAlgebra(f"M{k}", lambda alg=alg: alg) for k, alg in enumerate(mk_algebras(n))]
+    out.append(CorpusAlgebra(f"J{n}", lambda: build_jn(n)))
     out.extend(seeded_subalgebras(n, subalgebras, seed))
     return out
 

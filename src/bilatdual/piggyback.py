@@ -17,8 +17,7 @@ import numpy as np
 
 from .algebra import (BINARY_OPS, FiniteAlgebra, bool_compose, enumerate_subuniverses, mk_algebras,
                       mk_elements, product)
-from .multisorted import (MultiSortedStructure, NaturalDual, build_alter_ego, natural_dual,
-                          pointwise_relation)
+from .multisorted import MultiSortedStructure, NaturalDual, build_alter_ego, pointwise_relation
 from .posets import Poset, check_relation, count_downsets, is_order_isomorphism
 
 
@@ -297,15 +296,14 @@ class QuasiOrderNotAntisymmetric(ValueError):
     pass
 
 
-def build_carrier_space(A: FiniteAlgebra) -> CarrierSpace:
-    """Hom-sets tagged by carriers, ordered by pointwise piggyback relations.
+def build_carrier_space(dual: NaturalDual) -> CarrierSpace:
+    """The hom-sets of D(A) tagged by carriers, ordered by pointwise piggyback relations.
 
     Antisymmetry is asserted rather than quotiented: its failure would signal
     an implementation bug, not a mathematical possibility.
     """
-    n = A.signature.n
-    dual_A = natural_dual(A)
-    homs = dual_A.homs
+    n = dual.structure.n
+    homs = dual.homs
     points = [(k, i, kind) for k in range(n + 1) for i in range(len(homs[k]))
               for kind in ("gamma", "delta")]
     pos = {pt: p for p, pt in enumerate(points)}
@@ -323,7 +321,7 @@ def build_carrier_space(A: FiniteAlgebra) -> CarrierSpace:
         raise AssertionError(f"carrier-space relation fails {res.kind} at {res.witness}")
     names = [f"h{k}_{i}:{kind}" for k, i, kind in points]
     poset = Poset(names, mat, check=False)
-    return CarrierSpace(poset, points, dual_A)
+    return CarrierSpace(poset, points, dual)
 
 
 def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
@@ -350,12 +348,11 @@ def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
             and count_downsets(poset) == size)
 
 
-def verify_piggyback_iso(A: FiniteAlgebra) -> bool:
-    """Hat-to-delta relabelling is an order-iso, and the carriers map the space onto H(A-flat)."""
+def verify_piggyback_iso(size: int, dual: NaturalDual) -> bool:
+    """Hat-to-delta relabelling is an order-iso, and the carriers map onto H(A-flat), |A| = size."""
     from .bridge import construct_P
-    space = build_carrier_space(A)
-    doubled = construct_P(space.dual.structure)
+    space = build_carrier_space(dual)
     pos = {pt: i for i, pt in enumerate(space.points)}
-    eta = [pos[pt] for pt in tagged_points(space.dual.structure)]
-    return (is_order_isomorphism(eta, doubled.poset, space.poset)
-            and carrier_map_is_iso(A.size, space.dual.homs, space.points, space.poset))
+    eta = [pos[pt] for pt in tagged_points(dual.structure)]
+    return (is_order_isomorphism(eta, construct_P(dual.structure).poset, space.poset)
+            and carrier_map_is_iso(size, dual.homs, space.points, space.poset))

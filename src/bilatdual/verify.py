@@ -10,14 +10,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import GuardExceeded, build_mk
+from .algebra import GuardExceeded
 from .bridge import (free_size_formula, partitioned_downset_count,
                      table_avoiding_expected, table_meeting_expected,
                      verify_free_translation, verify_translation)
-from .corpus import corpus_algebras, sample_morphisms, structure_corpus
+from .corpus import CorpusAlgebra, corpus_algebras, sample_morphisms, structure_corpus
 from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
                           check_axioms, is_multimorphism, morphism_rows,
-                          membership_by_separation, natural_dual, verify_unit_iso)
+                          membership_by_separation, verify_unit_iso)
 from .piggyback import (check_sep, name_relation, subuniverse_pairs,
                         table3_report, verify_piggyback_iso)
 from .posets import count_downsets, enumerate_downsets, grid
@@ -26,6 +26,9 @@ from .ranked import (check_axioms_B, flat_map_of_multimorphism, functor_F, funct
 
 DEFAULT_SEED = 20260809
 AXIOMS_CORPUS = 100   # seeded structures on which the axioms suite compares A1-A7 with separation
+# seeded subalgebras of J_n squared that each suite checks after M_0..M_n and J_n: a run draws
+# one corpus, each suite checks a prefix, and an item is closed and dualised when first read
+SUBALGEBRAS = {"duality": 25, "axioms": 3, "functors": 3, "translation": 5, "piggyback": 5}
 
 
 @dataclass
@@ -78,32 +81,26 @@ class SuiteRunner:
         t0 = time.perf_counter()
         try:
             out = thunk()
+            ok, witness = out if isinstance(out, tuple) else (bool(out), None)
+            status, witness = ("pass", None) if ok else ("fail", witness)
         except GuardExceeded as err:
-            self.result.checks.append(
-                CheckRecord(check_id, "skip", f"guard: {err}", time.perf_counter() - t0))
-            return
+            status, witness = "skip", f"guard: {err}"
         except Exception as err:   # noqa: BLE001 - verification must not abort the run
-            self.result.checks.append(
-                CheckRecord(check_id, "fail", f"{type(err).__name__}: {err}",
-                            time.perf_counter() - t0))
-            return
-        ok, witness = out if isinstance(out, tuple) else (bool(out), None)
-        status = "pass" if ok else "fail"
-        self.result.checks.append(
-            CheckRecord(check_id, status, None if ok else witness,
-                        time.perf_counter() - t0))
+            status, witness = "fail", f"{type(err).__name__}: {err}"
+        self.result.checks.append(CheckRecord(check_id, status, witness, time.perf_counter() - t0))
 
 
 # ----------------------------------------------------------------------------
 # individual suites
 
 
-def suite_duality(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_duality(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("duality", n, seed)
-    for item in corpus_algebras(n, seed, subalgebras=25):
-        r.check(f"unit-iso:{item.label}", lambda item=item: verify_unit_iso(item.algebra))
+    for item in corpus:
+        r.check(f"unit-iso:{item.label}",
+                lambda item=item: verify_unit_iso(item.algebra.size, item.dual))
     r.check("dual-sorts:M0",
-            lambda: ([len(s) for s in natural_dual(build_mk(n, 0)).structure.sorts]
+            lambda: ([len(s) for s in corpus[0].dual.structure.sorts]
                      == [1] + [0] * n, "unexpected sort sizes"))
     r.check("E-size:one-point",
             lambda: (_one_point_e_size(n) == 4, "E of the one-point structure is not M0-sized"))
@@ -116,7 +113,7 @@ def _one_point_e_size(n: int) -> int:
     return len(morphism_rows(one))
 
 
-def suite_axioms(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_axioms(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("axioms", n, seed)
     r.check("alter-ego-satisfies-axioms", lambda: check_axioms(build_alter_ego(n)).ok)
     if n == 1:
@@ -136,25 +133,20 @@ def suite_axioms(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
                 disagreements.append((i, ax, sep))
         return not disagreements, f"disagreements at {disagreements[:3]}"
     r.check(f"axioms-vs-separation:{AXIOMS_CORPUS}-structures", axioms_vs_separation)
-    for item in corpus_algebras(n, seed, subalgebras=3):
+    for item in corpus:
         r.check(f"dual-satisfies-axioms:{item.label}",
-                lambda item=item: check_axioms(natural_dual(item.algebra).structure).ok)
+                lambda item=item: check_axioms(item.dual.structure).ok)
     return r.result
 
 
-def _structure_pool(n: int, seed: int):
-    pool = [build_alter_ego(n)]
-    for item in corpus_algebras(n, seed, subalgebras=3):
-        pool.append(natural_dual(item.algebra).structure)
-    pool.extend(X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok)
-    return pool
-
-
-def suite_functors(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_functors(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("functors", n, seed)
-    pool = _structure_pool(n, seed)
-    for i, X in enumerate(pool):
-        def roundtrip(X=X):
+    # thunks, so that a corpus item's dual is read inside the checks that use it
+    pool = [lambda: build_alter_ego(n), *(lambda item=item: item.dual.structure for item in corpus),
+            *(lambda X=X: X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok)]
+    for i, get in enumerate(pool):
+        def roundtrip(get=get):
+            X = get()
             Y = functor_F(X)
             if not check_axioms_B(Y).ok:
                 return False, "F(X) fails the B axioms"
@@ -164,50 +156,50 @@ def suite_functors(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
                 return False, "F(G(Y)) != Y"
             return True, None
         r.check(f"roundtrip:{i}", roundtrip)
-    sampled = sample_morphisms(pool, n, 50, seed)
-    ego = build_alter_ego(n)
-    bad = []
-    for idx, (X, Y, phi) in enumerate(sampled):
-        FX, FY = functor_F(X), functor_F(Y)
-        fwd = is_ranked_morphism(flat_map_of_multimorphism(phi), FX, FY)
-        if not fwd:
-            bad.append(("morphism-not-transported", idx))
-        mutated = [list(m) for m in phi.maps]
-        for k in range(n, -1, -1):
-            if mutated[k]:
-                mutated[k][0] = (mutated[k][0] + 1) % len(Y.sorts[k])
-                break
-        maps = tuple(tuple(m) for m in mutated)
-        as_multi = is_multimorphism(maps, X, Y)
-        as_ranked = is_ranked_morphism(
-            flat_map_of_multimorphism(MultiMorphism(X, Y, maps)), FX, FY)
-        if as_multi != as_ranked:
-            bad.append(("transport-mismatch", idx))
-    r.check("morphism-transport:50-samples",
-            lambda: (not bad, f"failures {bad[:3]}"))
+
+    def transport():
+        bad = []
+        for idx, (X, Y, phi) in enumerate(sample_morphisms([get() for get in pool], n, 50, seed)):
+            FX, FY = functor_F(X), functor_F(Y)
+            if not is_ranked_morphism(flat_map_of_multimorphism(phi), FX, FY):
+                bad.append(("morphism-not-transported", idx))
+            mutated = [list(m) for m in phi.maps]
+            for k in range(n, -1, -1):
+                if mutated[k]:
+                    mutated[k][0] = (mutated[k][0] + 1) % len(Y.sorts[k])
+                    break
+            maps = tuple(tuple(m) for m in mutated)
+            as_multi = is_multimorphism(maps, X, Y)
+            as_ranked = is_ranked_morphism(
+                flat_map_of_multimorphism(MultiMorphism(X, Y, maps)), FX, FY)
+            if as_multi != as_ranked:
+                bad.append(("transport-mismatch", idx))
+        return not bad, f"failures {bad[:3]}"
+    r.check("morphism-transport:50-samples", transport)
     return r.result
 
 
-def suite_translation(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_translation(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("translation", n, seed)
-    for item in corpus_algebras(n, seed):
+    for item in corpus:
         r.check(f"translation:{item.label}",
-                lambda item=item: verify_translation(item.algebra))
+                lambda item=item: verify_translation(item.algebra.size, item.dual))
     if n <= 3:
         r.check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
     return r.result
 
 
-def suite_piggyback(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_piggyback(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("piggyback", n, seed)
     r.check("separation-condition", lambda: check_sep(n))
-    for item in corpus_algebras(n, seed):
+    for item in corpus:
         r.check(f"carrier-space:{item.label}",
-                lambda item=item: (verify_piggyback_iso(item.algebra), "iso failed"))
+                lambda item=item: (verify_piggyback_iso(item.algebra.size, item.dual),
+                                   "iso failed"))
     return r.result
 
 
-def suite_tables(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+def suite_tables(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
     r = SuiteRunner("tables", n, seed)
     rows = table3_report(n)
     bad = [(row.omega1, row.omega2, row.names) for row in rows if not row.matches_schema]
@@ -261,19 +253,19 @@ SUITE_PARTS = {"duality": suite_duality, "axioms": suite_axioms, "functors": sui
 SUITES = (*SUITE_PARTS, "all")
 
 
-def suite_all(n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
-    combined = VerificationSuiteResult("all", n, seed)
-    for fn in SUITE_PARTS.values():
-        part = fn(n, seed)
-        for c in part.checks:
-            combined.checks.append(CheckRecord(f"{part.suite}/{c.id}", c.status,
-                                               c.witness, c.elapsed))
-    return combined
-
-
 def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
+    """Run one suite, or all of them on one corpus whose items are each closed and dualised once."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if n < 1:
         raise ValueError("verification suites require n >= 1")
-    return SUITE_PARTS.get(suite, suite_all)(n, seed)
+    corpus = corpus_algebras(n, seed, subalgebras=max(SUBALGEBRAS.values()))
+    parts = [SUITE_PARTS[name](n, seed, corpus[:n + 2 + SUBALGEBRAS.get(name, 0)])
+             for name in (SUITE_PARTS if suite == "all" else (suite,))]
+    if suite != "all":
+        return parts[0]
+    combined = VerificationSuiteResult("all", n, seed)
+    for part in parts:
+        combined.checks.extend(CheckRecord(f"{part.suite}/{c.id}", c.status, c.witness, c.elapsed)
+                               for c in part.checks)
+    return combined

@@ -306,7 +306,7 @@ def test_separation_guard_trip_is_a_skip(monkeypatch):
 
     monkeypatch.setattr(verify, "membership_by_separation", refuse)
     monkeypatch.setattr(verify, "AXIOMS_CORPUS", 3)
-    result = verify.suite_axioms(1)
+    result = verify.run_suite("axioms", 1)
     status = {c.id: c.status for c in result.checks}
     assert status["axioms-vs-separation:3-structures"] == "skip"
     assert status["alter-ego-satisfies-axioms"] == "pass"

@@ -1,0 +1,68 @@
+"""One corpus per verification run: drawn once, each item closed and dualised once."""
+
+from bilatdual import cli, corpus, multisorted, verify
+from bilatdual.algebra import GuardExceeded
+from bilatdual.corpus import corpus_algebras
+from bilatdual.verify import DEFAULT_SEED, run_suite
+
+
+def test_a_shorter_corpus_is_a_prefix_of_the_longer_one():
+    for n in (1, 2, 3):
+        full = corpus_algebras(n, DEFAULT_SEED, subalgebras=25)
+        for count in (3, 5):
+            short = corpus_algebras(n, DEFAULT_SEED, subalgebras=count)
+            assert len(short) == n + 2 + count
+            assert [item.label for item in short] == [item.label for item in full[:len(short)]]
+            assert ([item.algebra.to_json() for item in short]
+                    == [item.algebra.to_json() for item in full[:len(short)]]), (n, count)
+
+
+def test_the_run_draws_one_corpus_and_dualises_each_item_once(monkeypatch):
+    drawn, dualised = [], []
+    draw, dualise = verify.corpus_algebras, multisorted.natural_dual
+
+    def counted_draw(*args, **kwargs):
+        drawn.append(args)
+        return draw(*args, **kwargs)
+
+    def counted_dual(A, *args):
+        dualised.append(id(A))
+        return dualise(A, *args)
+
+    monkeypatch.setattr(verify, "corpus_algebras", counted_draw)
+    for module in (corpus, multisorted):
+        monkeypatch.setattr(module, "natural_dual", counted_dual)
+    assert run_suite("all", 2).overall == "pass"
+    assert len(drawn) == 1
+    # M_0..M_2, J_2 and 25 seeded subalgebras, each dualised exactly once
+    assert len(dualised) == len(set(dualised)) == 29
+
+
+def test_a_corpus_guard_trip_skips_the_checks_that_need_the_item(monkeypatch, capsys):
+    closures = []
+
+    def refuse(factors, generators):
+        closures.append(generators)
+        raise GuardExceeded("closure exceeded 10000 elements")
+
+    monkeypatch.setattr(corpus, "generated_subalgebra_in_product", refuse)
+    assert cli.main(["verify", "--n", "1"]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    subs = [line for line in lines if "sub(J1^2)" in line]
+    assert len(subs) == 25 + 3 + 5 + 5
+    assert all(line.startswith("  SKIP") and "[guard: closure exceeded" in line for line in subs)
+    # the functor suite numbers its pool without closing it: the three draws skip there too
+    skipped = [line for line in lines if line.startswith("  SKIP  functors/")]
+    assert len(skipped) == 3 + 1   # roundtrips of the three draws, and the transport sample
+    assert len(closures) == 25   # a trip is remembered, so each item is closed at most once
+
+
+def test_a_failure_while_sampling_morphisms_is_a_fail_not_an_abort(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("sampler broke")
+
+    monkeypatch.setattr(verify, "sample_morphisms", broken)
+    result = run_suite("functors", 1)
+    [transport] = [c for c in result.checks if c.id == "morphism-transport:50-samples"]
+    assert (transport.status, transport.witness) == ("fail", "RuntimeError: sampler broke")
+    assert all(c.status == "pass" for c in result.checks if c is not transport)

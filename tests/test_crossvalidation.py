@@ -4,6 +4,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from bilatdual.algebra import (FiniteAlgebra, build_jn, build_mk, closure_indices,
                                enumerate_homs,
@@ -107,9 +108,8 @@ def test_grid_counts_are_binomials():
 
 
 def test_unit_iso_holds_at_depth_three():
-    for k in range(4):
-        assert verify_unit_iso(build_mk(3, k))
-    assert verify_unit_iso(build_jn(3))
+    for A in (*(build_mk(3, k) for k in range(4)), build_jn(3)):
+        assert verify_unit_iso(A.size, natural_dual(A))
 
 
 def damaged_m1():
@@ -123,9 +123,10 @@ def damaged_m1():
 
 
 def test_unit_iso_rejects_a_law_breaking_algebra():
-    # the damaged algebra is no longer in the class, so evaluation cannot be a
-    # bijection onto the double dual
-    assert not verify_unit_iso(damaged_m1())
+    # the damaged algebra is no longer in the class: it has no homomorphism into any
+    # M_k, so it has no natural dual and no evaluation onto a double dual
+    with pytest.raises(ValueError, match="no homomorphism"):
+        natural_dual(damaged_m1())
 
 
 def test_unit_iso_rejects_a_non_injective_evaluation():
@@ -136,7 +137,7 @@ def test_unit_iso_rejects_a_non_injective_evaluation():
     evaluations = set(zip(*(h for homs in dual.homs for h in homs)))
     assert (A.size, len(evaluations)) == (24, 4)
     assert evaluations == set(morphism_rows(dual.structure))
-    assert not verify_unit_iso(A)
+    assert not verify_unit_iso(A.size, dual)
 
 
 def test_hom_counts_add_over_direct_factors():
