@@ -53,15 +53,6 @@ class SignatureN:
         ts = tuple(f"t_{i}" for i in range(self.n + 1))
         return ("bot", "top") + fs + ts
 
-    def arity(self, symbol: str) -> int:
-        if symbol in BINARY_OPS:
-            return 2
-        if symbol == "neg":
-            return 1
-        if symbol in self.constant_symbols:
-            return 0
-        raise KeyError(symbol)
-
 
 def _as_table(values, size: int) -> np.ndarray:
     arr = np.asarray(values)
@@ -792,8 +783,9 @@ def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
     """Sub(A) as the joins of Sg(∅) with one-generated subuniverses.
 
     Every subuniverse T is Sg(∅) joined with Sg(x) for each x in T, so the
-    family starts at {Sg(∅)} and is joined with each distinct Sg(x) in turn;
-    a join is the closure of the union, skipped when Sg(x) is already inside.
+    family starts at {Sg(∅)} and is joined with each distinct Sg(x) in turn,
+    for x outside Sg(∅) only (inside it, Sg(x) is Sg(∅)); a join is the
+    closure of the union, skipped when Sg(x) is already inside.
     """
     if A.size > DEFAULT_SUBUNIVERSE_GUARD:
         raise GuardExceeded(f"carrier {A.size} exceeds subuniverse guard "
@@ -803,8 +795,9 @@ def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
     def closed(mask: int) -> int:
         return sum(1 << i for i in closure_indices(A, (i for i in range(n) if mask >> i & 1)))
 
-    family = {closed(0)}
-    for p in {closed(1 << x) for x in range(n)}:
+    base = closed(0)
+    family = {base}
+    for p in {closed(1 << x) for x in range(n) if not base >> x & 1}:
         family |= {closed(s | p) for s in family if p & ~s}
     masks = sorted(family, key=lambda mk: (bin(mk).count("1"), mk))
     members = tuple(frozenset(i for i in range(n) if mk >> i & 1) for mk in masks)

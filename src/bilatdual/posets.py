@@ -6,7 +6,6 @@ so "clopen up-set" means "up-set" throughout the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,21 +109,6 @@ class Poset:
     def to_dict(self) -> dict:
         pairs = [[int(i), int(j)] for i, j in np.argwhere(self.leq)]
         return {"elements": list(self.elements), "leq_pairs": pairs}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Poset":
-        names = doc["elements"]
-        mat = np.zeros((len(names), len(names)), dtype=bool)
-        for i, j in doc["leq_pairs"]:
-            mat[i, j] = True
-        return cls(names, mat)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Poset":
-        return cls.from_dict(json.loads(text))
 
     def to_dot(self, name: str = "poset") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];",

@@ -8,7 +8,6 @@ back into sorts. They are mutually inverse on the nose.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,28 +46,6 @@ class RankedPriestleySpace:
             return NotImplemented
         return (self.n == other.n and self.poset == other.poset
                 and self.g == other.g and self.rank == other.rank)
-
-    def to_dict(self) -> dict:
-        doc = self.poset.to_dict()
-        doc["n"] = self.n
-        doc["rank"] = list(self.rank)
-        # identity on the rank-0 block is implied and omitted
-        doc["g"] = {str(i): int(v) for i, v in enumerate(self.g) if self.rank[i] != 0}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RankedPriestleySpace":
-        poset = Poset.from_dict(doc)
-        rank = [int(r) for r in doc["rank"]]
-        g = [i if rank[i] == 0 else int(doc["g"][str(i)]) for i in range(poset.n)]
-        return cls(poset, tuple(g), tuple(rank), int(doc["n"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RankedPriestleySpace":
-        return cls.from_dict(json.loads(text))
 
     def to_dot(self, name: str = "ranked") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]

@@ -1,8 +1,9 @@
 """Named verification suites with deterministic, seed-controlled reports.
 
-Each check is a thunk returning (ok, witness). Elapsed times are recorded but
-left out of serialized output by default so identical invocations stay byte
-identical.
+Each check is a thunk returning (ok, witness). A suite passes it, with its id, to
+the run's `check`, which appends one record to the run's one result; under `all`
+the id is prefixed with the suite's name. Elapsed times are recorded but left out
+of serialized output by default so identical invocations stay byte identical.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ DEFAULT_SEED = 20260809
 AXIOMS_CORPUS = 100   # seeded structures on which the axioms suite compares A1-A7 with separation
 # seeded subalgebras of J_n squared that each suite checks after M_0..M_n and J_n: a run draws
 # one corpus, each suite checks a prefix, and an item is closed and dualised when first read
+# and freed after the last suite that reads it
 SUBALGEBRAS = {"duality": 25, "axioms": 3, "functors": 3, "translation": 5, "piggyback": 5}
 
 
@@ -72,11 +74,6 @@ class VerificationSuiteResult:
         lines.append(f"overall: {self.overall}")
         return "\n".join(lines) + "\n"
 
-
-class SuiteRunner:
-    def __init__(self, suite: str, n: int, seed: int):
-        self.result = VerificationSuiteResult(suite, n, seed)
-
     def check(self, check_id: str, thunk):
         t0 = time.perf_counter()
         try:
@@ -87,24 +84,21 @@ class SuiteRunner:
             status, witness = "skip", f"guard: {err}"
         except Exception as err:   # noqa: BLE001 - verification must not abort the run
             status, witness = "fail", f"{type(err).__name__}: {err}"
-        self.result.checks.append(CheckRecord(check_id, status, witness, time.perf_counter() - t0))
+        self.checks.append(CheckRecord(check_id, status, witness, time.perf_counter() - t0))
 
 
 # ----------------------------------------------------------------------------
 # individual suites
 
 
-def suite_duality(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("duality", n, seed)
+def suite_duality(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     for item in corpus:
-        r.check(f"unit-iso:{item.label}",
-                lambda item=item: verify_unit_iso(item.algebra.size, item.dual))
-    r.check("dual-sorts:M0",
-            lambda: ([len(s) for s in corpus[0].dual.structure.sorts]
-                     == [1] + [0] * n, "unexpected sort sizes"))
-    r.check("E-size:one-point",
-            lambda: (_one_point_e_size(n) == 4, "E of the one-point structure is not M0-sized"))
-    return r.result
+        check(f"unit-iso:{item.label}",
+              lambda item=item: verify_unit_iso(item.algebra.size, item.dual))
+    check("dual-sorts:M0", lambda: ([len(s) for s in corpus[0].dual.structure.sorts]
+                                    == [1] + [0] * n, "unexpected sort sizes"))
+    check("E-size:one-point",
+          lambda: (_one_point_e_size(n) == 4, "E of the one-point structure is not M0-sized"))
 
 
 def _one_point_e_size(n: int) -> int:
@@ -113,15 +107,14 @@ def _one_point_e_size(n: int) -> int:
     return len(morphism_rows(one))
 
 
-def suite_axioms(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("axioms", n, seed)
-    r.check("alter-ego-satisfies-axioms", lambda: check_axioms(build_alter_ego(n)).ok)
+def suite_axioms(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
+    check("alter-ego-satisfies-axioms", lambda: check_axioms(build_alter_ego(n)).ok)
     if n == 1:
         def vacuous():
             rep = check_axioms(build_alter_ego(1))
             quiet = all(rep.verdicts[a].instances == 0 for a in ("A3", "A4", "A5", "A7"))
             return quiet, "cross-sort axioms not vacuous at n=1"
-        r.check("n1-cross-axioms-vacuous", vacuous)
+        check("n1-cross-axioms-vacuous", vacuous)
     structures = structure_corpus(n, AXIOMS_CORPUS, seed)
 
     def axioms_vs_separation():
@@ -132,15 +125,13 @@ def suite_axioms(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verification
             if ax != sep:
                 disagreements.append((i, ax, sep))
         return not disagreements, f"disagreements at {disagreements[:3]}"
-    r.check(f"axioms-vs-separation:{AXIOMS_CORPUS}-structures", axioms_vs_separation)
+    check(f"axioms-vs-separation:{AXIOMS_CORPUS}-structures", axioms_vs_separation)
     for item in corpus:
-        r.check(f"dual-satisfies-axioms:{item.label}",
-                lambda item=item: check_axioms(item.dual.structure).ok)
-    return r.result
+        check(f"dual-satisfies-axioms:{item.label}",
+              lambda item=item: check_axioms(item.dual.structure).ok)
 
 
-def suite_functors(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("functors", n, seed)
+def suite_functors(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     # thunks, so that a corpus item's dual is read inside the checks that use it
     pool = [lambda: build_alter_ego(n), *(lambda item=item: item.dual.structure for item in corpus),
             *(lambda X=X: X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok)]
@@ -155,7 +146,7 @@ def suite_functors(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verificati
             if functor_F(functor_G(Y)) != Y:
                 return False, "F(G(Y)) != Y"
             return True, None
-        r.check(f"roundtrip:{i}", roundtrip)
+        check(f"roundtrip:{i}", roundtrip)
 
     def transport():
         bad = []
@@ -175,35 +166,28 @@ def suite_functors(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verificati
             if as_multi != as_ranked:
                 bad.append(("transport-mismatch", idx))
         return not bad, f"failures {bad[:3]}"
-    r.check("morphism-transport:50-samples", transport)
-    return r.result
+    check("morphism-transport:50-samples", transport)
 
 
-def suite_translation(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("translation", n, seed)
+def suite_translation(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     for item in corpus:
-        r.check(f"translation:{item.label}",
-                lambda item=item: verify_translation(item.algebra.size, item.dual))
+        check(f"translation:{item.label}",
+              lambda item=item: verify_translation(item.algebra.size, item.dual))
     if n <= 3:
-        r.check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
-    return r.result
+        check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
 
 
-def suite_piggyback(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("piggyback", n, seed)
-    r.check("separation-condition", lambda: check_sep(n))
+def suite_piggyback(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
+    check("separation-condition", lambda: check_sep(n))
     for item in corpus:
-        r.check(f"carrier-space:{item.label}",
-                lambda item=item: (verify_piggyback_iso(item.algebra.size, item.dual),
-                                   "iso failed"))
-    return r.result
+        check(f"carrier-space:{item.label}",
+              lambda item=item: (verify_piggyback_iso(item.algebra.size, item.dual), "iso failed"))
 
 
-def suite_tables(n: int, seed: int, corpus: list[CorpusAlgebra]) -> VerificationSuiteResult:
-    r = SuiteRunner("tables", n, seed)
+def suite_tables(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     rows = table3_report(n)
     bad = [(row.omega1, row.omega2, row.names) for row in rows if not row.matches_schema]
-    r.check(f"piggyback-table:{len(rows)}-pairs", lambda: (not bad, f"cells {bad[:3]}"))
+    check(f"piggyback-table:{len(rows)}-pairs", lambda: (not bad, f"cells {bad[:3]}"))
 
     def meet_irreducibles():
         j, k = (1, 2) if n >= 2 else (1, 1)
@@ -220,7 +204,7 @@ def suite_tables(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verification
             if got != expected:
                 return False, f"meet-irreducibles of Sub(M{a} x M{b}) are {sorted(got)}"
         return True, None
-    r.check("subuniverse-lattices", meet_irreducibles)
+    check("subuniverse-lattices", meet_irreducibles)
 
     def tallies():
         pc = partitioned_downset_count(n)
@@ -233,7 +217,7 @@ def suite_tables(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verification
                 if got.get(key, 0) != expected.get(key, 0):
                     return False, f"{block} cell {sorted(key)} tallies {got.get(key, 0)}"
         return True, None
-    r.check("grouped-downset-tallies", tallies)
+    check("grouped-downset-tallies", tallies)
 
     def grid_counts():
         for m in range(1, 51):
@@ -243,8 +227,7 @@ def suite_tables(n: int, seed: int, corpus: list[CorpusAlgebra]) -> Verification
             if count_downsets(grid(2, m)) != expected:
                 return False, f"memoized count disagrees at {m}"
         return True, None
-    r.check("two-by-m-grid-counts", grid_counts)
-    return r.result
+    check("two-by-m-grid-counts", grid_counts)
 
 
 SUITE_PARTS = {"duality": suite_duality, "axioms": suite_axioms, "functors": suite_functors,
@@ -259,13 +242,13 @@ def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED) -> VerificationSuite
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if n < 1:
         raise ValueError("verification suites require n >= 1")
+    names = list(SUITE_PARTS) if suite == "all" else [suite]
+    result = VerificationSuiteResult(suite, n, seed)
     corpus = corpus_algebras(n, seed, subalgebras=max(SUBALGEBRAS.values()))
-    parts = [SUITE_PARTS[name](n, seed, corpus[:n + 2 + SUBALGEBRAS.get(name, 0)])
-             for name in (SUITE_PARTS if suite == "all" else (suite,))]
-    if suite != "all":
-        return parts[0]
-    combined = VerificationSuiteResult("all", n, seed)
-    for part in parts:
-        combined.checks.extend(CheckRecord(f"{part.suite}/{c.id}", c.status, c.witness, c.elapsed)
-                               for c in part.checks)
-    return combined
+    for i, name in enumerate(names):
+        # drop the items no suite from here on reads, so their closures and duals are freed
+        corpus = corpus[:n + 2 + max(SUBALGEBRAS.get(later, 0) for later in names[i:])]
+        prefix = f"{name}/" if suite == "all" else ""
+        SUITE_PARTS[name](lambda check_id, thunk, p=prefix: result.check(p + check_id, thunk),
+                          n, seed, corpus[:n + 2 + SUBALGEBRAS.get(name, 0)])
+    return result

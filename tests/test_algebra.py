@@ -25,11 +25,6 @@ from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_
 def test_signature_counts():
     sig = SignatureN(3)
     assert len(sig.constant_symbols) == 2 * 3 + 4
-    assert sig.arity("meet_k") == 2
-    assert sig.arity("neg") == 1
-    assert sig.arity("f_2") == 0
-    with pytest.raises(KeyError):
-        sig.arity("nope")
 
 
 def test_jn_basic_shape():

@@ -1,5 +1,8 @@
 """One corpus per verification run: drawn once, each item closed and dualised once."""
 
+import gc
+import weakref
+
 from bilatdual import cli, corpus, multisorted, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.corpus import corpus_algebras
@@ -66,3 +69,24 @@ def test_a_failure_while_sampling_morphisms_is_a_fail_not_an_abort(monkeypatch):
     [transport] = [c for c in result.checks if c.id == "morphism-transport:50-samples"]
     assert (transport.status, transport.witness) == ("fail", "RuntimeError: sampler broke")
     assert all(c.status == "pass" for c in result.checks if c is not transport)
+
+
+def test_items_no_later_suite_reads_are_freed(monkeypatch):
+    n, refs, probed = 1, [], []
+    draw = verify.corpus_algebras
+
+    def tracked_draw(*args, **kwargs):
+        items = draw(*args, **kwargs)
+        refs.extend(weakref.ref(item) for item in items)
+        return items
+
+    def probe(*args):
+        gc.collect()
+        probed.append(len(refs))
+        # only the duality suite reads the draws past the fifth; tables reads none
+        assert [ref() is None for ref in refs] == [False] * (n + 2) + [True] * 25
+
+    monkeypatch.setattr(verify, "corpus_algebras", tracked_draw)
+    monkeypatch.setitem(verify.SUITE_PARTS, "tables", probe)
+    run_suite("all", n)
+    assert probed == [n + 2 + 25]
