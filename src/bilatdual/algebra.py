@@ -634,9 +634,8 @@ class _PackedKeys:
             out.append((_unpack_keys(np.flatnonzero(present), self.radices[a:b]), slot[codes]))
         return out
 
-    def key_blocks(self, left: np.ndarray, right: np.ndarray):
-        """Yield (op, start, keys): keys[i, j] is the key of op(left[start + i], right[j])."""
-        step = max(1, HOM_CHECK_BLOCK // max(1, right.shape[0]))
+    def op_keys(self, left: np.ndarray, right: np.ndarray):
+        """Yield (op, keys): keys(i, j) is the key array of op(left[i], right[j]) for slices i, j."""
         sides = list(zip(self.groups, self._codes(left), self._codes(right)))
         for op in BINARY_OPS:
             parts = []
@@ -648,13 +647,22 @@ class _PackedKeys:
                     local += self.factors[c].tables[op][da[:, c - a][:, None],
                                                         db[:, c - a][None, :]]
                 parts.append((cells, local, ia, ib))
-            (_, first, ia0, ib0), *rest = parts
-            for start in range(0, left.shape[0], step):
-                keys = np.take(first[ia0[start:start + step]], ib0, axis=1).astype(np.int64)
+
+            def keys(i: slice, j: slice, parts=parts) -> np.ndarray:
+                (_, first, ia0, ib0), *rest = parts
+                out = np.take(first[ia0[i]], ib0[j], axis=1).astype(np.int64)
                 for cells, local, ia, ib in rest:
-                    keys *= cells
-                    keys += np.take(local[ia[start:start + step]], ib, axis=1)
-                yield op, start, keys
+                    out *= cells
+                    out += np.take(local[ia[i]], ib[j], axis=1)
+                return out
+            yield op, keys
+
+    def key_blocks(self, left: np.ndarray, right: np.ndarray):
+        """Yield (op, start, keys): keys[i, j] is the key of op(left[start + i], right[j])."""
+        step = max(1, HOM_CHECK_BLOCK // max(1, right.shape[0]))
+        for op, keys in self.op_keys(left, right):
+            for start in range(0, left.shape[0], step):
+                yield op, start, keys(slice(start, start + step), slice(None))
 
     def neg_keys(self, rows: np.ndarray) -> np.ndarray:
         return self.pack(np.stack([f.neg[rows[:, c]] for c, f in enumerate(self.factors)],
@@ -698,9 +706,9 @@ def product_closure_rows(factors, generator_rows,
 
     Returns the closed rows sorted by packed key, without building tables. The
     ambient product is never materialized; only reachable tuples are kept, and
-    prod(sizes) must stay below 2**62. Each round combines all rows with the
-    new ones only, which is complete because every binary operation of a
-    FiniteAlgebra is commutative.
+    prod(sizes) must stay below 2**62. Each round combines each new row with
+    the rows before it and itself only, which is complete because every binary
+    operation of a FiniteAlgebra is commutative.
     """
     kernel = _PackedKeys(factors)
     seed = [tuple(int(v) for v in row) for row in generator_rows]
@@ -710,8 +718,11 @@ def product_closure_rows(factors, generator_rows,
     frontier = rows
     while frontier.size:
         cand_keys = [kernel.neg_keys(frontier)]
-        for _, _, keys in kernel.key_blocks(rows, frontier):
-            cand_keys.append(np.unique(keys))
+        old = rows.shape[0] - frontier.shape[0]
+        step = max(1, HOM_CHECK_BLOCK // rows.shape[0])
+        for _, keys in kernel.op_keys(frontier, rows):
+            for s in range(0, frontier.shape[0], step):
+                cand_keys.append(np.unique(keys(slice(s, s + step), slice(old + s + step))))
         cand = np.unique(np.concatenate(cand_keys))
         pos = np.searchsorted(known, cand)
         pos_c = np.minimum(pos, known.shape[0] - 1)

@@ -31,52 +31,32 @@ class DoubledSpace:
 
     def block_masks(self) -> tuple[int, int, int]:
         """Bit masks of the bottom, centre and top blocks."""
-        rank = self.base.rank
-        bottom = centre = top = 0
-        for i in range(self.m):
-            if rank[i] == 0:
-                centre |= 1 << i
-                centre |= 1 << (self.m + i)
-            else:
-                bottom |= 1 << i
-                top |= 1 << (self.m + i)
-        return bottom, centre, top
+        out = np.array(self.base.rank) >= 1
+        none = np.zeros(self.m, dtype=bool)
+        blocks = ((out, none), (~out, ~out), (none, out))   # (plain half, hatted half)
+        return tuple(int.from_bytes(np.packbits(np.concatenate(b), bitorder="little"), "little")
+                     for b in blocks)
 
 
 def construct_P(X: MultiSortedStructure) -> DoubledSpace:
-    """Clause-by-clause doubling of F(X); the result must already be transitive.
+    """The doubling of F(X), built from three blocks; the result must already be transitive.
 
-    No transitive repair is applied: a failure here means the clauses were
-    transcribed wrongly, and surfaces as a hard error from the Poset validator.
+    Let `out` be the points of rank >= 1 and G[x, y] = leq[g(x), g(y)]. Plain points
+    keep the amalgamated order, and an outside x also lies below each rank-0 y above
+    g(x). Hatted points carry the transposed order. A plain x lies below a hatted y when
+    g(y) <= g(x) with x outside, or g(x) <= g(y) with y outside; no hatted point lies
+    below a plain one. No transitive repair is applied: a failure here means the clauses
+    were transcribed wrongly, and surfaces as a hard error from the Poset validator.
     """
     Y = functor_F(X)
-    m = Y.poset.n
     leq = Y.poset.leq
-    g = Y.g
-    rank = Y.rank
+    out = np.array(Y.rank) >= 1
+    G = leq[np.ix_(Y.g, Y.g)]
+    plain = leq | (out[:, None] & ~out[None, :] & G)
+    across = (out[:, None] & G.T) | (out[None, :] & G)
     names = list(Y.poset.elements) + ["^" + e for e in Y.poset.elements]
-    mat = np.zeros((2 * m, 2 * m), dtype=bool)
-    for x in range(m):
-        for y in range(m):
-            # plain-plain: the amalgamated order, plus collapse onto the centre
-            ok = leq[x, y]
-            if rank[x] >= 1 and rank[y] == 0:
-                ok = ok or leq[g[x], y]
-            mat[x, y] = ok
-            # hatted-hatted: reversed order, plus collapse onto the hatted centre
-            ok = leq[y, x]
-            if rank[x] == 0 and rank[y] >= 1:
-                ok = ok or leq[g[y], x]
-            mat[m + x, m + y] = ok
-            # plain-to-hatted, split by membership in the rank-0 block
-            if rank[x] >= 1 and rank[y] == 0:
-                mat[x, m + y] = leq[y, g[x]]
-            elif rank[x] == 0 and rank[y] >= 1:
-                mat[x, m + y] = leq[x, g[y]]
-            elif rank[x] >= 1 and rank[y] >= 1:
-                mat[x, m + y] = leq[g[x], g[y]] or leq[g[y], g[x]]
-    poset = Poset(names, mat)
-    return DoubledSpace(Y, poset, m)
+    poset = Poset(names, np.block([[plain, across], [np.zeros_like(leq), plain.T]]))
+    return DoubledSpace(Y, poset, Y.poset.n)
 
 
 def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -> tuple[int, ...]:

@@ -81,12 +81,6 @@ class MultiSortedStructure:
     def points(self) -> list[tuple[int, int]]:
         return [(k, i) for k in range(self.n + 1) for i in range(len(self.sorts[k]))]
 
-    def sort_matrix(self, k: int) -> np.ndarray:
-        m = np.zeros((len(self.sorts[k]),) * 2, dtype=bool)
-        for a, b in self.rel[(k, k)]:
-            m[a, b] = True
-        return m
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -455,6 +449,20 @@ class AxiomVerdict:
     witness: tuple | None
     instances: int
 
+    @classmethod
+    def over(cls, slots) -> "AxiomVerdict":
+        """The verdict over (prefix, instances, failures) boolean arrays, read slot by slot.
+
+        Every instance counts. The witness is the prefix plus the row-major index of the
+        first failure in the first slot that has one.
+        """
+        count, witness = 0, None
+        for prefix, instances, failures in slots:
+            count += int(np.count_nonzero(instances))
+            if witness is None and failures.any():
+                witness = prefix + tuple(map(int, np.argwhere(failures)[0]))
+        return cls(witness is None, witness, count)
+
 
 @dataclass
 class AxiomReport:
@@ -471,12 +479,11 @@ class AxiomReport:
 def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Single-sorted relation on the disjoint union: the relations of all slots at once."""
     points = X.points()
-    pos = {pt: i for i, pt in enumerate(points)}
-    m = len(points)
-    rel = np.zeros((m, m), dtype=bool)
+    starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
+    rel = np.zeros((len(points),) * 2, dtype=bool)
     for (j, k), pairs in X.rel.items():
         for a, b in pairs:
-            rel[pos[(j, a)], pos[(k, b)]] = True
+            rel[starts[j] + a, starts[k] + b] = True
     return rel, points
 
 
@@ -484,32 +491,32 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     """A1-A7 with witnesses; A1 is vacuous here (finite discrete topology).
 
     Each axiom reads the slots in canonical order and each slot's pairs in sorted
-    order, and its witness is the first failure met. A5 looks up the z with
-    y R_kl z in an index of R_kl by first coordinate, so its instances are the
-    triples x R_jk y R_kl z. A7 is decided through the amalgamated single-sorted
-    relation: a separating family of mutually increasing up-sets exists iff the
-    target is unreachable from the source along the combined relation.
+    order, and its witness is the first failure met. A2, A3, A6 and A7 read the slot
+    blocks of the amalgamated relation. A5 looks up the z with y R_kl z in an index of
+    R_kl by first coordinate, so its instances are the triples x R_jk y R_kl z. A7 is
+    decided through reachability along the amalgamated relation: a separating family of
+    mutually increasing up-sets exists iff the target is unreachable from the source.
     """
     n = X.n
     ordered = {slot: sorted(rel) for slot, rel in X.rel.items()}
     cross = [(j, k) for j, k in ordered if j < k]
+    rel, _ = amalgamated_relation(X)
+    starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
+    span = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    g = np.array([*range(len(X.sorts[0])), *itertools.chain.from_iterable(X.g)])
+    split = rel & (g[:, None] != g[None, :])   # related points with different g-images
     verdicts = {"A1": AxiomVerdict(True, None, 0)}
 
     # A2 (sorts k >= 1) and A3 (cross slots): related points have the same g-image
-    for name, slots in (("A2", [(k, k) for k in range(1, n + 1)]), ("A3", cross)):
-        w = None
-        count = 0
-        for j, k in slots:
-            for a, b in ordered[(j, k)]:
-                count += 1
-                if X.g[j - 1][a] != X.g[k - 1][b] and w is None:
-                    w = (k, a, b) if j == k else (j, k, a, b)
-        verdicts[name] = AxiomVerdict(w is None, w, count)
+    verdicts["A2"] = AxiomVerdict.over(((k,), rel[span[k], span[k]], split[span[k], span[k]])
+                                       for k in range(1, n + 1))
+    verdicts["A3"] = AxiomVerdict.over(((j, k), rel[span[j], span[k]], split[span[j], span[k]])
+                                       for j, k in cross)
 
     w = None
     count = 0
     for j, k in cross:
-        rel, relj, relk = X.rel[(j, k)], X.rel[(j, j)], X.rel[(k, k)]
+        rel_jk, relj, relk = X.rel[(j, k)], X.rel[(j, j)], X.rel[(k, k)]
         for y, u in ordered[(j, k)]:
             for x in range(len(X.sorts[j])):
                 if (x, y) not in relj:
@@ -518,7 +525,7 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
                     if (u, v) not in relk:
                         continue
                     count += 1
-                    if (x, v) not in rel and w is None:
+                    if (x, v) not in rel_jk and w is None:
                         w = (j, k, x, y, u, v)
     verdicts["A4"] = AxiomVerdict(w is None, w, count)
 
@@ -539,30 +546,13 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
                     w = (j, k, l, x, y, min(zs - jl.get(x, empty)))
     verdicts["A5"] = AxiomVerdict(w is None, w, count)
 
-    w = None
-    count = 0
-    for k in range(n + 1):
-        count += 1
-        res = check_relation(X.sort_matrix(k))
-        if not res.ok and w is None:
-            w = (k, res.kind, res.witness)
-    verdicts["A6"] = AxiomVerdict(w is None, w, count)
+    orders = [check_relation(rel[span[k], span[k]]) for k in range(n + 1)]
+    bad = [(k, res.kind, res.witness) for k, res in enumerate(orders) if not res.ok]
+    verdicts["A6"] = AxiomVerdict(not bad, bad[0] if bad else None, n + 1)
 
-    rel, points = amalgamated_relation(X)
-    reach = reflexive_transitive_closure(rel)
-    pos = {pt: i for i, pt in enumerate(points)}
-    w = None
-    count = 0
-    for j, k in cross:
-        pairs = X.rel[(j, k)]
-        for x in range(len(X.sorts[j])):
-            for y in range(len(X.sorts[k])):
-                if (x, y) in pairs:
-                    continue
-                count += 1
-                if reach[pos[(j, x)], pos[(k, y)]] and w is None:
-                    w = (j, k, x, y)
-    verdicts["A7"] = AxiomVerdict(w is None, w, count)
+    reached = ~rel & reflexive_transitive_closure(rel)   # unrelated, yet connected
+    verdicts["A7"] = AxiomVerdict.over(((j, k), ~rel[span[j], span[k]], reached[span[j], span[k]])
+                                       for j, k in cross)
     return AxiomReport(verdicts)
 
 

@@ -8,6 +8,7 @@ back into sorts. They are mutually inverse on the nose.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,6 @@ class RankedPriestleySpace:
         if any(not 0 <= v < self.poset.n for v in self.g):
             raise ValueError("g image out of range")
 
-    def __eq__(self, other):
-        if not isinstance(other, RankedPriestleySpace):
-            return NotImplemented
-        return (self.n == other.n and self.poset == other.poset
-                and self.g == other.g and self.rank == other.rank)
-
     def to_dot(self, name: str = "ranked") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
         for r in range(self.n + 1):
@@ -71,15 +66,10 @@ def functor_F(X: MultiSortedStructure) -> RankedPriestleySpace:
     if not report.ok:
         raise StructureAxiomError(report)
     rel, points = amalgamated_relation(X)
-    pos = {pt: i for i, pt in enumerate(points)}
-    names = [X.sorts[k][i] for k, i in points]
-    poset = Poset(names, rel)
-    g = []
-    rank = []
-    for k, i in points:
-        rank.append(k)
-        g.append(pos[(0, X.g[k - 1][i])] if k >= 1 else pos[(0, i)])
-    return RankedPriestleySpace(poset, tuple(g), tuple(rank), X.n)
+    poset = Poset([X.sorts[k][i] for k, i in points], rel)
+    # sort 0 comes first, so a point of sort 0 sits at its own index
+    g = [*range(len(X.sorts[0])), *itertools.chain.from_iterable(X.g)]
+    return RankedPriestleySpace(poset, g, [k for k, _ in points], X.n)
 
 
 def functor_G(Y: RankedPriestleySpace) -> MultiSortedStructure:
@@ -113,29 +103,14 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
     verdicts: dict[str, AxiomVerdict] = {}
     leq = Y.poset.leq
     m = Y.poset.n
+    g, rank = np.array(Y.g, dtype=np.intp), np.array(Y.rank, dtype=np.intp)
     res = check_relation(leq)
     verdicts["B1"] = AxiomVerdict(res.ok, None if res.ok else (res.kind, res.witness), 1)
+    verdicts["B2"] = AxiomVerdict.over([((), np.ones(m, dtype=bool), g[g] != g)])
+    leaving = leq & ~np.eye(m, dtype=bool) & (rank >= 1)[:, None]
+    verdicts["B3"] = AxiomVerdict.over([((), leaving, leaving & (g[:, None] != g[None, :]))])
 
-    w = None
-    for i in range(m):
-        if Y.g[Y.g[i]] != Y.g[i]:
-            w = (i,)
-            break
-    verdicts["B2"] = AxiomVerdict(w is None, w, m)
-
-    w = None
-    count = 0
-    for i in range(m):
-        if Y.rank[i] == 0:
-            continue
-        for j in range(m):
-            if leq[i, j] and i != j:
-                count += 1
-                if Y.g[i] != Y.g[j] and w is None:
-                    w = (i, j)
-    verdicts["B3"] = AxiomVerdict(w is None, w, count)
-
-    image = {Y.g[i] for i in range(m)}
+    image = set(Y.g)
     connected = reflexive_transitive_closure(leq | leq.T)
     w = None
     for start in range(m):
@@ -145,16 +120,7 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
             w = tuple(component)
             break
     verdicts["B4"] = AxiomVerdict(w is None, w, m)
-
-    w = None
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            if leq[i, j]:
-                count += 1
-                if Y.rank[i] > Y.rank[j] and w is None:
-                    w = (i, j)
-    verdicts["B5"] = AxiomVerdict(w is None, w, count)
+    verdicts["B5"] = AxiomVerdict.over([((), leq, leq & (rank[:, None] > rank[None, :]))])
 
     zeros = {i for i in range(m) if Y.rank[i] == 0}
     holds = image == zeros

@@ -141,9 +141,10 @@ def suite_functors(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> Non
             Y = functor_F(X)
             if not check_axioms_B(Y).ok:
                 return False, "F(X) fails the B axioms"
-            if functor_G(Y) != X:
+            G = functor_G(Y)
+            if G != X:
                 return False, "G(F(X)) != X"
-            if functor_F(functor_G(Y)) != Y:
+            if functor_F(G) != Y:
                 return False, "F(G(Y)) != Y"
             return True, None
         check(f"roundtrip:{i}", roundtrip)
