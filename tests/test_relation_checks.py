@@ -59,7 +59,7 @@ def _verdicts(report):
 
 @pytest.fixture(scope="module")
 def pool():
-    """Structures (all n = 1..5 corpora, duals and deletions) and the duals for P(X)."""
+    """Corpora at n = 1..5, deletions and duals at n = 1..3; and the duals alone, for P(X)."""
     structures, duals = [], []
     for n in range(1, 6):
         structures += structure_corpus(n, 400, SEED + n)
