@@ -195,7 +195,12 @@ DOWNSET_LIMIT = 10**7
 
 
 def partitioned_downset_count(n: int) -> PartitionedCount:
-    """Count, then enumerate, the down-sets of P(M~n) and classify them by block traces."""
+    """Count, then stream, the down-sets of P(M~n) and classify them by block traces.
+
+    One pass tallies each down-set's trace on the centre and the minimal top points,
+    at most 36 x 16 keys. A down-set meets the top block if and only if it holds a
+    minimal top point, so the keys fold into the two tables afterwards.
+    """
     space = construct_P(build_alter_ego(n))
     P = space.poset
     total = count_downsets(P)
@@ -205,9 +210,14 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     top_indices = [i for i in range(P.n) if top_mask >> i & 1]
     top_sub = P.restrict(top_indices)
     min_top_mask = sum(1 << top_indices[i] for i in top_sub.minimal_elements())
-    masks = enumerate_downsets(P)
-    by_centre = Counter(mask & centre_mask for mask in masks if not mask & top_mask)
-    by_min_top = Counter(mask & min_top_mask for mask in masks if mask & top_mask)
+    by_centre: Counter[int] = Counter()
+    by_min_top: Counter[int] = Counter()
+    for key, count in Counter(map((centre_mask | min_top_mask).__and__,
+                                  enumerate_downsets(P))).items():
+        if key & min_top_mask:
+            by_min_top[key & min_top_mask] += count
+        else:
+            by_centre[key] += count   # the key is already the centre trace
 
     def named(tally: Counter[int]) -> dict[frozenset[str], int]:
         return {frozenset(P.elements[i] for i in range(P.n) if trace >> i & 1): count

@@ -224,21 +224,44 @@ def count_downsets(P: Poset) -> int:
     return memo[full]
 
 
-def enumerate_downsets(P: Poset) -> list[int]:
-    """All down-sets as bit masks, each once, depth-first along the linear extension."""
-    up, bit = _ranked(P)
-    out: list[int] = []
-    stack = [((1 << P.n) - 1, 0)]
-    while stack:
-        mask, acc = stack.pop()
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            stack.append((mask & ~up[i], acc))
-            mask ^= low
-            acc |= bit[i]
-        out.append(acc)
-    return out
+class DownsetView:
+    """The down-sets of a poset as bit masks, streamed: only the search stack is held.
+
+    Each pass runs the depth-first search afresh and yields the same masks in the
+    same order. A push takes a point out of the working mask, so the stack never
+    holds more entries than P has points.
+    """
+
+    __slots__ = ("n", "up", "bit")
+
+    def __init__(self, P: Poset):
+        self.n = P.n
+        self.up, self.bit = _ranked(P)
+
+    def __iter__(self):
+        up, bit = self.up, self.bit
+        stack = [((1 << self.n) - 1, 0)]
+        while stack:
+            mask, acc = stack.pop()
+            while mask:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                stack.append((mask & ~up[i], acc))
+                mask ^= low
+                acc |= bit[i]
+            yield acc
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def enumerate_downsets(P: Poset) -> DownsetView:
+    """All down-sets as bit masks, each once, depth-first along the linear extension.
+
+    Returns a re-iterable view, not a list, so memory is O(|P|) whatever the count;
+    `len` costs one pass over every down-set.
+    """
+    return DownsetView(P)
 
 
 def is_downset_mask(mask: int, down_masks) -> bool:

@@ -1,5 +1,7 @@
 """The doubled space, its block structure, counting, and the reduct translation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,21 @@ def test_partitioned_tallies_match_tables():
             assert pc.by_min_top.get(key, 0) == val, (n, sorted(key))
         assert set(pc.by_centre) <= set(exp1)
         assert set(pc.by_min_top) <= set(exp2)
+
+
+def test_partitioned_count_streams_its_downsets():
+    # 103,746 down-sets at n=6; held in a list, they peaked above 4 MB
+    tracemalloc.start()
+    try:
+        pc = partitioned_downset_count(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    fs = free_size_formula(6)
+    assert (pc.avoiding_top, pc.meeting_top) == (fs.avoiding_top, fs.meeting_top)
+    assert pc.by_centre == table_avoiding_expected(6)
+    assert pc.by_min_top == table_meeting_expected(6)
 
 
 def test_tables_suite_compares_every_tally_cell(monkeypatch):

@@ -1,5 +1,6 @@
 """Poset validation, down-set machinery, combinators, isomorphism."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -72,15 +73,20 @@ def test_count_matches_bruteforce_on_random_posets():
         assert count_downsets(dual(P)) == expected
 
 
-def test_downset_kernels_on_index_orders_that_are_not_linear_extensions():
+def relabelled_posets():
+    """Seeded random posets, each relabelled by a shuffle of its indices."""
     # random_poset only relates i < j; a seeded relabelling breaks that
     rng = random.Random(29)
-    inverted = 0
     for _ in range(40):
         P = random_poset(rng, max_n=12)
         perm = list(range(P.n))
         rng.shuffle(perm)
-        relabelled = Poset(P.elements, P.leq[np.ix_(perm, perm)])
+        yield Poset(P.elements, P.leq[np.ix_(perm, perm)])
+
+
+def test_downset_kernels_on_index_orders_that_are_not_linear_extensions():
+    inverted = 0
+    for relabelled in relabelled_posets():
         inverted += bool(np.tril(relabelled.leq, -1).any())
         for Q in (relabelled, dual(relabelled)):
             down = Q.down_masks()
@@ -90,6 +96,36 @@ def test_downset_kernels_on_index_orders_that_are_not_linear_extensions():
             assert set(masks) == scan
             assert count_downsets(Q) == len(scan)
     assert inverted >= 20
+
+
+def mask_digest(masks) -> str:
+    return hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+
+
+# sha256 of the comma-joined masks, recorded when enumeration still built a list
+ORDER_DIGESTS = {
+    "P(M~1)": "4c6d2d5ba4e94b5263a896ab33445a903f48606ead616f46437cfbd05b2f407e",
+    "P(M~2)": "c2e4cbc241f5046955d90416c5979b4bd468c4ea7c2e27f248962f0d584cdb91",
+    "P(M~3)": "4ae8235478ec4e4cd9461ee01c998b83cb97669b894de09ba0473cd98a9b0690",
+    "grid(2, 5)": "6e410424fbbafc21b9f415ef86447f9c8fc72427afad71c7688e004b4767ad74",
+    # each relabelled poset and then its dual, every sequence closed by -1
+    "relabelled": "2a942239dd97cd65a9972d98a1f4031b1c0d4f96d4f42b8f2964330fa9af307c",
+}
+
+
+def test_the_downset_view_streams_the_pinned_order_on_every_pass():
+    posets_by_label = {f"P(M~{n})": [construct_P(build_alter_ego(n)).poset] for n in (1, 2, 3)}
+    posets_by_label["grid(2, 5)"] = [grid(2, 5)]
+    posets_by_label["relabelled"] = [Q for R in relabelled_posets() for Q in (R, dual(R))]
+    for label, family in posets_by_label.items():
+        seq = []
+        for Q in family:
+            view = enumerate_downsets(Q)
+            masks = list(view)
+            assert list(view) == masks, label   # a second pass yields the same masks
+            assert len(view) == len(masks), label
+            seq.extend(masks + [-1] if label == "relabelled" else masks)
+        assert mask_digest(seq) == ORDER_DIGESTS[label], label
 
 
 def test_the_ranking_is_a_linear_extension_of_the_doubled_space():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bilatdual import ranked, verify
 from bilatdual.algebra import build_mk
 from bilatdual.corpus import corpus_algebras, structure_corpus
 from bilatdual.multisorted import (build_alter_ego, check_axioms,
@@ -13,6 +14,7 @@ from bilatdual.posets import Poset, are_isomorphic, chain, dual, enumerate_downs
 from bilatdual.ranked import (RankedPriestleySpace, StructureAxiomError, check_axioms_B,
                               flat_map_of_multimorphism, functor_F, functor_G,
                               is_ranked_morphism)
+from bilatdual.verify import run_suite
 
 
 def structure_pool(n, seed=51):
@@ -193,3 +195,30 @@ def test_interchange_and_dot():
     Y = functor_F(build_alter_ego(2))
     dot = Y.to_dot()
     assert "rank=same" in dot and "style=dashed" in dot
+
+
+def test_functors_roundtrip_checks_the_b_axioms_once(monkeypatch):
+    calls = []
+
+    def counted(Y):
+        calls.append(Y)
+        return check_axioms_B(Y)
+
+    for module in (ranked, verify):   # wherever the check is bound
+        monkeypatch.setattr(module, "check_axioms_B", counted, raising=False)
+    roundtrips = [c for c in run_suite("functors", 1).checks if c.id.startswith("roundtrip:")]
+    assert roundtrips and all(c.status == "pass" for c in roundtrips)
+    assert len(calls) == len(roundtrips)
+
+
+def test_functors_roundtrip_reports_a_b_axiom_failure(monkeypatch):
+    def broken_F(X):
+        Y = ranked.functor_F(X)
+        rank = list(Y.rank)
+        rank[0] = 1   # a retract point with positive rank breaks B6
+        return RankedPriestleySpace(Y.poset, Y.g, tuple(rank), Y.n)
+
+    monkeypatch.setattr(verify, "functor_F", broken_F)
+    roundtrips = [c for c in run_suite("functors", 1).checks if c.id.startswith("roundtrip:")]
+    assert roundtrips
+    assert all((c.status, c.witness) == ("fail", "F(X) fails the B axioms") for c in roundtrips)
