@@ -16,9 +16,10 @@ from operator import index
 
 import numpy as np
 
-from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, enumerate_homs,
-                      is_homomorphism, mk_algebras, mk_elements, reflexive_transitive_closure)
-from .posets import check_relation
+from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, bool_compose,
+                      enumerate_homs, is_homomorphism, mk_algebras, mk_elements,
+                      reflexive_transitive_closure)
+from .posets import check_relation, first_true
 
 DEFAULT_MORPHISM_GUARD = 200_000
 SEPARATION_NODE_GUARD = 1_000_000   # kernel nodes over all pinned searches of one structure
@@ -450,18 +451,14 @@ class AxiomVerdict:
     instances: int
 
     @classmethod
-    def over(cls, slots) -> "AxiomVerdict":
-        """The verdict over (prefix, instances, failures) boolean arrays, read slot by slot.
+    def over(cls, instances, failures: np.ndarray, locate) -> "AxiomVerdict":
+        """The verdict on `instances` instances; `failures` marks where it fails, if anywhere.
 
-        Every instance counts. The witness is the prefix plus the row-major index of the
-        first failure in the first slot that has one.
+        Only a failing axiom calls `locate(failures)` for its witness.
         """
-        count, witness = 0, None
-        for prefix, instances, failures in slots:
-            count += int(np.count_nonzero(instances))
-            if witness is None and failures.any():
-                witness = prefix + tuple(map(int, np.argwhere(failures)[0]))
-        return cls(witness is None, witness, count)
+        if failures.any():
+            return cls(False, locate(failures), int(instances))
+        return cls(True, None, int(instances))
 
 
 @dataclass
@@ -480,79 +477,77 @@ def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tupl
     """Single-sorted relation on the disjoint union: the relations of all slots at once."""
     points = X.points()
     starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
-    rel = np.zeros((len(points),) * 2, dtype=bool)
-    for (j, k), pairs in X.rel.items():
-        for a, b in pairs:
-            rel[starts[j] + a, starts[k] + b] = True
-    return rel, points
+    m = len(points)
+    rel = np.zeros(m * m, dtype=bool)
+    rel[[(starts[j] + a) * m + starts[k] + b
+         for (j, k), pairs in X.rel.items() for a, b in pairs]] = True
+    return rel.reshape(m, m), points
 
 
 def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     """A1-A7 with witnesses; A1 is vacuous here (finite discrete topology).
 
-    Each axiom reads the slots in canonical order and each slot's pairs in sorted
-    order, and its witness is the first failure met. A2, A3, A6 and A7 read the slot
-    blocks of the amalgamated relation. A5 looks up the z with y R_kl z in an index of
-    R_kl by first coordinate, so its instances are the triples x R_jk y R_kl z. A7 is
-    decided through reachability along the amalgamated relation: a separating family of
-    mutually increasing up-sets exists iff the target is unreachable from the source.
+    Every axiom reads the amalgamated relation, split into the sort orders D (its
+    diagonal blocks) and the cross relations C: A4 holds iff D∘C∘D ⊆ C, over the
+    D.sum(0) @ C @ D.sum(1) instances x D y C u D v, and A5 iff C∘C ⊆ C, over the
+    C.sum(0) @ C.sum(1) instances x C y C z. A7: mutually increasing up-sets separate
+    an unrelated pair of a cross slot iff its target is unreachable from its source.
+    A witness is located only on failure, as the first failure in loop order: slot,
+    then (for A5) the sort of z, then the slot's pair, then the other points.
     """
     n = X.n
-    ordered = {slot: sorted(rel) for slot, rel in X.rel.items()}
-    cross = [(j, k) for j, k in ordered if j < k]
     rel, _ = amalgamated_relation(X)
     starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
     span = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    sort = np.repeat(np.arange(n + 1), [len(s) for s in X.sorts])
     g = np.array([*range(len(X.sorts[0])), *itertools.chain.from_iterable(X.g)])
     split = rel & (g[:, None] != g[None, :])   # related points with different g-images
-    verdicts = {"A1": AxiomVerdict(True, None, 0)}
+    unrelated = ~rel
+    D = rel & (sort[:, None] == sort[None, :])
+    C = rel ^ D
+    upper = D & (sort > 0)[:, None]   # the orders of the sorts k >= 1
+    apart = unrelated & (sort[:, None] < sort[None, :]) & (sort > 0)[:, None]   # in cross slots
 
-    # A2 (sorts k >= 1) and A3 (cross slots): related points have the same g-image
-    verdicts["A2"] = AxiomVerdict.over(((k,), rel[span[k], span[k]], split[span[k], span[k]])
-                                       for k in range(1, n + 1))
-    verdicts["A3"] = AxiomVerdict.over(((j, k), rel[span[j], span[k]], split[span[j], span[k]])
-                                       for j, k in cross)
+    def first_slot(bad):
+        """(j, k, a, b): the first failure by slot, then row-major; `bad` marks one slot kind."""
+        j = int(sort[np.argmax(bad.any(1))])
+        k = int(sort[np.argmax(bad[span[j]].any(0))])
+        return (j, k, *first_true(bad[span[j], span[k]]))
 
-    w = None
-    count = 0
-    for j, k in cross:
-        rel_jk, relj, relk = X.rel[(j, k)], X.rel[(j, j)], X.rel[(k, k)]
-        for y, u in ordered[(j, k)]:
-            for x in range(len(X.sorts[j])):
-                if (x, y) not in relj:
-                    continue
-                for v in range(len(X.sorts[k])):
-                    if (u, v) not in relk:
-                        continue
-                    count += 1
-                    if (x, v) not in rel_jk and w is None:
-                        w = (j, k, x, y, u, v)
-    verdicts["A4"] = AxiomVerdict(w is None, w, count)
+    def a4_witness(bad):
+        j, k, y, u = first_slot(bad)
+        x, v = first_true(D[span[j], starts[j] + y, None] & D[starts[k] + u, span[k]]
+                          & unrelated[span[j], span[k]])
+        return j, k, x, y, u, v
 
-    succ = {slot: {} for slot in cross}
-    for slot in cross:
-        for a, b in X.rel[slot]:
-            succ[slot].setdefault(a, set()).add(b)
-    empty = frozenset()
-    w = None
-    count = 0
-    for j, k in cross:
+    def a5_witness(bad):
+        j, k, _, _ = first_slot(bad)
         for l in range(k + 1, n + 1):
-            kl, jl = succ[(k, l)], succ[(j, l)]
-            for x, y in ordered[(j, k)]:
-                zs = kl.get(y, empty)
-                count += len(zs)
-                if w is None and not zs <= jl.get(x, empty):
-                    w = (j, k, l, x, y, min(zs - jl.get(x, empty)))
-    verdicts["A5"] = AxiomVerdict(w is None, w, count)
+            above = C[span[k], span[l]]
+            fails = C[span[j], span[k]] & bool_compose(unrelated[span[j], span[l]], above.T)
+            if fails.any():
+                x, y = first_true(fails)
+                return j, k, l, x, y, first_true(above[y] & unrelated[starts[j] + x, span[l]])[0]
 
-    orders = [check_relation(rel[span[k], span[k]]) for k in range(n + 1)]
+    verdicts = {
+        "A1": AxiomVerdict(True, None, 0),
+        # A2 (sorts k >= 1) and A3 (cross slots): related points have the same g-image
+        "A2": AxiomVerdict.over(np.count_nonzero(upper), split & upper,
+                                lambda bad: first_slot(bad)[1:]),
+        "A3": AxiomVerdict.over(np.count_nonzero(C), split & C, first_slot),
+        # A4: y C u fails when x D y C u D v for some unrelated x, v
+        "A4": AxiomVerdict.over(D.sum(0) @ C @ D.sum(1),
+                                C & bool_compose(bool_compose(D.T, unrelated), D.T), a4_witness),
+        # A5: x C y fails when some y C z has x, z unrelated
+        "A5": AxiomVerdict.over(C.sum(0) @ C.sum(1), C & bool_compose(unrelated, C.T), a5_witness),
+    }
+    # D is an order iff every diagonal block is; a failure is named by its first sort
+    orders = [] if check_relation(D).ok else [check_relation(rel[s, s]) for s in span]
     bad = [(k, res.kind, res.witness) for k, res in enumerate(orders) if not res.ok]
     verdicts["A6"] = AxiomVerdict(not bad, bad[0] if bad else None, n + 1)
-
-    reached = ~rel & reflexive_transitive_closure(rel)   # unrelated, yet connected
-    verdicts["A7"] = AxiomVerdict.over(((j, k), ~rel[span[j], span[k]], reached[span[j], span[k]])
-                                       for j, k in cross)
+    # A7: unrelated points of a cross slot that are connected
+    verdicts["A7"] = AxiomVerdict.over(np.count_nonzero(apart),
+                                       apart & reflexive_transitive_closure(rel), first_slot)
     return AxiomReport(verdicts)
 
 

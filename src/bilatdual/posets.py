@@ -23,23 +23,26 @@ class PosetCheck:
     witness: tuple | None = None
 
 
+def first_true(mask: np.ndarray) -> tuple[int, ...]:
+    """The row-major index of the first True of a boolean array that has one."""
+    return tuple(map(int, np.argwhere(mask)[0]))
+
+
 def check_relation(rel) -> PosetCheck:
     """Decide whether a square boolean matrix is a partial order, with a named witness."""
     mat = np.asarray(rel, dtype=bool)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("relation must be a square matrix")
-    n = mat.shape[0]
-    for i in range(n):
-        if not mat[i, i]:
-            return PosetCheck(False, "reflexivity", (i,))
-    both = mat & mat.T & ~np.eye(n, dtype=bool)
+    diagonal = mat.diagonal()
+    if not diagonal.all():
+        return PosetCheck(False, "reflexivity", first_true(~diagonal))
+    both = mat & mat.T & ~np.eye(mat.shape[0], dtype=bool)
     if both.any():
-        i, j = map(int, np.argwhere(both)[0])
-        return PosetCheck(False, "antisymmetry", (i, j))
+        return PosetCheck(False, "antisymmetry", first_true(both))
     closure = bool_compose(mat, mat)
     bad = closure & ~mat
     if bad.any():
-        i, k = map(int, np.argwhere(bad)[0])
+        i, k = first_true(bad)
         j = int(np.flatnonzero(mat[i] & mat[:, k])[0])
         return PosetCheck(False, "transitivity", (i, j, k))
     return PosetCheck(True)

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import reflexive_transitive_closure
 from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure,
                           amalgamated_relation, check_axioms, relation_slots)
-from .posets import Poset, check_relation, is_order_preserving
+from .posets import Poset, check_relation, first_true, is_order_preserving
 
 
 class StructureAxiomError(ValueError):
@@ -77,28 +77,27 @@ def functor_G(Y: RankedPriestleySpace) -> MultiSortedStructure:
     report = check_axioms_B(Y)
     if not report.ok:
         raise StructureAxiomError(report)
-    n = Y.n
-    blocks = [[i for i in range(Y.poset.n) if Y.rank[i] == k] for k in range(n + 1)]
-    local = {}
-    for k, block in enumerate(blocks):
-        for pos, i in enumerate(block):
-            local[i] = (k, pos)
-    sorts = tuple(tuple(Y.poset.elements[i] for i in block) for block in blocks)
-    g = []
-    for k in range(1, n + 1):
-        g.append(tuple(local[Y.g[i]][1] for i in blocks[k]))
-    rel = {(j, k): frozenset((local[a][1], local[b][1]) for a in blocks[j] for b in blocks[k]
-                             if Y.poset.leq[a, b])
-           for j, k in relation_slots(n)}
-    return MultiSortedStructure(n, sorts, tuple(g), rel)
+    rank, g = np.array(Y.rank), np.array(Y.g)
+    order = np.argsort(rank, kind="stable")   # rank by rank, each rank in index order
+    leq = Y.poset.leq[np.ix_(order, order)]
+    starts = np.searchsorted(rank[order], np.arange(Y.n + 2))
+    span = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    position = np.empty_like(order)   # g lands in rank 0, which comes first in `order`
+    position[order] = np.arange(len(order))
+    sorts = tuple(tuple(Y.poset.elements[i] for i in order[s]) for s in span)
+    rel = {(j, k): zip(*leq[span[j], span[k]].nonzero()) for j, k in relation_slots(Y.n)}
+    return MultiSortedStructure(Y.n, sorts, tuple(position[g[order[s]]] for s in span[1:]), rel)
 
 
 def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
-    """B1-B6 with witnesses.
+    """B1-B6 with witnesses, each a read of the order matrix.
 
     B3 applies to comparabilities leaving the retract: x <= y with rank(x) >= 1
     forces g(x) = g(y); inside the rank-0 block g is the identity and the order
-    is unconstrained.
+    is unconstrained. B4: a component of comparability is mixed when its row of
+    the comparability closure meets both the g-image and its complement; the
+    witness is the first mixed component. B6: the g-image is the rank-0 block;
+    the witness lists the points where the two differ.
     """
     verdicts: dict[str, AxiomVerdict] = {}
     leq = Y.poset.leq
@@ -106,25 +105,20 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
     g, rank = np.array(Y.g, dtype=np.intp), np.array(Y.rank, dtype=np.intp)
     res = check_relation(leq)
     verdicts["B1"] = AxiomVerdict(res.ok, None if res.ok else (res.kind, res.witness), 1)
-    verdicts["B2"] = AxiomVerdict.over([((), np.ones(m, dtype=bool), g[g] != g)])
+    verdicts["B2"] = AxiomVerdict.over(m, g[g] != g, first_true)
     leaving = leq & ~np.eye(m, dtype=bool) & (rank >= 1)[:, None]
-    verdicts["B3"] = AxiomVerdict.over([((), leaving, leaving & (g[:, None] != g[None, :]))])
-
-    image = set(Y.g)
+    verdicts["B3"] = AxiomVerdict.over(np.count_nonzero(leaving),
+                                       leaving & (g[:, None] != g[None, :]), first_true)
+    image = np.zeros(m, dtype=bool)
+    image[g] = True
     connected = reflexive_transitive_closure(leq | leq.T)
-    w = None
-    for start in range(m):
-        component = np.flatnonzero(connected[start]).tolist()
-        inside = [v in image for v in component]
-        if any(inside) and not all(inside):
-            w = tuple(component)
-            break
-    verdicts["B4"] = AxiomVerdict(w is None, w, m)
-    verdicts["B5"] = AxiomVerdict.over([((), leq, leq & (rank[:, None] > rank[None, :]))])
-
-    zeros = {i for i in range(m) if Y.rank[i] == 0}
-    holds = image == zeros
-    verdicts["B6"] = AxiomVerdict(holds, None if holds else (tuple(sorted(image ^ zeros)),), m)
+    mixed = (connected & image).any(1) & (connected & ~image).any(1)   # row by row
+    verdicts["B4"] = AxiomVerdict.over(
+        m, mixed, lambda bad: tuple(np.flatnonzero(connected[np.argmax(bad)]).tolist()))
+    verdicts["B5"] = AxiomVerdict.over(np.count_nonzero(leq),
+                                       leq & (rank[:, None] > rank[None, :]), first_true)
+    verdicts["B6"] = AxiomVerdict.over(m, image != (rank == 0),
+                                       lambda bad: (tuple(np.flatnonzero(bad).tolist()),))
     return AxiomReport(verdicts)
 
 

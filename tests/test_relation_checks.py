@@ -1,13 +1,17 @@
-"""Pinned answers of the order checks: every A- and B-verdict and every P(X) order.
+"""Pinned answers of the order checks: every A- and B-verdict, every G(Y) and every P(X) order.
 
 Each digest is the sha256 of the reprs of (name, holds, witness, instances) for every
-verdict of a seeded pool of structures, or of the bytes of `construct_P(X).poset.leq`.
+verdict of a seeded pool of structures, of the JSON of `functor_G(Y)` for every ranked
+space of that pool that passes B1-B6, or of the bytes of `construct_P(X).poset.leq`.
+The alter ego at larger depths and three of its one-pair deletions at n = 90 are pinned
+verdict by verdict.
 A change to how the checks read the relations must leave every digest as it is; one
 that changes a verdict on purpose re-records the digest and says why in CHANGES.md.
 """
 
 import hashlib
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,12 +21,26 @@ from bilatdual.bridge import construct_P
 from bilatdual.corpus import corpus_algebras, structure_corpus
 from bilatdual.multisorted import MultiSortedStructure, build_alter_ego, check_axioms
 from bilatdual.posets import Poset
-from bilatdual.ranked import RankedPriestleySpace, check_axioms_B, functor_F
+from bilatdual.ranked import RankedPriestleySpace, check_axioms_B, functor_F, functor_G
 
 SEED = 23
 A_DIGEST = "d7e04133eed492c2a80614b9024bc65b388e22a7b2442a04e3eae727e471a44e"
 B_DIGEST = "469998b1c65e2be25075e6ec598a46f2dabd586ad9724e21172c160c1154c7ad"
 P_DIGEST = "c112acab3eedb647985f55ff220fbbbb45119c409b3cf95eeb4cb3da31faa69e"
+G_DIGEST = "271a5ec056bf67a038862bfb0d3bcf000ee870bf46e4ed1fe63e0e9c9346ba8c"
+
+# check_axioms on M~90 with (5, 5) dropped from one cross slot
+DELETIONS_90 = {
+    (1, 90): [("A1", True, None, 0), ("A2", True, None, 720), ("A3", True, None, 32039),
+              ("A4", True, None, 48059), ("A5", False, (1, 2, 90, 5, 5, 5), 1174800),
+              ("A6", True, None, 91), ("A7", False, (1, 90, 5, 5), 112141)],
+    (88, 90): [("A1", True, None, 0), ("A2", True, None, 720), ("A3", True, None, 32039),
+               ("A4", True, None, 48059), ("A5", False, (88, 89, 90, 5, 5, 5), 1174713),
+               ("A6", True, None, 91), ("A7", False, (88, 90, 5, 5), 112141)],
+    (89, 90): [("A1", True, None, 0), ("A2", True, None, 720), ("A3", True, None, 32039),
+               ("A4", True, None, 48059), ("A5", True, None, 1174712),
+               ("A6", True, None, 91), ("A7", True, None, 112141)],
+}
 
 
 def _deletions(n):
@@ -74,14 +92,39 @@ def test_axiom_verdicts_are_pinned(pool):
     assert _digest(v for X in structures for v in _verdicts(check_axioms(X))) == A_DIGEST
 
 
-def test_b_axiom_verdicts_are_pinned(pool):
+@pytest.fixture(scope="module")
+def spaces(pool):
+    """F(X) for every structure of the pool that passes A1-A7, then 400 random spaces."""
     structures, _ = pool
     rng = random.Random(SEED)
-    spaces = [functor_F(X) for X in structures if check_axioms(X).ok]
-    spaces += [_random_space(rng) for _ in range(400)]
+    return [functor_F(X) for X in structures if check_axioms(X).ok] + \
+        [_random_space(rng) for _ in range(400)]
+
+
+def test_b_axiom_verdicts_are_pinned(spaces):
     reports = [check_axioms_B(Y) for Y in spaces]
     assert sum(r.ok for r in reports) > 100 and sum(not r.ok for r in reports) > 300
     assert _digest(v for r in reports for v in _verdicts(r)) == B_DIGEST
+
+
+def test_functor_G_is_pinned(spaces):
+    passing = [Y for Y in spaces if check_axioms_B(Y).ok]
+    assert _digest(functor_G(Y).to_json() for Y in passing) == G_DIGEST
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 60])
+def test_alter_ego_instances_are_pinned(n):
+    verdicts = check_axioms(build_alter_ego(n)).verdicts
+    assert all(v.holds for v in verdicts.values())
+    counts = tuple(verdicts[name].instances for name in ("A4", "A5", "A7"))
+    assert counts == (6 * n * (n - 1), 10 * comb(n, 3), 28 * comb(n, 2))
+
+
+@pytest.mark.parametrize("slot", sorted(DELETIONS_90), ids="{0[0]},{0[1]}".format)
+def test_one_pair_deletions_at_depth_90_are_pinned(slot):
+    ego = build_alter_ego(90)
+    X = MultiSortedStructure(90, ego.sorts, ego.g, {**ego.rel, slot: ego.rel[slot] - {(5, 5)}})
+    assert _verdicts(check_axioms(X)) == DELETIONS_90[slot]
 
 
 def test_doubled_orders_are_pinned(pool):
