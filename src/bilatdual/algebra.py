@@ -22,7 +22,7 @@ DEFAULT_TABLE_GUARD = 10**8   # table entries per operation of a product subalge
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
 DEFAULT_CLOSURE_GUARD = 10_000   # the largest carrier whose tables pass DEFAULT_TABLE_GUARD
-HOM_CHECK_BLOCK = 1 << 16   # table entries per row block: is_homomorphism, _PackedKeys
+HOM_CHECK_BLOCK = 1 << 16   # entries per row block over the four tables: is_homomorphism, keys
 
 
 class GuardExceeded(RuntimeError):
@@ -54,19 +54,34 @@ class SignatureN:
         return ("bot", "top") + fs + ts
 
 
-def _as_table(values, size: int) -> np.ndarray:
+def _block_rows(width: int) -> int:
+    """Rows per block, so that a block of all four tables holds at most HOM_CHECK_BLOCK entries."""
+    return max(1, HOM_CHECK_BLOCK // (len(BINARY_OPS) * width))
+
+
+def _table_values(values, shape: tuple, name: str) -> np.ndarray:
+    """The values as an integer array of the given shape, each indexing a carrier of shape[-1]."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
         raise ValueError("table entries must be integers")
-    if arr.min(initial=0) < 0 or (arr.size and arr.max() >= size):
+    if arr.min(initial=0) < 0 or (arr.size and arr.max() >= shape[-1]):
         raise ValueError("table entry out of carrier range")
-    arr = arr.astype(np.int16, copy=False)
+    if arr.shape != shape:
+        raise ValueError(f"{name} table has wrong shape")
+    return arr
+
+
+def _as_table(values, shape: tuple, name: str) -> np.ndarray:
+    arr = _table_values(values, shape, name).astype(np.int16, copy=False)
     arr.setflags(write=False)
     return arr
 
 
 class FiniteAlgebra:
-    """A finite algebra in some SignatureN, given by dense tables; binary ones commute."""
+    """A finite algebra in some SignatureN, given by dense tables; binary ones commute.
+
+    `tables` is one read-only (4, n, n) int16 array in BINARY_OPS order, kept uncopied if given so.
+    """
 
     __slots__ = ("signature", "elements", "tables", "neg", "consts", "_index")
 
@@ -76,17 +91,11 @@ class FiniteAlgebra:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise ValueError("element names must be distinct")
-        self.tables = {}
-        for op in BINARY_OPS:
-            tab = _as_table(tables[op], n)
-            if tab.shape != (n, n):
-                raise ValueError(f"{op} table has wrong shape")
-            if not np.array_equal(tab, tab.T):
-                raise ValueError(f"{op} table is not commutative")
-            self.tables[op] = tab
-        self.neg = _as_table(neg, n)
-        if self.neg.shape != (n,):
-            raise ValueError("neg table has wrong shape")
+        self.tables = _as_table(tables, (len(BINARY_OPS), n, n), "binary")
+        asymmetric = [not np.array_equal(tab, tab.T) for tab in self.tables]
+        if any(asymmetric):
+            raise ValueError(f"{BINARY_OPS[asymmetric.index(True)]} table is not commutative")
+        self.neg = _as_table(neg, (n,), "neg")
         self.consts = dict(consts)
         if len(self.consts) < 2 * signature.n + 4:
             raise ValueError(f"{len(self.consts)} constants given, but depth "
@@ -110,14 +119,14 @@ class FiniteAlgebra:
 
     def apply(self, op: str, *args: int) -> int:
         if op in BINARY_OPS:
-            return int(self.tables[op][args[0], args[1]])
+            return int(self.tables[BINARY_OPS.index(op), args[0], args[1]])
         if op == "neg":
             return int(self.neg[args[0]])
         return self.consts[op]
 
     def order_matrix(self, which: str) -> np.ndarray:
         """Partial order derived from a meet table: a <= b iff a meet b == a."""
-        meet = self.tables["meet_k" if which == "k" else "meet_t"]
+        meet = self.tables[BINARY_OPS.index(f"meet_{which}")]
         leq = meet == np.arange(self.size, dtype=np.int16)[:, None]
         leq.setflags(write=False)
         return leq
@@ -130,7 +139,7 @@ class FiniteAlgebra:
             and self.elements == other.elements
             and self.consts == other.consts
             and np.array_equal(self.neg, other.neg)
-            and all(np.array_equal(self.tables[op], other.tables[op]) for op in BINARY_OPS)
+            and np.array_equal(self.tables, other.tables)
         )
 
     def __repr__(self):
@@ -141,10 +150,7 @@ class FiniteAlgebra:
             "signature": {"n": self.signature.n},
             "elements": list(self.elements),
             "ops": {
-                "meet_t": self.tables["meet_t"].tolist(),
-                "join_t": self.tables["join_t"].tolist(),
-                "meet_k": self.tables["meet_k"].tolist(),
-                "join_k": self.tables["join_k"].tolist(),
+                **dict(zip(BINARY_OPS, self.tables.tolist())),
                 "neg": self.neg.tolist(),
                 "consts": {sym: self.elements[i] for sym, i in sorted(self.consts.items())},
             },
@@ -157,7 +163,10 @@ class FiniteAlgebra:
         index = {name: i for i, name in enumerate(elements)}
         ops = doc["ops"]
         consts = {sym: index[name] for sym, name in ops["consts"].items()}
-        return cls(sig, elements, {op: ops[op] for op in BINARY_OPS}, ops["neg"], consts)
+        tables = np.empty((len(BINARY_OPS), len(elements), len(elements)), dtype=np.int16)
+        for i, op in enumerate(BINARY_OPS):   # one named table at a time into the stack
+            tables[i] = _table_values(ops[op], tables.shape[1:], op)
+        return cls(sig, elements, tables, ops["neg"], consts)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -228,11 +237,9 @@ def lattice_tables_from_leq(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _algebra_from_orders(sig, elements, k_leq, t_leq, neg_names, const_names) -> FiniteAlgebra:
     idx = {name: i for i, name in enumerate(elements)}
-    meet_k, join_k = lattice_tables_from_leq(k_leq)
-    meet_t, join_t = lattice_tables_from_leq(t_leq)
     neg = [idx[neg_names[name]] for name in elements]
     consts = {sym: idx[name] for sym, name in const_names.items()}
-    tables = {"meet_k": meet_k, "join_k": join_k, "meet_t": meet_t, "join_t": join_t}
+    tables = np.stack([*lattice_tables_from_leq(k_leq), *lattice_tables_from_leq(t_leq)])
     return FiniteAlgebra(sig, elements, tables, neg, consts)
 
 
@@ -314,8 +321,8 @@ def mk_algebras(n: int) -> tuple[FiniteAlgebra, ...]:
 def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """Exhaustively check that the map preserves every operation and constant.
 
-    Large tables are compared in row blocks, all operations per block, so a
-    failing map is usually rejected after the first block.
+    Large tables are compared in row blocks of all four operations at once, so
+    a failing map is usually rejected after the first block.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("source and target must share a signature")
@@ -327,12 +334,11 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
             return False
     if not np.array_equal(h[A.neg], B.neg[h]):
         return False
-    step = max(1, HOM_CHECK_BLOCK // A.size)
+    step = _block_rows(A.size)
     for start in range(0, A.size, step):
         rows = slice(start, start + step)
-        for op in BINARY_OPS:
-            if not np.array_equal(h[A.tables[op][rows]], B.tables[op][h[rows]][:, h]):
-                return False
+        if not np.array_equal(h[A.tables[:, rows]], B.tables[:, h[rows]][:, :, h]):
+            return False
     return True
 
 
@@ -352,8 +358,8 @@ class _Closure:
             self.order.append(x)
             self.rules[x] = ("seed",)
 
-    def _adopt(self, op: str, left: np.ndarray, right: np.ndarray):
-        """Add the unknown values of op on left x right, each with its first witness pair."""
+    def _adopt(self, op: int, left: np.ndarray, right: np.ndarray):
+        """Add the unknown values of table op on left x right, each with its first witness pair."""
         flat = self.A.tables[op][np.ix_(left, right)].ravel()
         unknown = np.flatnonzero(~self.known[flat])
         if not unknown.size:
@@ -372,7 +378,7 @@ class _Closure:
             members = np.array(self.order, dtype=np.int64)
             fresh = members[self.combined:]
             self.combined = len(self.order)
-            for op in BINARY_OPS:
+            for op in range(len(A.tables)):   # one gather per table keeps the peak small
                 self._adopt(op, fresh, members)
             for src, v in zip(fresh.tolist(), A.neg[fresh].tolist()):
                 if not self.known[v]:
@@ -411,8 +417,7 @@ class _Stage:
         self.new = np.array(cl.order[start:end], dtype=np.int64)
         self.members = np.array(cl.order[:end], dtype=np.int64)
         self.neg_new = A.neg[self.new]
-        self.new_by_members = [A.tables[op][np.ix_(self.new, self.members)]
-                               for op in BINARY_OPS]
+        self.new_by_members = A.tables[:, self.new[:, None], self.members]
 
     def holds(self, h: np.ndarray, B: FiniteAlgebra) -> bool:
         """Whether h is a homomorphism on S_t, given that it is one on S_{t-1}.
@@ -422,12 +427,8 @@ class _Stage:
         operations of A and B commute, so each pair needs one order.
         """
         hn, hm = h[self.new], h[self.members]
-        if not np.array_equal(h[self.neg_new], B.neg[hn]):
-            return False
-        for op, left in zip(BINARY_OPS, self.new_by_members):
-            if not np.array_equal(h[left], B.tables[op][hn][:, hm]):
-                return False
-        return True
+        return (np.array_equal(h[self.neg_new], B.neg[hn])
+                and np.array_equal(h[self.new_by_members], B.tables[:, hn[:, None], hm]))
 
 
 def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -460,14 +461,14 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     ends = [len(cl.order)]
     while len(cl.order) < A.size:
         members = np.array(cl.order, dtype=np.int64)
-        escapes = sum((~cl.known[A.tables[op][:, members]]).sum(axis=1) for op in BINARY_OPS)
+        escapes = sum((~cl.known[tab[:, members]]).sum(axis=1) for tab in A.tables)
         gens.append(int(np.argmax(np.where(cl.known, -1, escapes))))
         cl.add_seed(gens[-1])
         cl.saturate()
         ends.append(len(cl.order))
     stages = [_Stage(cl, start, end, last=end == A.size)
               for start, end in zip([0] + ends, ends)]
-    btabs = {op: B.tables[op].tolist() for op in BINARY_OPS}
+    btabs = B.tables.tolist()
     bneg = B.neg.tolist()
     image = [-1] * A.size
     for ia, ib in forced.items():
@@ -542,7 +543,7 @@ def generated_subalgebra(A: FiniteAlgebra, generators) -> Subalgebra:
     sel = np.array(members, dtype=np.int64)
     inv = np.full(A.size, -1, dtype=np.int16)
     inv[sel] = np.arange(len(members), dtype=np.int16)
-    tables = {op: inv[A.tables[op][np.ix_(sel, sel)]] for op in BINARY_OPS}
+    tables = inv[A.tables[:, sel[:, None], sel]]
     neg = inv[A.neg[sel]]
     consts = {sym: pos[i] for sym, i in A.consts.items()}
     elements = tuple(A.elements[m] for m in members)
@@ -596,7 +597,7 @@ class _PackedKeys:
     Adjacent coordinates are grouped while their radix product stays within
     GROUP_CELLS. An operation is tabulated per group over the group codes present
     on each side only, gathered per row pair and combined over the groups by
-    Horner; results come in row blocks of about HOM_CHECK_BLOCK entries.
+    Horner. All four operations are computed together, in BINARY_OPS order.
     """
 
     GROUP_CELLS = 256
@@ -635,34 +636,25 @@ class _PackedKeys:
         return out
 
     def op_keys(self, left: np.ndarray, right: np.ndarray):
-        """Yield (op, keys): keys(i, j) is the key array of op(left[i], right[j]) for slices i, j."""
-        sides = list(zip(self.groups, self._codes(left), self._codes(right)))
-        for op in BINARY_OPS:
-            parts = []
-            for (a, b, cells), (da, ia), (db, ib) in sides:
-                # codes fit int16: a group spans at most GROUP_CELLS or one factor's size
-                local = np.zeros((da.shape[0], db.shape[0]), dtype=np.int16)
-                for c in range(a, b):
-                    local *= self.radices[c]
-                    local += self.factors[c].tables[op][da[:, c - a][:, None],
-                                                        db[:, c - a][None, :]]
-                parts.append((cells, local, ia, ib))
+        """keys(i, j)[op] is the key array of op(left[i], right[j]) for slices i, j."""
+        parts = []
+        for (a, b, cells), (da, ia), (db, ib) in zip(self.groups, self._codes(left),
+                                                    self._codes(right)):
+            # codes fit int16: a group spans at most GROUP_CELLS or one factor's size
+            local = np.zeros((len(BINARY_OPS), da.shape[0], db.shape[0]), dtype=np.int16)
+            for c in range(a, b):
+                local *= self.radices[c]
+                local += self.factors[c].tables[:, da[:, c - a][:, None], db[:, c - a]]
+            parts.append((cells, local, ia, ib))
 
-            def keys(i: slice, j: slice, parts=parts) -> np.ndarray:
-                (_, first, ia0, ib0), *rest = parts
-                out = np.take(first[ia0[i]], ib0[j], axis=1).astype(np.int64)
-                for cells, local, ia, ib in rest:
-                    out *= cells
-                    out += np.take(local[ia[i]], ib[j], axis=1)
-                return out
-            yield op, keys
-
-    def key_blocks(self, left: np.ndarray, right: np.ndarray):
-        """Yield (op, start, keys): keys[i, j] is the key of op(left[start + i], right[j])."""
-        step = max(1, HOM_CHECK_BLOCK // max(1, right.shape[0]))
-        for op, keys in self.op_keys(left, right):
-            for start in range(0, left.shape[0], step):
-                yield op, start, keys(slice(start, start + step), slice(None))
+        def keys(i: slice, j: slice) -> np.ndarray:
+            (_, first, ia0, ib0), *rest = parts
+            out = np.take(first[:, ia0[i]], ib0[j], axis=2).astype(np.int64)
+            for cells, local, ia, ib in rest:
+                out *= cells
+                out += np.take(local[:, ia[i]], ib[j], axis=2)
+            return out
+        return keys
 
     def neg_keys(self, rows: np.ndarray) -> np.ndarray:
         return self.pack(np.stack([f.neg[rows[:, c]] for c, f in enumerate(self.factors)],
@@ -682,15 +674,17 @@ def _product_subalgebra(factors, rows: np.ndarray) -> FiniteAlgebra:
     packed_sorted = kernel.pack(rows)
 
     def lookup(packed_vals: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(packed_sorted, packed_vals)
+        pos = np.searchsorted(packed_sorted, packed_vals).astype(np.int16)   # n < 2**15
         if pos.size and (pos.max() >= n or
                          not np.array_equal(packed_sorted[pos], packed_vals)):
             raise AssertionError("operation escaped the closed set")
-        return pos.astype(np.int16)
+        return pos
 
-    tables = {op: np.empty((n, n), dtype=np.int16) for op in BINARY_OPS}
-    for op, start, keys in kernel.key_blocks(rows, rows):
-        tables[op][start:start + keys.shape[0]] = lookup(keys)
+    tables = np.empty((len(BINARY_OPS), n, n), dtype=np.int16)
+    keys = kernel.op_keys(rows, rows)
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        tables[:, start:start + step] = lookup(keys(slice(start, start + step), slice(None)))
     neg = lookup(kernel.neg_keys(rows))
     consts = dict(zip(kernel.signature.constant_symbols,
                       lookup(kernel.pack(kernel.const_rows())).tolist()))
@@ -719,10 +713,10 @@ def product_closure_rows(factors, generator_rows,
     while frontier.size:
         cand_keys = [kernel.neg_keys(frontier)]
         old = rows.shape[0] - frontier.shape[0]
-        step = max(1, HOM_CHECK_BLOCK // rows.shape[0])
-        for _, keys in kernel.op_keys(frontier, rows):
-            for s in range(0, frontier.shape[0], step):
-                cand_keys.append(np.unique(keys(slice(s, s + step), slice(old + s + step))))
+        step = _block_rows(rows.shape[0])
+        keys = kernel.op_keys(frontier, rows)
+        for s in range(0, frontier.shape[0], step):
+            cand_keys.append(np.unique(keys(slice(s, s + step), slice(old + s + step))))
         cand = np.unique(np.concatenate(cand_keys))
         pos = np.searchsorted(known, cand)
         pos_c = np.minimum(pos, known.shape[0] - 1)
@@ -838,8 +832,8 @@ def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]
     out = []
     rng = np.arange(A.size, dtype=np.int16)
     diag = np.broadcast_to(rng[:, None], (A.size, A.size))
-    for which, meet_name, join_name in (("k", "meet_k", "join_k"), ("t", "meet_t", "join_t")):
-        meet, join = A.tables[meet_name], A.tables[join_name]
+    km, kj, tm, tj = A.tables
+    for which, meet, join in (("k", km, kj), ("t", tm, tj)):
         if not (np.array_equal(meet[rng, rng], rng) and np.array_equal(join[rng, rng], rng)):
             out.append(f"{which}: idempotence")
         if not np.array_equal(meet[rng[:, None], join], diag):
@@ -853,16 +847,12 @@ def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]
                 out.append(f"{which}: associativity of {label}")
     if not np.array_equal(A.neg[A.neg], rng):
         out.append("neg: not an involution")
-    km, kj = A.tables["meet_k"], A.tables["join_k"]
-    tm, tj = A.tables["meet_t"], A.tables["join_t"]
-    if not np.array_equal(A.neg[km], km[A.neg[:, None], A.neg[None, :]]):
-        out.append("neg: does not preserve knowledge meet")
-    if not np.array_equal(A.neg[kj], kj[A.neg[:, None], A.neg[None, :]]):
-        out.append("neg: does not preserve knowledge join")
-    if not np.array_equal(A.neg[tm], tj[A.neg[:, None], A.neg[None, :]]):
-        out.append("neg: does not swap truth meet with truth join")
-    if not np.array_equal(A.neg[tj], tm[A.neg[:, None], A.neg[None, :]]):
-        out.append("neg: does not swap truth join with truth meet")
+    for tab, image, law in ((km, km, "preserve knowledge meet"),
+                            (kj, kj, "preserve knowledge join"),
+                            (tm, tj, "swap truth meet with truth join"),
+                            (tj, tm, "swap truth join with truth meet")):
+        if not np.array_equal(A.neg[tab], image[A.neg[:, None], A.neg[None, :]]):
+            out.append(f"neg: does not {law}")
     return out
 
 

@@ -148,13 +148,15 @@ def cmd_free_size(args) -> int:
             notices.append(f"downsets skipped: {err}")
     if method in ("generate", "all"):
         limit = min(args.guard_limit, DEFAULT_CLOSURE_GUARD)   # the largest tabled carrier
-        try:
-            if fs.total > limit:
-                raise GuardExceeded(f"formula size {fs.total} exceeds guard {limit}")
-            row["brute_force_size"] = free_algebra_rows(n, max_elements=limit).shape[0]
-            agree &= row["brute_force_size"] == fs.total
-        except GuardExceeded as err:
-            notices.append(f"generate skipped: {err}")
+        if fs.total > limit:
+            notices.append(f"generate skipped: formula size {fs.total} exceeds guard {limit}")
+        else:
+            try:
+                row["brute_force_size"] = free_algebra_rows(n, max_elements=limit).shape[0]
+                agree &= row["brute_force_size"] == fs.total
+            except GuardExceeded as err:   # the closure outgrew the formula's total
+                agree = False
+                notices.append(f"generate disagrees: {err}, but the formula gives {fs.total}")
     row["agree"] = agree
     if notices:
         row["notices"] = notices

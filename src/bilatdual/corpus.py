@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgebra_in_product,
@@ -50,16 +50,18 @@ class CorpusAlgebra:
 def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
     """Seeded generated subalgebras of J_n squared, closed when read; fewer draws give a prefix."""
     rng = random.Random(seed)
-    jn = build_jn(n)
-    draws = [sorted(rng.sample(range(jn.size ** 2), rng.choice((1, 1, 2)))) for _ in range(count)]
+    size = 2 * n + 4   # |J_n|; J_n is built at the first read, so a fault in it fails the reads
+    draws = [sorted(rng.sample(range(size ** 2), rng.choice((1, 1, 2)))) for _ in range(count)]
+    jn = cache(lambda: build_jn(n))
     return [CorpusAlgebra(f"sub(J{n}^2)#{i}", lambda gens=gens: generated_subalgebra_in_product(
-                [jn, jn], [divmod(g, jn.size) for g in gens]).algebra)
+                [jn(), jn()], [divmod(g, size) for g in gens]).algebra)
             for i, gens in enumerate(draws)]
 
 
 def corpus_algebras(n: int, seed: int = 0, subalgebras: int = 5) -> list[CorpusAlgebra]:
     """The standard verification corpus at depth n: M_0..M_n, J_n, then the seeded draws."""
-    out = [CorpusAlgebra(f"M{k}", lambda alg=alg: alg) for k, alg in enumerate(mk_algebras(n))]
+    mks = cache(lambda: mk_algebras(n))   # read once per corpus, by the first M_k check
+    out = [CorpusAlgebra(f"M{k}", lambda k=k: mks()[k]) for k in range(n + 1)]
     out.append(CorpusAlgebra(f"J{n}", lambda: build_jn(n)))
     out.extend(seeded_subalgebras(n, subalgebras, seed))
     return out

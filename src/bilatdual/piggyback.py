@@ -62,7 +62,7 @@ def _assert_carrier(w: Carrier, mk: FiniteAlgebra):
     if v[mk.consts["f_0"]] != 0 or v[mk.consts["t_0"]] != 1:
         raise AssertionError(f"{w.name} does not preserve the bounds")
     for op, pointwise in (("meet", np.minimum), ("join", np.maximum)):
-        if not np.array_equal(v[mk.tables[f"{op}_t"]], pointwise.outer(v, v)):
+        if not np.array_equal(v[mk.tables[BINARY_OPS.index(f"{op}_t")]], pointwise.outer(v, v)):
             raise AssertionError(f"{w.name} does not preserve truth {op}")
 
 
@@ -209,8 +209,7 @@ def subuniverse_pairs(n: int, j: int, k: int) -> tuple[tuple[frozenset, bool], .
     """
     mks = mk_algebras(n)
     mj, mk = mks[j], mks[k]
-    key = tuple(tuple(m.tables[op].tobytes() for op in BINARY_OPS) + (m.neg.tobytes(),)
-                for m in (mj, mk))
+    key = tuple((m.tables.tobytes(), m.neg.tobytes()) for m in (mj, mk))
     key += (frozenset((mj.consts[c], mk.consts[c]) for c in mj.signature.constant_symbols),)
     if key not in _SUB_FAMILIES:
         family = enumerate_subuniverses(product([mj, mk]))

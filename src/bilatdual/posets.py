@@ -110,8 +110,7 @@ class Poset:
     # -- interchange --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        pairs = [[int(i), int(j)] for i, j in np.argwhere(self.leq)]
-        return {"elements": list(self.elements), "leq_pairs": pairs}
+        return {"elements": list(self.elements), "leq_pairs": np.argwhere(self.leq).tolist()}
 
     def to_dot(self, name: str = "poset") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];",

@@ -20,6 +20,7 @@ from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_
                                generated_subalgebra_in_product, is_homomorphism,
                                lattice_reduct, mk_algebras, product, product_closure_rows,
                                reflexive_transitive_closure)
+from bilatdual.corpus import seeded_subalgebras
 
 
 def test_signature_counts():
@@ -221,12 +222,12 @@ def _oracle_keys(factors, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _oracle_op_keys(factors, op, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Packed keys of op on every left x right pair, one coordinate at a time."""
-    acc = np.zeros((left.shape[0], right.shape[0]), dtype=np.int64)
+def _oracle_op_keys(factors, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Packed keys of each operation on every left x right pair, one coordinate at a time."""
+    acc = np.zeros((len(BINARY_OPS), left.shape[0], right.shape[0]), dtype=np.int64)
     for c, f in enumerate(factors):
         acc *= f.size
-        acc += f.tables[op][left[:, c][:, None], right[:, c][None, :]]
+        acc += f.tables[:, left[:, c][:, None], right[:, c][None, :]]
     return acc
 
 
@@ -241,8 +242,7 @@ def _oracle_closure_rows(factors, generator_rows, max_elements):
     while frontier.size:
         cand = set(_oracle_keys(factors, np.stack(
             [f.neg[frontier[:, c]] for c, f in enumerate(factors)], axis=-1)).tolist())
-        for op in BINARY_OPS:
-            cand |= set(_oracle_op_keys(factors, op, rows, frontier).ravel().tolist())
+        cand |= set(_oracle_op_keys(factors, rows, frontier).ravel().tolist())
         fresh = sorted(cand - known)
         if not fresh:
             break
@@ -274,9 +274,8 @@ def _random_rows(rng, factors, count):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, algebra.HOM_CHECK_BLOCK])
-def test_packed_key_kernel_matches_per_coordinate_packing(monkeypatch, block):
-    """Every op key block equals the per-coordinate packing, at every block edge."""
-    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+def test_packed_key_kernel_matches_per_coordinate_packing(block):
+    """Every key block equals the per-coordinate packing, at row and column edges of block."""
     rng = random.Random(20261018 + block)
     for _ in range(25):
         factors = _random_factors(rng)
@@ -290,12 +289,12 @@ def test_packed_key_kernel_matches_per_coordinate_packing(monkeypatch, block):
         for n_left, n_right in ((1, 1), (1, 9), (13, 5), (5, 13), (30, 70)):
             left = np.array(_random_rows(rng, factors, n_left), dtype=np.int16)
             right = np.array(_random_rows(rng, factors, n_right), dtype=np.int16)
-            got = {op: np.full((n_left, n_right), -1, dtype=np.int64) for op in BINARY_OPS}
-            for op, start, keys in kernel.key_blocks(left, right):
-                assert (got[op][start:start + keys.shape[0]] == -1).all()
-                got[op][start:start + keys.shape[0]] = keys
-            for op in BINARY_OPS:
-                assert np.array_equal(got[op], _oracle_op_keys(factors, op, left, right))
+            keys, want = kernel.op_keys(left, right), _oracle_op_keys(factors, left, right)
+            assert np.array_equal(keys(slice(None), slice(None)), want)
+            step = max(1, block // n_right)
+            for start in range(0, n_left, step):
+                rows, cols = slice(start, start + step), slice(start + step)
+                assert np.array_equal(keys(rows, cols), want[:, rows, cols])
             assert np.array_equal(kernel.pack(left), _oracle_keys(factors, left))
             assert np.array_equal(kernel.unpack(kernel.pack(left)), left)
 
@@ -320,9 +319,8 @@ def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, blo
         assert np.array_equal(rows, want)
         alg = _product_subalgebra(factors, rows)
         keys = _oracle_keys(factors, rows)
-        for op in BINARY_OPS:
-            want_tab = np.searchsorted(keys, _oracle_op_keys(factors, op, rows, rows))
-            assert np.array_equal(alg.tables[op], want_tab)
+        assert np.array_equal(alg.tables,
+                              np.searchsorted(keys, _oracle_op_keys(factors, rows, rows)))
         negs = np.stack([f.neg[rows[:, c]] for c, f in enumerate(factors)], axis=-1)
         assert np.array_equal(alg.neg, np.searchsorted(keys, _oracle_keys(factors, negs)))
         for sym, i in alg.consts.items():
@@ -331,22 +329,51 @@ def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, blo
     assert trips < 40
 
 
+@pytest.mark.parametrize("block", [64, algebra.HOM_CHECK_BLOCK])
+def test_key_blocks_and_kept_tables_stay_within_the_memory_rules(monkeypatch, block):
+    """A key block holds at most HOM_CHECK_BLOCK entries over the four operations, or one row
+    when a row alone is wider; an int16 stack of tables is kept without a copy."""
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+    op_keys, shapes = _PackedKeys.op_keys, []
+
+    def recording(self, left, right):
+        keys = op_keys(self, left, right)
+
+        def wrapped(i, j):
+            out = keys(i, j)
+            shapes.append(out.shape)
+            return out
+        return wrapped
+    monkeypatch.setattr(_PackedKeys, "op_keys", recording)
+    for build in (lambda: free_algebra(1).algebra,
+                  lambda: seeded_subalgebras(2, 1, 20260809)[0].algebra):
+        shapes.clear()
+        build()   # the closure's blocks, then the tables'
+        assert shapes
+        for ops, rows, cols in shapes:
+            assert ops == len(BINARY_OPS) and (ops * rows * cols <= block or rows == 1)
+    m1 = build_mk(1, 1)
+    tables = np.array(m1.tables)
+    kept = FiniteAlgebra(m1.signature, m1.elements, tables, m1.neg, m1.consts)
+    assert np.shares_memory(kept.tables, tables) and not kept.tables.flags.writeable
+
+
 def test_a_non_commutative_table_is_refused_at_construction():
     """The closures and the hom search combine each pair in one order, so algebras commute."""
     m1 = build_mk(1, 1)
     left_projection = np.repeat(np.arange(m1.size)[:, None], m1.size, axis=1)
     for tab in (left_projection, left_projection.T):
+        tables = m1.tables.copy()
+        tables[BINARY_OPS.index("join_k")] = tab
         with pytest.raises(ValueError, match="join_k table is not commutative"):
-            FiniteAlgebra(m1.signature, m1.elements, {**m1.tables, "join_k": tab},
-                          m1.neg, m1.consts)
+            FiniteAlgebra(m1.signature, m1.elements, tables, m1.neg, m1.consts)
 
 
 def test_free_algebra_2_matches_its_pinned_digest(free2):
     """Rows, tables, neg, constants and generator of F_V2(1) match a recorded sha256."""
     h = hashlib.sha256()
     h.update(np.asarray(free2.rows, dtype="<i2").tobytes())
-    for op in BINARY_OPS:
-        h.update(free2.algebra.tables[op].astype("<i2").tobytes())
+    h.update(free2.algebra.tables.astype("<i2").tobytes())   # the four tables in BINARY_OPS order
     h.update(free2.algebra.neg.astype("<i2").tobytes())
     h.update(json.dumps(free2.algebra.consts, sort_keys=True).encode())
     h.update(repr(free2.generator_indices).encode())
@@ -473,8 +500,7 @@ def _subuniverses_by_subset_scan(A):
             sel = np.array(consts + list(extra))
             inside = np.zeros(A.size, dtype=bool)
             inside[sel] = True
-            if inside[A.neg[sel]].all() and all(
-                    inside[A.tables[op][np.ix_(sel, sel)]].all() for op in BINARY_OPS):
+            if inside[A.neg[sel]].all() and inside[A.tables[:, sel[:, None], sel]].all():
                 closed.append(frozenset(sel.tolist()))
 
     def upper_covers(s):
@@ -524,9 +550,8 @@ def _bilattice_isomorphism(A, B):
         return None
     for perm in itertools.permutations(range(A.size)):
         h = np.asarray(perm)
-        if np.array_equal(h[A.neg], B.neg[h]) and all(
-                np.array_equal(h[A.tables[op]], B.tables[op][h[:, None], h[None, :]])
-                for op in BINARY_OPS):
+        if np.array_equal(h[A.neg], B.neg[h]) and np.array_equal(
+                h[A.tables], B.tables[:, h[:, None], h[None, :]]):
             return perm
     return None
 

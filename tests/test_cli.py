@@ -6,7 +6,7 @@ import json
 import time
 from pathlib import Path
 
-from bilatdual import algebra, bridge, cli, verify
+from bilatdual import algebra, bridge, cli, corpus, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
@@ -248,13 +248,33 @@ def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate"])
     assert code == 0 and "generated=266  agree" in out
-    # a formula below the limit lets the closure itself meet the guard
+    # a formula below the limit lets the closure itself meet the guard: it outgrew the formula
     monkeypatch.setattr(cli, "free_size_formula", lambda n: FreeSizes(0, 10, 10))
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate",
                                 "--guard-limit", "100"])
-    assert code == 0
-    assert "note: generate skipped: closure exceeded 100 elements\n" in out
+    assert code == 1 and "DISAGREE" in out
+    assert "note: generate disagrees: closure exceeded 100 elements, but the formula gives 10\n" in out
     assert "generated=" not in out
+
+
+def test_a_closure_that_outgrows_the_formula_disagrees(monkeypatch, capsys):
+    """Under the guard the closure runs only when the formula fits, so a trip is a disagreement."""
+    def outgrow(n, max_elements):
+        raise GuardExceeded(f"closure exceeded {max_elements} elements")
+
+    monkeypatch.setattr(cli, "free_algebra_rows", outgrow)
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "all"])
+    assert code == 1
+    assert "total=266  counted=147/119/266  DISAGREE\n" in out
+    assert "note: generate disagrees: closure exceeded 2000 elements, but the formula gives 266\n" in out
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate", "--format",
+                                "structured"])
+    doc = json.loads(out)
+    assert code == 1 and doc["agree"] is False and "brute_force_size" not in doc
+    # a formula above the guard is still a skip, before any closure
+    code, out, _ = run(capsys, ["free-size", "--n", "3", "--method", "generate"])
+    assert code == 0 and "total=5622  agree\n" in out
+    assert "note: generate skipped: formula size 5622 exceeds guard 2000\n" in out
 
 
 def test_downset_guard_counts_before_enumerating(monkeypatch, capsys):
@@ -287,6 +307,38 @@ def test_verify_text_and_exit(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "tables", "--n", "1"])
     assert code == 0
     assert "overall: pass" in out
+
+
+def test_a_table3_fault_is_a_fail_and_the_tables_suite_runs_on(monkeypatch, capsys):
+    def broken(n):
+        raise AssertionError("carrier does not preserve the bounds")
+
+    monkeypatch.setattr(verify, "table3_report", broken)
+    code, out, _ = run(capsys, ["verify", "--suite", "tables", "--n", "1"])
+    assert code == 1
+    assert ("  FAIL  piggyback-table:16-pairs  [AssertionError: carrier does not preserve "
+            "the bounds]\n") in out
+    for check_id in ("subuniverse-lattices", "grouped-downset-tallies", "two-by-m-grid-counts"):
+        assert f"  PASS  {check_id}\n" in out
+
+
+def test_a_fault_building_the_corpus_algebras_is_a_fail(monkeypatch, capsys):
+    """J_n and M_k are built inside the checks that read them, not before the run."""
+    def not_a_lattice(*args):
+        raise algebra.NotALattice("no meet/join for pair (0, 4)")
+
+    monkeypatch.setattr(corpus, "build_jn", not_a_lattice)
+    code, out, err = run(capsys, ["verify", "--suite", "translation", "--n", "1"])
+    assert code == 1 and err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failed == ["translation:J1", *(f"translation:sub(J1^2)#{i}" for i in range(5))]
+    assert "[NotALattice: no meet/join for pair (0, 4)]" in out
+    assert "  PASS  translation:M1\n" in out and "  PASS  translation:F_V1(1)\n" in out
+    monkeypatch.undo()
+    monkeypatch.setattr(corpus, "mk_algebras", not_a_lattice)
+    code, out, _ = run(capsys, ["verify", "--suite", "translation", "--n", "1"])
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert code == 1 and failed == ["translation:M0", "translation:M1"]
 
 
 def test_verify_reports_are_byte_identical(capsys):

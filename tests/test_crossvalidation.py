@@ -119,7 +119,7 @@ def damaged_m1():
     f = m1.index("f1")
     neg[f] = f
     return FiniteAlgebra(m1.signature, tuple(f"d{e}" for e in m1.elements),
-                         {op: m1.tables[op] for op in m1.tables}, neg, m1.consts)
+                         m1.tables, neg, m1.consts)
 
 
 def test_unit_iso_rejects_a_law_breaking_algebra():
