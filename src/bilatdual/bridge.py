@@ -8,6 +8,7 @@ free algebra, split by how they meet the top block.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -92,8 +93,8 @@ def verify_free_translation(n: int) -> bool:
     rows = morphism_rows(ego)
     if tuple(i for _, i in ego.points()) not in rows:
         raise AssertionError("the identity of the alter ego is not among its endomorphisms")
-    columns = iter(zip(*rows))
-    homs = tuple(tuple(next(columns) for _ in sort) for sort in ego.sorts)
+    columns = [*zip(*rows)]
+    homs = tuple(tuple(columns[s:e]) for s, e in itertools.pairwise(ego.starts))
     return verify_translation(len(rows), NaturalDual(ego, homs))
 
 

@@ -66,7 +66,7 @@ def cmd_build(args) -> int:
         decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
         try:
             source = decoder.from_json(Path(args.infile).read_text(encoding="utf-8"))
-        except (OSError, TypeError, KeyError, ValueError) as err:
+        except (OSError, AttributeError, TypeError, KeyError, ValueError, RecursionError) as err:
             return _fail_usage(f"bad --in document: {err}")
         depth = source.n if args.kind == "priestley" else source.signature.n
         if depth != n:
@@ -131,7 +131,11 @@ def cmd_free_size(args) -> int:
     if n is None or n < 1:
         return _fail_usage("free-size requires --n >= 1")
     method = args.method
-    fs = free_size_formula(n)
+    try:
+        fs = free_size_formula(n)
+    except AssertionError as err:
+        print(f"error: free-size formula self-check failed: {err}", file=sys.stderr)
+        return 1
     row: dict = {"n": n, "f_formula": fs.avoiding_top, "g_formula": fs.meeting_top,
                  "total_formula": fs.total}
     notices = []

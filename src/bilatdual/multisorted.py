@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index
 
 import numpy as np
@@ -81,6 +81,33 @@ class MultiSortedStructure:
 
     def points(self) -> list[tuple[int, int]]:
         return [(k, i) for k in range(self.n + 1) for i in range(len(self.sorts[k]))]
+
+    # The flat layout lists the points in `points()` order, so point i of sort k sits at
+    # starts[k] + i; each part is built when first read, as nothing mutates a structure.
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """Each sort's first flat index, then the number of points."""
+        return (0, *itertools.accumulate(map(len, self.sorts)))
+
+    @cached_property
+    def point_sorts(self) -> tuple[int, ...]:
+        """The sort of each flat point."""
+        return tuple(k for k, sort in enumerate(self.sorts) for _ in sort)
+
+    @cached_property
+    def flat_g(self) -> tuple[int, ...]:
+        """g on the flat points: the identity on sort 0, g_k on sort k."""
+        return (*range(self.starts[1]), *itertools.chain.from_iterable(self.g))
+
+    @cached_property
+    def amalgam(self) -> np.ndarray:
+        """Every slot's relation as one read-only boolean matrix on the flat points."""
+        starts, m = self.starts, self.starts[-1]
+        rel = np.zeros((m, m), dtype=bool)
+        rel.flat[[(starts[j] + a) * m + starts[k] + b
+                  for (j, k), pairs in self.rel.items() for a, b in pairs]] = True
+        rel.setflags(write=False)
+        return rel
 
     def to_dict(self) -> dict:
         return {
@@ -190,8 +217,8 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
     Points are visited in `X.points()` order, sort 0 first, so every later
     point draws its candidates from one g-fibre of Y. Each relation pair of X
     is checked once, at the later of its two points (a reflexive pair at its
-    own point). The check tables, fibres and roots are built here, once per
-    pair; `search(found, pins=(), budget=None)` runs one search at a time.
+    own point). The check tables and fibres are built here, once per pair (roots
+    are X.flat_g); `search(found, pins=(), budget=None)` runs one search at a time.
     `pins` lists triples (k, i, v) that restrict point i of sort k to the one
     value v; a pin on a point of sort k >= 1 also pins its sort-0 root to the
     g-image of v, and pins that disagree on a point end the search at once.
@@ -199,10 +226,10 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
     stop; the return value says whether it did. A `budget` counts every node
     and raises GuardExceeded once it has spent more than its cap.
     """
-    points = X.points()
-    pos = {pt: p for p, pt in enumerate(points)}
+    starts, sorts_of, roots = X.starts, X.point_sorts, X.flat_g
+    m, spans = starts[-1], [*itertools.pairwise(starts)]
     # checks[p]: (q, table) meaning the value at p must lie in table[image of q]
-    checks: list[list] = [[] for _ in points]
+    checks: list[list] = [[] for _ in range(m)]
 
     def attach(pairs, rel, ka: int, kb: int):
         succ = [set() for _ in Y.sorts[ka]]
@@ -211,7 +238,7 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
             succ[u].add(v)
             pred[v].add(u)
         for a, b in pairs:
-            x, y = pos[(ka, a)], pos[(kb, b)]
+            x, y = starts[ka] + a, starts[kb] + b
             if x <= y:
                 checks[y].append((x, succ))
             else:
@@ -226,12 +253,7 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
             fibre.setdefault(root, []).append(v)
         fibres.append(fibre)
     everything = range(len(Y.sorts[0]))
-    roots = [None if k == 0 else pos[(0, X.g[k - 1][i])] for k, i in points]
-    spans, start = [], 0
-    for sort in X.sorts:
-        spans.append((start, start + len(sort)))
-        start += len(sort)
-    img = [0] * len(points)
+    img = [0] * m
     domains = emit = meter = None   # the search under way: per-point domains, `found`, budget
 
     def visit(p: int) -> bool:
@@ -239,14 +261,13 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
             meter.spent += 1
             if meter.spent > meter.cap:
                 raise GuardExceeded(f"search exceeded {meter.cap} nodes")
-        if p == len(points):
+        if p == m:
             return emit(tuple(tuple(img[s:e]) for s, e in spans))
-        k = points[p][0]
-        root = roots[p]
+        k = sorts_of[p]
         # a pinned point of sort k >= 1 has its root pinned too, so the pin lies in the fibre
         candidates = domains[p]
         if candidates is None:
-            candidates = everything if root is None else fibres[k - 1].get(img[root], ())
+            candidates = everything if k == 0 else fibres[k - 1].get(img[roots[p]], ())
         for v in candidates:
             img[p] = v
             for q, table in checks[p]:
@@ -259,11 +280,12 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
 
     def search(found, pins=(), budget: _NodeBudget | None = None) -> bool:
         nonlocal domains, emit, meter
-        domains = [None] * len(points)
+        domains = [None] * m
         for k, i, v in pins:
-            forced = [(pos[(k, i)], v)]
+            p = starts[k] + i
+            forced = [(p, v)]
             if k:
-                forced.append((pos[(0, X.g[k - 1][i])], Y.g[k - 1][v]))
+                forced.append((roots[p], Y.g[k - 1][v]))
             for p, w in forced:
                 if domains[p] is None:
                     domains[p] = (w,)
@@ -386,9 +408,7 @@ class HomAlgebra:
 
 def morphism_rows(X: MultiSortedStructure) -> list[tuple[int, ...]]:
     """E(X) as rows: the morphisms X -> alter ego as tuples over X.points(), lexicographic."""
-    points = X.points()
-    return [tuple(phi.maps[k][i] for k, i in points)
-            for phi in enumerate_multimorphisms(X, build_alter_ego(X.n))]
+    return [sum(phi.maps, ()) for phi in enumerate_multimorphisms(X, build_alter_ego(X.n))]
 
 
 def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
@@ -473,21 +493,10 @@ class AxiomReport:
         return [k for k, v in self.verdicts.items() if not v.holds]
 
 
-def amalgamated_relation(X: MultiSortedStructure) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Single-sorted relation on the disjoint union: the relations of all slots at once."""
-    points = X.points()
-    starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
-    m = len(points)
-    rel = np.zeros(m * m, dtype=bool)
-    rel[[(starts[j] + a) * m + starts[k] + b
-         for (j, k), pairs in X.rel.items() for a, b in pairs]] = True
-    return rel.reshape(m, m), points
-
-
 def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     """A1-A7 with witnesses; A1 is vacuous here (finite discrete topology).
 
-    Every axiom reads the amalgamated relation, split into the sort orders D (its
+    Every axiom reads the amalgam `X.amalgam`, split into the sort orders D (its
     diagonal blocks) and the cross relations C: A4 holds iff D∘C∘D ⊆ C, over the
     D.sum(0) @ C @ D.sum(1) instances x D y C u D v, and A5 iff C∘C ⊆ C, over the
     C.sum(0) @ C.sum(1) instances x C y C z. A7: mutually increasing up-sets separate
@@ -495,12 +504,9 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     A witness is located only on failure, as the first failure in loop order: slot,
     then (for A5) the sort of z, then the slot's pair, then the other points.
     """
-    n = X.n
-    rel, _ = amalgamated_relation(X)
-    starts = [0, *itertools.accumulate(len(s) for s in X.sorts)]
-    span = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    sort = np.repeat(np.arange(n + 1), [len(s) for s in X.sorts])
-    g = np.array([*range(len(X.sorts[0])), *itertools.chain.from_iterable(X.g)])
+    n, rel, starts = X.n, X.amalgam, X.starts
+    span = [slice(a, b) for a, b in itertools.pairwise(starts)]
+    sort, g = np.array(X.point_sorts, dtype=np.intp), np.array(X.flat_g, dtype=np.intp)
     split = rel & (g[:, None] != g[None, :])   # related points with different g-images
     unrelated = ~rel
     D = rel & (sort[:, None] == sort[None, :])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import GuardExceeded, bool_compose, order_from_covers
 
-DEFAULT_COUNT_BUDGET = 10**8
+COUNT_MEMO_BYTES = 2**28   # memory the down-set counting memo may take
 DEFAULT_ISO_GUARD = 64
 
 
@@ -201,9 +201,12 @@ def count_downsets(P: Poset) -> int:
 
     Branch on the lowest-ranked point x left: a down-set either misses x's up-set
     or contains x and is free on the rest. A mask leaves the stack once both branches
-    are in the memo, keyed by rank-space masks; DEFAULT_COUNT_BUDGET bounds its size.
+    are in the memo, keyed by rank-space masks; COUNT_MEMO_BYTES bounds its size.
     enumerate_downsets branches the same way, taking the include branch in its inner loop.
     """
+    # an entry holds a key of up to P.n bits (30 bits to a 4-byte digit), and about 100
+    # bytes more for the dict slot, the int headers and the count
+    cap = COUNT_MEMO_BYTES // (P.n // 7 + 100)
     up, _ = _ranked(P)
     memo: dict[int, int] = {0: 1}
     full = (1 << P.n) - 1
@@ -216,8 +219,9 @@ def count_downsets(P: Poset) -> int:
         if below_miss is not None and below_hit is not None:
             memo[mask] = below_miss + below_hit
             stack.pop()
-            if len(memo) > DEFAULT_COUNT_BUDGET + 1:   # the seeded empty mask is no node
-                raise GuardExceeded(f"down-set counting exceeded {DEFAULT_COUNT_BUDGET} nodes")
+            if len(memo) > cap:
+                raise GuardExceeded(f"down-set counting exceeded its memo budget of "
+                                    f"{COUNT_MEMO_BYTES} bytes ({cap} entries of {P.n} bits)")
             continue
         if below_miss is None:
             stack.append(miss)

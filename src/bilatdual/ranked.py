@@ -8,14 +8,13 @@ back into sorts. They are mutually inverse on the nose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import reflexive_transitive_closure
-from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure,
-                          amalgamated_relation, check_axioms, relation_slots)
+from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure, check_axioms,
+                          relation_slots)
 from .posets import Poset, check_relation, first_true, is_order_preserving
 
 
@@ -65,11 +64,8 @@ def functor_F(X: MultiSortedStructure) -> RankedPriestleySpace:
     report = check_axioms(X)
     if not report.ok:
         raise StructureAxiomError(report)
-    rel, points = amalgamated_relation(X)
-    poset = Poset([X.sorts[k][i] for k, i in points], rel)
-    # sort 0 comes first, so a point of sort 0 sits at its own index
-    g = [*range(len(X.sorts[0])), *itertools.chain.from_iterable(X.g)]
-    return RankedPriestleySpace(poset, g, [k for k, _ in points], X.n)
+    poset = Poset([name for sort in X.sorts for name in sort], X.amalgam)
+    return RankedPriestleySpace(poset, X.flat_g, X.point_sorts, X.n)
 
 
 def functor_G(Y: RankedPriestleySpace) -> MultiSortedStructure:
@@ -123,16 +119,9 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
 
 
 def flat_map_of_multimorphism(phi) -> tuple[int, ...]:
-    """A per-sort map as one map on the amalgamated carriers (sort-major layout)."""
-    X, Y = phi.source, phi.target
-    offs_y = [0]
-    for k in range(Y.n + 1):
-        offs_y.append(offs_y[-1] + len(Y.sorts[k]))
-    flat = []
-    for k in range(X.n + 1):
-        for i in range(len(X.sorts[k])):
-            flat.append(offs_y[k] + phi.maps[k][i])
-    return tuple(flat)
+    """A per-sort map as one map between the flat layouts of source and target."""
+    starts = phi.target.starts
+    return tuple(starts[k] + v for k, image in enumerate(phi.maps) for v in image)
 
 
 def is_ranked_morphism(flat_map, Y1: RankedPriestleySpace, Y2: RankedPriestleySpace) -> bool:

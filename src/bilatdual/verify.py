@@ -115,11 +115,10 @@ def suite_axioms(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
             quiet = all(rep.verdicts[a].instances == 0 for a in ("A3", "A4", "A5", "A7"))
             return quiet, "cross-sort axioms not vacuous at n=1"
         check("n1-cross-axioms-vacuous", vacuous)
-    structures = structure_corpus(n, AXIOMS_CORPUS, seed)
 
     def axioms_vs_separation():
         disagreements = []
-        for i, X in enumerate(structures):
+        for i, X in enumerate(structure_corpus(n, AXIOMS_CORPUS, seed)):
             ax = check_axioms(X).ok
             sep = membership_by_separation(X)
             if ax != sep:
@@ -132,27 +131,43 @@ def suite_axioms(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
 
 
 def suite_functors(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
-    # thunks, so that a corpus item's dual is read inside the checks that use it
-    pool = [lambda: build_alter_ego(n), *(lambda item=item: item.dual.structure for item in corpus),
-            *(lambda X=X: X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok)]
+    drawn: list[MultiSortedStructure] = []
+
+    def members() -> list[MultiSortedStructure]:
+        """The seeded structures that satisfy the axioms, drawn by the first check to read them."""
+        if not drawn:
+            drawn[:] = [X for X in structure_corpus(n, 30, seed) if check_axioms(X).ok]
+        return drawn
+
+    def roundtrip(X):
+        Y = functor_F(X)
+        try:
+            G = functor_G(Y)   # checks the B axioms first
+        except StructureAxiomError:
+            return False, "F(X) fails the B axioms"
+        if G != X:
+            return False, "G(F(X)) != X"
+        if functor_F(G) != Y:
+            return False, "F(G(Y)) != Y"
+        return True, None
+
+    def first_member():
+        if not members():   # half the draws are members by construction
+            return False, "no seeded structure satisfies the axioms"
+        return roundtrip(members()[0])
+
+    # thunks, so that every structure is built inside the checks that read it
+    pool = [lambda: build_alter_ego(n), *(lambda item=item: item.dual.structure for item in corpus)]
     for i, get in enumerate(pool):
-        def roundtrip(get=get):
-            X = get()
-            Y = functor_F(X)
-            try:
-                G = functor_G(Y)   # checks the B axioms first
-            except StructureAxiomError:
-                return False, "F(X) fails the B axioms"
-            if G != X:
-                return False, "G(F(X)) != X"
-            if functor_F(G) != Y:
-                return False, "F(G(Y)) != Y"
-            return True, None
-        check(f"roundtrip:{i}", roundtrip)
+        check(f"roundtrip:{i}", lambda get=get: roundtrip(get()))
+    check(f"roundtrip:{len(pool)}", first_member)
+    for i, X in enumerate(drawn[1:], start=len(pool) + 1):
+        check(f"roundtrip:{i}", lambda X=X: roundtrip(X))
 
     def transport():
         bad = []
-        for idx, (X, Y, phi) in enumerate(sample_morphisms([get() for get in pool], n, 50, seed)):
+        structures = [*(get() for get in pool), *members()]
+        for idx, (X, Y, phi) in enumerate(sample_morphisms(structures, n, 50, seed)):
             FX, FY = functor_F(X), functor_F(Y)
             if not is_ranked_morphism(flat_map_of_multimorphism(phi), FX, FY):
                 bad.append(("morphism-not-transported", idx))

@@ -99,9 +99,12 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         doc[table][key] = [[0, 0]] if table != "g" else [0]
         slots[name] = doc
     docs += [*slots.values(), dict(json.loads(ego), rel_jk=[[0, 0]])]
+    # constants that are no mapping, and a document nested past the decoder's recursion limit
+    docs += [dict(json.loads(j1), ops=dict(json.loads(j1)["ops"], consts=[])),
+             "[" * 100_000 + "]" * 100_000]
     for i, doc in enumerate(docs):
         src = tmp_path / f"doc{i}.json"
-        src.write_text(json.dumps(doc))
+        src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for kind in ("dual", "priestley", "carrier-space"):
             code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
             assert (code, out) == (2, ""), (doc, kind)
@@ -277,6 +280,17 @@ def test_a_closure_that_outgrows_the_formula_disagrees(monkeypatch, capsys):
     assert "note: generate skipped: formula size 5622 exceeds guard 2000\n" in out
 
 
+def test_a_formula_that_fails_its_self_check_exits_1(monkeypatch, capsys):
+    def inconsistent(n):
+        raise AssertionError("split does not sum to the total")
+
+    monkeypatch.setattr(cli, "free_size_formula", inconsistent)
+    for method in ("formula", "all"):
+        code, out, err = run(capsys, ["free-size", "--n", "1", "--method", method])
+        assert (code, out) == (1, "")
+        assert err == "error: free-size formula self-check failed: split does not sum to the total\n"
+
+
 def test_downset_guard_counts_before_enumerating(monkeypatch, capsys):
     def refuse(P):
         raise AssertionError("enumerated past the down-set limit")
@@ -339,6 +353,21 @@ def test_a_fault_building_the_corpus_algebras_is_a_fail(monkeypatch, capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "translation", "--n", "1"])
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
     assert code == 1 and failed == ["translation:M0", "translation:M1"]
+
+
+def test_a_fault_drawing_the_structure_corpus_is_a_fail(monkeypatch, capsys):
+    """The seeded structures are drawn inside the checks that read them, not before the run."""
+    def faulty(*args):
+        raise ValueError("g_1 image out of sort 0")
+
+    monkeypatch.setattr(verify, "structure_corpus", faulty)
+    code, out, err = run(capsys, ["verify", "--suite", "all", "--n", "1"])
+    assert code == 1 and err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("  FAIL")]
+    assert failed == ["axioms/axioms-vs-separation:100-structures", "functors/roundtrip:7",
+                      "functors/morphism-transport:50-samples"]
+    assert out.count("[ValueError: g_1 image out of sort 0]") == 3
+    assert "  PASS  functors/roundtrip:6\n" in out and "  PASS  tables/subuniverse-lattices\n" in out
 
 
 def test_verify_reports_are_byte_identical(capsys):

@@ -1,5 +1,6 @@
 """Alter ego, hom-functors, axiom checker, separation-based membership."""
 
+import functools
 import itertools
 import json
 import random
@@ -10,15 +11,17 @@ import pytest
 from bilatdual import algebra, corpus, multisorted
 from bilatdual.algebra import (GuardExceeded, build_jn, build_mk,
                                enumerate_homs, generated_subalgebra, product)
+from bilatdual.bridge import construct_P
 from bilatdual.corpus import (SAMPLE_PAIR_CAP, corpus_algebras, member_substructure,
                               random_structure, sample_morphisms, structure_corpus)
 from bilatdual.multisorted import (AxiomVerdict, MultiSortedStructure, a7_by_families,
                                    build_alter_ego, check_axioms, dual_of_hom,
                                    enumerate_multimorphisms, hom_algebra_E,
-                                   is_multimorphism, membership_by_separation,
+                                   is_multimorphism, membership_by_separation, morphism_rows,
                                    natural_dual, relation_slots, structures_isomorphic,
                                    verify_counit_iso, verify_unit_iso)
 from bilatdual.posets import check_relation
+from bilatdual.ranked import flat_map_of_multimorphism
 from bilatdual.verify import run_suite
 
 
@@ -429,11 +432,8 @@ def test_a7_family_oracle_agrees():
                     fam_ok = a7_by_families(X, j, k, x, y)
                     # the recorded witness is only the first failure; recompute
                     from bilatdual.algebra import reflexive_transitive_closure as _reachability
-                    from bilatdual.multisorted import amalgamated_relation
-                    rel, points = amalgamated_relation(X)
-                    pos = {pt: i for i, pt in enumerate(points)}
-                    reach = _reachability(rel)
-                    sep = not reach[pos[(j, x)], pos[(k, y)]]
+                    reach = _reachability(X.amalgam)
+                    sep = not reach[X.starts[j] + x, X.starts[k] + y]
                     assert sep == fam_ok
                     checked += 1
     assert checked > 50
@@ -529,6 +529,64 @@ def test_relation_slots_are_stored_in_canonical_order():
         assert list(Z.rel) == relation_slots(10)
         assert Z.to_json() == Y.to_json()
         assert membership_by_separation(Z) == membership_by_separation(Y) == check_axioms(Z).ok
+
+
+def _layout_structures():
+    """The alter ego at n=1..4, the corpus duals at n=1, 2 and seeded draws at n=1..3."""
+    yield from (build_alter_ego(n) for n in range(1, 5))
+    for n in (1, 2):
+        yield from (item.dual.structure for item in corpus_algebras(n, seed=3, subalgebras=3))
+    for n in (1, 2, 3):
+        yield from structure_corpus(n, 20, seed=40 + n)
+
+
+def test_the_flat_layout_agrees_with_the_pairs():
+    for X in _layout_structures():
+        points = X.points()
+        assert [X.starts[k] + i for k, i in points] == list(range(len(points)))
+        assert X.starts[-1] == len(points)
+        assert X.point_sorts == tuple(k for k, _ in points)
+        assert X.flat_g == tuple(points.index((0, i if k == 0 else X.g[k - 1][i]))
+                                 for k, i in points)
+        # a point pair is related iff its slot holds the pair; no slot, no pair
+        expected = [[(j, k) in X.rel and (a, b) in X.rel[(j, k)] for k, b in points]
+                    for j, a in points]
+        assert np.array_equal(X.amalgam, np.array(expected, dtype=bool))
+        assert X.amalgam.dtype == bool and not X.amalgam.flags.writeable
+
+
+def test_morphism_rows_and_flat_maps_agree_with_the_per_point_maps():
+    checked = 0
+    for X in _layout_structures():
+        if X.n > 2:   # E of the deeper alter egos is large; their layouts are checked above
+            continue
+        ego = build_alter_ego(X.n)
+        points, ego_points = X.points(), ego.points()
+        morphisms = enumerate_multimorphisms(X, ego)
+        assert morphism_rows(X) == [tuple(phi.maps[k][i] for k, i in points)
+                                    for phi in morphisms]
+        for phi in morphisms[:SAMPLE_PAIR_CAP]:
+            assert [ego_points[v] for v in flat_map_of_multimorphism(phi)] == \
+                [(k, phi.maps[k][i]) for k, i in points]
+        checked += len(morphisms)
+    assert checked > 1000
+
+
+def test_one_construct_P_builds_the_amalgam_once(monkeypatch):
+    built = []
+    amalgam = MultiSortedStructure.__dict__["amalgam"]
+
+    def counted(X):
+        built.append(X)
+        return amalgam.func(X)
+
+    counted_amalgam = functools.cached_property(counted)
+    counted_amalgam.__set_name__(MultiSortedStructure, "amalgam")
+    monkeypatch.setattr(MultiSortedStructure, "amalgam", counted_amalgam)
+    X = MultiSortedStructure.from_json(build_alter_ego(2).to_json())   # nothing cached yet
+    P = construct_P(X)
+    assert len(built) == 1 and built[0] is X
+    assert P.poset == construct_P(build_alter_ego(2)).poset
 
 
 def test_axioms_equal_separation_at_n3(monkeypatch):

@@ -163,9 +163,11 @@ def test_downset_family_consistency():
 
 
 def test_count_budget_guard(monkeypatch):
-    monkeypatch.setattr(posets, "DEFAULT_COUNT_BUDGET", 10)
-    with pytest.raises(GuardExceeded):
+    # 30 points: an entry is costed at 30 // 7 + 100 = 104 bytes, so 1040 bytes hold 10 entries
+    monkeypatch.setattr(posets, "COUNT_MEMO_BYTES", 1040)
+    with pytest.raises(GuardExceeded, match=r"memo budget of 1040 bytes \(10 entries of 30 bits\)"):
         count_downsets(antichain(30))
+    assert count_downsets(antichain(9)) == 512   # 10 entries: the empty mask and 9 suffixes
 
 
 def test_isomorphism_with_witness():
