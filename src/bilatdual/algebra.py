@@ -22,6 +22,7 @@ DEFAULT_TABLE_GUARD = 10**8   # table entries per operation of a product subalge
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
 DEFAULT_CLOSURE_GUARD = 10_000   # the largest carrier whose tables pass DEFAULT_TABLE_GUARD
+BUILD_GUARD = 500_000   # numbers (table cells, pair coordinates) of an object built from --n alone
 HOM_CHECK_BLOCK = 1 << 16   # entries per row block over the four tables: is_homomorphism, keys
 
 
@@ -97,7 +98,7 @@ class FiniteAlgebra:
             raise ValueError(f"{BINARY_OPS[asymmetric.index(True)]} table is not commutative")
         self.neg = _as_table(neg, (n,), "neg")
         self.consts = dict(consts)
-        if len(self.consts) < 2 * signature.n + 4:
+        if len(self.consts) != 2 * signature.n + 4:
             raise ValueError(f"{len(self.consts)} constants given, but depth "
                              f"n={signature.n} needs {2 * signature.n + 4}")
         for sym in signature.constant_symbols:

@@ -9,17 +9,29 @@ free algebra, split by how they meet the top block.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GuardExceeded
+from .algebra import BUILD_GUARD, GuardExceeded
 from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
                           morphism_rows)
 from .piggyback import carrier_map_is_iso, tagged_points
 from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
+
+
+# P(M~n) has 12n + 8 points, and `build` counts 8n^2 + 14n + 18 numbers in the alter ego, so
+# every alter ego that the build guard admits has 8n^2 <= BUILD_GUARD and a P(M~n) this small.
+P_POINT_GUARD = 8 + math.isqrt(18 * BUILD_GUARD)   # 3,008 points
+
+
+def _guard_points(points: int) -> None:
+    """Refuse, before anything is built, a P(X) of more than P_POINT_GUARD points."""
+    if points > P_POINT_GUARD:
+        raise GuardExceeded(f"P(X) would have {points} points (point guard {P_POINT_GUARD})")
 
 
 @dataclass
@@ -49,6 +61,7 @@ def construct_P(X: MultiSortedStructure) -> DoubledSpace:
     below a plain one. No transitive repair is applied: a failure here means the clauses
     were transcribed wrongly, and surfaces as a hard error from the Poset validator.
     """
+    _guard_points(2 * X.starts[-1])
     Y = functor_F(X)
     leq = Y.poset.leq
     out = np.array(Y.rank) >= 1
@@ -202,6 +215,7 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     at most 36 x 16 keys. A down-set meets the top block if and only if it holds a
     minimal top point, so the keys fold into the two tables afterwards.
     """
+    _guard_points(12 * n + 8)   # before the alter ego's n(n - 1)/2 cross slots are built
     space = construct_P(build_alter_ego(n))
     P = space.poset
     total = count_downsets(P)

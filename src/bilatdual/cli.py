@@ -7,8 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn, build_mk,
-                      free_algebra_rows)
+from .algebra import (BUILD_GUARD, DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn,
+                      build_mk, free_algebra_rows)
 from .bridge import construct_P, free_size_formula, partitioned_downset_count
 from .multisorted import MultiSortedStructure, build_alter_ego, natural_dual
 from .piggyback import build_carrier_space
@@ -16,7 +16,6 @@ from .ranked import functor_F
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 BUILD_KINDS = ("jn", "mk", "alter-ego", "dual", "priestley", "carrier-space")
-BUILD_GUARD = 500_000   # numbers (table cells, pair coordinates) of an object built from --n alone
 
 
 def _built_from_n(kind: str, n: int) -> tuple[str, int]:

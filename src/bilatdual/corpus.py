@@ -126,14 +126,7 @@ def sample_morphisms(structures, n: int, count: int, seed: int):
     """Sampled (source, target, morphism) triples, drawn from each structure's first morphisms."""
     rng = random.Random(seed)
     ego = build_alter_ego(n)
-    pool = []
-    for X in structures:
-        start = len(pool)
-
-        def collect(maps) -> bool:
-            pool.append((X, ego, MultiMorphism(X, ego, maps)))
-            return len(pool) - start == SAMPLE_PAIR_CAP
-
-        _kernel(X, ego)(collect)
+    pool = [(X, ego, MultiMorphism(X, ego, maps))
+            for X in structures for maps in _kernel(X, ego)(limit=SAMPLE_PAIR_CAP)]
     rng.shuffle(pool)
     return pool[:count]

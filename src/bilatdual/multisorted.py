@@ -218,13 +218,13 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
     point draws its candidates from one g-fibre of Y. Each relation pair of X
     is checked once, at the later of its two points (a reflexive pair at its
     own point). The check tables and fibres are built here, once per pair (roots
-    are X.flat_g); `search(found, pins=(), budget=None)` runs one search at a time.
-    `pins` lists triples (k, i, v) that restrict point i of sort k to the one
-    value v; a pin on a point of sort k >= 1 also pins its sort-0 root to the
-    g-image of v, and pins that disagree on a point end the search at once.
-    `found(maps)` sees each morphism in lexicographic order and returns true to
-    stop; the return value says whether it did. A `budget` counts every node
-    and raises GuardExceeded once it has spent more than its cap.
+    are X.flat_g). `search(pins=(), budget=None, limit=None)` returns the first
+    `limit` morphisms (all of them for None) as per-sort maps in lexicographic
+    order. `pins` lists triples (k, i, v) that restrict point i of sort k to the
+    one value v; a pin on a point of sort k >= 1 also pins its sort-0 root to the
+    g-image of v, and pins that disagree on a point leave nothing to find. A
+    `budget` counts every node and raises GuardExceeded once it has spent more
+    than its cap.
     """
     starts, sorts_of, roots = X.starts, X.point_sorts, X.flat_g
     m, spans = starts[-1], [*itertools.pairwise(starts)]
@@ -253,33 +253,8 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
             fibre.setdefault(root, []).append(v)
         fibres.append(fibre)
     everything = range(len(Y.sorts[0]))
-    img = [0] * m
-    domains = emit = meter = None   # the search under way: per-point domains, `found`, budget
 
-    def visit(p: int) -> bool:
-        if meter is not None:
-            meter.spent += 1
-            if meter.spent > meter.cap:
-                raise GuardExceeded(f"search exceeded {meter.cap} nodes")
-        if p == m:
-            return emit(tuple(tuple(img[s:e]) for s, e in spans))
-        k = sorts_of[p]
-        # a pinned point of sort k >= 1 has its root pinned too, so the pin lies in the fibre
-        candidates = domains[p]
-        if candidates is None:
-            candidates = everything if k == 0 else fibres[k - 1].get(img[roots[p]], ())
-        for v in candidates:
-            img[p] = v
-            for q, table in checks[p]:
-                if v not in table[img[q]]:
-                    break
-            else:
-                if visit(p + 1):
-                    return True
-        return False
-
-    def search(found, pins=(), budget: _NodeBudget | None = None) -> bool:
-        nonlocal domains, emit, meter
+    def search(pins=(), budget: _NodeBudget | None = None, limit: int | None = None) -> list:
         domains = [None] * m
         for k, i, v in pins:
             p = starts[k] + i
@@ -290,9 +265,35 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
                 if domains[p] is None:
                     domains[p] = (w,)
                 elif domains[p] != (w,):
-                    return False
-        emit, meter = found, budget
-        return visit(0)
+                    return []
+        img, out = [0] * m, []
+
+        def visit(p: int) -> bool:
+            """Extend the map from point p on; true once `limit` morphisms are found."""
+            if budget is not None:
+                budget.spent += 1
+                if budget.spent > budget.cap:
+                    raise GuardExceeded(f"search exceeded {budget.cap} nodes")
+            if p == m:
+                out.append(tuple(tuple(img[s:e]) for s, e in spans))
+                return len(out) == limit
+            k = sorts_of[p]
+            # a pinned point of sort k >= 1 has its root pinned too, so the pin lies in the fibre
+            candidates = domains[p]
+            if candidates is None:
+                candidates = everything if k == 0 else fibres[k - 1].get(img[roots[p]], ())
+            for v in candidates:
+                img[p] = v
+                for q, table in checks[p]:
+                    if v not in table[img[q]]:
+                        break
+                else:
+                    if visit(p + 1):
+                        return True
+            return False
+
+        visit(0)
+        return out
 
     return search
 
@@ -306,16 +307,10 @@ def enumerate_multimorphisms(X: MultiSortedStructure,
     if X.n != Y.n:
         raise ValueError("source and target must share the same n")
     cap = DEFAULT_MORPHISM_GUARD
-    out: list[MultiMorphism] = []
-
-    def collect(maps) -> bool:
-        out.append(MultiMorphism(X, Y, maps))
-        if len(out) > cap:
-            raise GuardExceeded(f"morphism enumeration exceeded {cap}")
-        return False
-
-    _kernel(X, Y)(collect)
-    return out
+    morphisms = _kernel(X, Y)(limit=cap + 1)
+    if len(morphisms) > cap:
+        raise GuardExceeded(f"morphism enumeration exceeded {cap}")
+    return [MultiMorphism(X, Y, maps) for maps in morphisms]
 
 
 def _sizes(X: MultiSortedStructure) -> tuple:
@@ -329,8 +324,8 @@ def _sizes(X: MultiSortedStructure) -> tuple:
 
 def structures_isomorphic(X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
     """Sort-wise bijections preserving g and the relation of every slot exactly."""
-    return _sizes(X) == _sizes(Y) and \
-        _kernel(X, Y)(lambda maps: all(len(set(m)) == len(m) for m in maps))   # see _sizes
+    return _sizes(X) == _sizes(Y) and any(   # see _sizes
+        all(len(set(m)) == len(m) for m in maps) for maps in _kernel(X, Y)())
 
 
 # ----------------------------------------------------------------------------
@@ -630,19 +625,13 @@ def membership_by_separation(X: MultiSortedStructure) -> bool:
     total = len(needs)
     search = _kernel(X, ego)
     budget = _NodeBudget(SEPARATION_NODE_GUARD)
-    found = []
-
-    def first(maps) -> bool:
-        found.append(maps)
-        return True
-
     try:
         while needs:
             j, a, k, b, allowed = needs[0]
             for u, v in itertools.product(range(len(ego.sorts[j])), range(len(ego.sorts[k]))):
                 if (u, v) not in allowed and \
-                        search(first, pins=((j, a, u), (k, b, v)), budget=budget):
-                    maps = found.pop()
+                        (hit := search(pins=((j, a, u), (k, b, v)), budget=budget, limit=1)):
+                    maps = hit[0]
                     needs = [r for r in needs if (maps[r[0]][r[1]], maps[r[2]][r[3]]) in r[4]]
                     break
             else:

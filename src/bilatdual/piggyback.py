@@ -100,10 +100,10 @@ def _g_map(n: int, k: int) -> tuple[int, ...]:
 
 
 def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
-    """S_le and S_ge from M_j to M_k, asserted equal to their explicit unions.
+    """S_le and S_ge from M_j to M_k; S_le is asserted equal to its explicit union.
 
-    S_le relates a to b when g_j(a) sits below g_k(b) in the sort-0 order; the
-    explicit union form and the converse identity are cross-checked.
+    S_le relates a to b when g_j(a) sits below g_k(b) in the sort-0 order, and S_ge
+    when g_j(a) sits above it.
     """
     mks = mk_algebras(n)
     mj, mk = mks[j], mks[k]
@@ -123,11 +123,6 @@ def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
         union |= set(itertools.product(values(mj, truth), values(mk, truth)))
     if frozenset(union) != s_le:
         raise AssertionError(f"S_le^{j}{k} does not match its explicit union")
-    # converse identity: S_ge from j to k equals the converse of S_le from k to j
-    s_le_kj = frozenset((a, b) for a in range(mk.size) for b in range(mj.size)
-                        if le0[gk[a], gj[b]])
-    if frozenset((b, a) for a, b in s_le_kj) != s_ge:
-        raise AssertionError(f"S_ge^{j}{k} is not the converse of S_le^{k}{j}")
     return s_le, s_ge
 
 

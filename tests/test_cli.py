@@ -99,8 +99,11 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         doc[table][key] = [[0, 0]] if table != "g" else [0]
         slots[name] = doc
     docs += [*slots.values(), dict(json.loads(ego), rel_jk=[[0, 0]])]
-    # constants that are no mapping, and a document nested past the decoder's recursion limit
-    docs += [dict(json.loads(j1), ops=dict(json.loads(j1)["ops"], consts=[])),
+    # constants that are no mapping, a constant outside the signature, and a document nested
+    # past the decoder's recursion limit
+    ops = json.loads(j1)["ops"]
+    docs += [dict(json.loads(j1), ops=dict(ops, consts=[])),
+             dict(json.loads(j1), ops=dict(ops, consts=dict(ops["consts"], foo="bot"))),
              "[" * 100_000 + "]" * 100_000]
     for i, doc in enumerate(docs):
         src = tmp_path / f"doc{i}.json"
@@ -304,11 +307,13 @@ def test_downset_guard_counts_before_enumerating(monkeypatch, capsys):
 
 
 def test_downset_guard_ends_large_n_quickly(capsys):
-    start = time.perf_counter()
-    code, out, _ = run(capsys, ["free-size", "--n", "40", "--method", "downsets"])
-    assert time.perf_counter() - start < 5.0
-    assert code == 0
-    assert "total=2617152596" in out and "downsets skipped: 2617152596 down-sets" in out
+    for n, total, skipped in ((40, 2617152596, "2617152596 down-sets"),
+                              (1000, 505021051078574036, "P(X) would have 12008 points")):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["free-size", "--n", str(n), "--method", "downsets"])
+        assert time.perf_counter() - start < 5.0, n
+        assert code == 0
+        assert f"total={total}" in out and f"downsets skipped: {skipped}" in out
 
 
 def test_free_size_downsets_n6(capsys):
@@ -431,14 +436,22 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "ego.json").exists()
 
 
-def test_build_guard_refuses_before_building(capsys):
-    for argv in (["build", "jn", "--n", "100000"], ["build", "jn", "--n", "1000"],
-                 ["build", "alter-ego", "--n", "5000"]):
+def test_build_guard_refuses_before_building(tmp_path, capsys):
+    antichain = tmp_path / "antichain.json"   # 3,000 points read from --in, not built from --n
+    antichain.write_text(json.dumps({"n": 1, "sorts": [[f"p{i}" for i in range(3000)], []],
+                                     "g": {"1": []}, "rel_k": {"0": [[i, i] for i in range(3000)],
+                                                               "1": []}}))
+    build_guard = f"(build guard {cli.BUILD_GUARD})"
+    point_guard = f"(point guard {bridge.P_POINT_GUARD})"
+    for argv, guard in ((["build", "jn", "--n", "100000"], build_guard),
+                        (["build", "jn", "--n", "1000"], build_guard),
+                        (["build", "alter-ego", "--n", "5000"], build_guard),
+                        (["build", "priestley", "--n", "1", "--in", str(antichain)], point_guard)):
         t0 = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - t0 < 2, argv
         assert code == 2 and out == "", argv
-        assert f"(build guard {cli.BUILD_GUARD})" in err
+        assert guard in err, argv
     code, out, _ = run(capsys, ["build", "jn", "--n", "100"])
     assert code == 0
     assert len(json.loads(out)["elements"]) == 204

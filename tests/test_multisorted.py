@@ -223,10 +223,10 @@ def test_pinned_kernel_matches_bruteforce_oracle():
             pins = _random_pins(X, Y, rng)
             expected = [m for m in every if all(m[k][i] == v for k, i, v in pins)]
             search = multisorted._kernel(X, Y)
-            listed = []
-            assert not search(listed.append, pins=pins)
-            assert listed == expected
-            assert search(lambda m: True, pins=pins) == bool(expected)
+            assert search(pins=pins) == expected
+            assert search(pins=pins, limit=1) == expected[:1]
+            for k in (1, 2):
+                assert search(limit=k) == every[:k]
             values = {}
             for k, i, v in pins:
                 values.setdefault((k, i), set()).add(v)
