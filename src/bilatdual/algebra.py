@@ -703,7 +703,8 @@ def product_closure_rows(factors, generator_rows,
     ambient product is never materialized; only reachable tuples are kept, and
     prod(sizes) must stay below 2**62. Each round combines each new row with
     the rows before it and itself only, which is complete because every binary
-    operation of a FiniteAlgebra is commutative.
+    operation of a FiniteAlgebra is commutative. The guard is checked after each
+    block of a round, so a round stops as soon as its distinct new keys pass it.
     """
     kernel = _PackedKeys(factors)
     seed = [tuple(int(v) for v in row) for row in generator_rows]
@@ -711,25 +712,27 @@ def product_closure_rows(factors, generator_rows,
     rows = np.array(sorted(set(seed)), dtype=np.int16)
     known = np.unique(kernel.pack(rows))
     frontier = rows
+
+    def unseen(cand: np.ndarray) -> np.ndarray:
+        """The distinct keys of cand that are not yet known."""
+        pos = np.minimum(np.searchsorted(known, cand), known.shape[0] - 1)
+        return np.unique(cand[known[pos] != cand])
+
     while frontier.size:
-        cand_keys = [kernel.neg_keys(frontier)]
+        fresh_keys = unseen(kernel.neg_keys(frontier))
         old = rows.shape[0] - frontier.shape[0]
         step = _block_rows(rows.shape[0])
         keys = kernel.op_keys(frontier, rows)
         for s in range(0, frontier.shape[0], step):
-            cand_keys.append(np.unique(keys(slice(s, s + step), slice(old + s + step))))
-        cand = np.unique(np.concatenate(cand_keys))
-        pos = np.searchsorted(known, cand)
-        pos_c = np.minimum(pos, known.shape[0] - 1)
-        fresh_keys = cand[(pos >= known.shape[0]) | (known[pos_c] != cand)]
+            fresh_keys = np.union1d(fresh_keys,
+                                    unseen(keys(slice(s, s + step), slice(old + s + step))))
+            if rows.shape[0] + fresh_keys.shape[0] > max_elements:
+                raise GuardExceeded(f"closure exceeded {max_elements} elements")
         if fresh_keys.size == 0:
             break
-        new_rows = kernel.unpack(fresh_keys)
         known = np.union1d(known, fresh_keys)
-        rows = np.concatenate([rows, new_rows], axis=0)
-        if rows.shape[0] > max_elements:
-            raise GuardExceeded(f"closure exceeded {max_elements} elements")
-        frontier = new_rows
+        frontier = kernel.unpack(fresh_keys)
+        rows = np.concatenate([rows, frontier], axis=0)
     return kernel.unpack(known)
 
 

@@ -209,11 +209,11 @@ DOWNSET_LIMIT = 10**7
 
 
 def partitioned_downset_count(n: int) -> PartitionedCount:
-    """Count, then stream, the down-sets of P(M~n) and classify them by block traces.
+    """Count the down-sets of P(M~n), tallied by their traces on the centre and minimal top.
 
-    One pass tallies each down-set's trace on the centre and the minimal top points,
-    at most 36 x 16 keys. A down-set meets the top block if and only if it holds a
-    minimal top point, so the keys fold into the two tables afterwards.
+    The view counts the down-sets with each trace on those points (at most 36 x 16
+    keys) without walking them. A down-set meets the top block if and only if it holds
+    a minimal top point, so the keys fold into the two tables afterwards.
     """
     _guard_points(12 * n + 8)   # before the alter ego's n(n - 1)/2 cross slots are built
     space = construct_P(build_alter_ego(n))
@@ -227,8 +227,7 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     min_top_mask = sum(1 << top_indices[i] for i in top_sub.minimal_elements())
     by_centre: Counter[int] = Counter()
     by_min_top: Counter[int] = Counter()
-    for key, count in Counter(map((centre_mask | min_top_mask).__and__,
-                                  enumerate_downsets(P))).items():
+    for key, count in enumerate_downsets(P).tally(centre_mask | min_top_mask).items():
         if key & min_top_mask:
             by_min_top[key & min_top_mask] += count
         else:

@@ -51,7 +51,7 @@ def check_relation(rel) -> PosetCheck:
 class Poset:
     """Finite poset over named elements; `leq` is a read-only boolean matrix."""
 
-    __slots__ = ("elements", "leq")
+    __slots__ = ("elements", "leq", "_downsets")
 
     def __init__(self, elements, leq, check: bool = True):
         self.elements = tuple(elements)
@@ -64,6 +64,7 @@ class Poset:
                 raise ValueError(f"not a partial order: {res.kind} fails at {res.witness}")
         mat.setflags(write=False)
         self.leq = mat
+        self._downsets = None   # the DownsetView, made on first use
 
     @property
     def n(self) -> int:
@@ -185,68 +186,38 @@ def _row_masks(mat) -> list[int]:
             for row in np.packbits(mat, axis=1, bitorder="little")]
 
 
-def _ranked(P: Poset) -> tuple[list[int], list[int]]:
-    """Up-set masks indexed by rank along a linear extension, and each rank's bit in P.
+def _ranked(P: Poset) -> tuple[list[int], list[int], list[int]]:
+    """Up- and down-set masks indexed by rank along a linear extension, and each rank's bit in P.
 
     Ranks sort the points by down-set size, ties by index. A point strictly below
     another has the smaller down-set, so in rank space the lowest set bit of any
     nonempty mask is a minimal element of that mask.
     """
     order = np.argsort(P.leq.sum(axis=0), kind="stable")
-    return _row_masks(P.leq[np.ix_(order, order)]), [1 << int(i) for i in order]
-
-
-def count_downsets(P: Poset) -> int:
-    """Exact number of down-sets, by branching on a minimal element with memoization.
-
-    Branch on the lowest-ranked point x left: a down-set either misses x's up-set
-    or contains x and is free on the rest. A mask leaves the stack once both branches
-    are in the memo, keyed by rank-space masks; COUNT_MEMO_BYTES bounds its size.
-    enumerate_downsets branches the same way, taking the include branch in its inner loop.
-    """
-    # an entry holds a key of up to P.n bits (30 bits to a 4-byte digit), and about 100
-    # bytes more for the dict slot, the int headers and the count
-    cap = COUNT_MEMO_BYTES // (P.n // 7 + 100)
-    up, _ = _ranked(P)
-    memo: dict[int, int] = {0: 1}
-    full = (1 << P.n) - 1
-    stack = [full] if full else []
-    while stack:
-        mask = stack[-1]
-        low = mask & -mask
-        miss, hit = mask & ~up[low.bit_length() - 1], mask ^ low
-        below_miss, below_hit = memo.get(miss), memo.get(hit)
-        if below_miss is not None and below_hit is not None:
-            memo[mask] = below_miss + below_hit
-            stack.pop()
-            if len(memo) > cap:
-                raise GuardExceeded(f"down-set counting exceeded its memo budget of "
-                                    f"{COUNT_MEMO_BYTES} bytes ({cap} entries of {P.n} bits)")
-            continue
-        if below_miss is None:
-            stack.append(miss)
-        if below_hit is None:
-            stack.append(hit)
-    return memo[full]
+    ranked = P.leq[np.ix_(order, order)]
+    return _row_masks(ranked), _row_masks(ranked.T), [1 << int(i) for i in order]
 
 
 class DownsetView:
-    """The down-sets of a poset as bit masks, streamed: only the search stack is held.
+    """The down-sets of a poset as bit masks: streamed, counted, or tallied by trace.
 
     Each pass runs the depth-first search afresh and yields the same masks in the
     same order. A push takes a point out of the working mask, so the stack never
-    holds more entries than P has points.
+    holds more entries than P has points. Counting keeps one memo of rank-space
+    masks for the poset, shared by every count and tally on it.
     """
 
-    __slots__ = ("n", "up", "bit")
+    __slots__ = ("n", "up", "down", "bit", "memo")
 
     def __init__(self, P: Poset):
         self.n = P.n
-        self.up, self.bit = _ranked(P)
+        self.up, self.down, self.bit = _ranked(P)
+        self.memo: dict[int, int] = {0: 1}
 
-    def __iter__(self):
-        up, bit = self.up, self.bit
-        stack = [((1 << self.n) - 1, 0)]
+    def _walk(self, mask: int, bit):
+        """The down-sets of the points of a rank-space mask, each as an OR of `bit` entries."""
+        up = self.up
+        stack = [(mask, 0)]
         while stack:
             mask, acc = stack.pop()
             while mask:
@@ -257,8 +228,79 @@ class DownsetView:
                 acc |= bit[i]
             yield acc
 
+    def __iter__(self):
+        return self._walk((1 << self.n) - 1, self.bit)
+
     def __len__(self) -> int:
         return sum(1 for _ in self)
+
+    def count(self, mask: int) -> int:
+        """The number of down-sets of the points of a rank-space mask.
+
+        Branch on the lowest-ranked point x left: a down-set either misses x's up-set
+        or contains x and is free on the rest. A mask leaves the stack once both
+        branches are in the memo; COUNT_MEMO_BYTES bounds its size.
+        """
+        memo, up = self.memo, self.up
+        # an entry holds a key of up to n bits (30 bits to a 4-byte digit), and about 100
+        # bytes more for the dict slot, the int headers and the count
+        cap = COUNT_MEMO_BYTES // (self.n // 7 + 100)
+        stack = [] if mask in memo else [mask]
+        while stack:
+            top = stack[-1]
+            low = top & -top
+            miss, hit = top & ~up[low.bit_length() - 1], top ^ low
+            below_miss, below_hit = memo.get(miss), memo.get(hit)
+            if below_miss is not None and below_hit is not None:
+                memo[top] = below_miss + below_hit
+                stack.pop()
+                if len(memo) > cap:
+                    raise GuardExceeded(f"down-set counting exceeded its memo budget of "
+                                        f"{COUNT_MEMO_BYTES} bytes ({cap} entries of "
+                                        f"{self.n} bits)")
+                continue
+            if below_miss is None:
+                stack.append(miss)
+            if below_hit is None:
+                stack.append(hit)
+        return memo[mask]
+
+    def tally(self, key: int) -> dict[int, int]:
+        """{trace: number of down-sets D with D & key == trace}, counted without walking D.
+
+        A down-set D with D & K = T is the down-closure of T together with any down-set
+        of the points outside it and outside the up-closure of K - T; T runs over the
+        down-sets of K, and only those are walked.
+        """
+        up, down, bit = self.up, self.down, self.bit
+        points = [i for i in range(self.n) if bit[i] & key]
+        keep, full, out = sum(1 << i for i in points), (1 << self.n) - 1, {}
+        for T in self._walk(keep, [1 << i for i in range(self.n)]):
+            closed, trace = 0, 0
+            for i in points:
+                if T >> i & 1:
+                    closed |= down[i]
+                    trace |= bit[i]
+                else:
+                    closed |= up[i]
+            out[trace] = self.count(full & ~closed)
+        return out
+
+
+def _view(P: Poset) -> DownsetView:
+    """The poset's one DownsetView, made on first use, so that its counts share a memo."""
+    if P._downsets is None:
+        P._downsets = DownsetView(P)
+    return P._downsets
+
+
+def count_downsets(P: Poset) -> int:
+    """Exact number of down-sets, by branching on a minimal element with memoization.
+
+    The memo lives with the poset's DownsetView, keyed by rank-space masks, and
+    enumerate_downsets branches the same way, taking the include branch in its inner loop.
+    """
+    return _view(P).count((1 << P.n) - 1)
 
 
 def enumerate_downsets(P: Poset) -> DownsetView:
@@ -267,7 +309,7 @@ def enumerate_downsets(P: Poset) -> DownsetView:
     Returns a re-iterable view, not a list, so memory is O(|P|) whatever the count;
     `len` costs one pass over every down-set.
     """
-    return DownsetView(P)
+    return _view(P)
 
 
 def is_downset_mask(mask: int, down_masks) -> bool:

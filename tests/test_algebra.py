@@ -16,7 +16,7 @@ from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_
                                bilattice_law_violations, bool_compose, build_jn, build_mk,
                                closure_indices, enumerate_homs,
                                enumerate_homs_bruteforce, enumerate_subuniverses,
-                               free_algebra, generated_subalgebra,
+                               free_algebra, free_algebra_rows, generated_subalgebra,
                                generated_subalgebra_in_product, is_homomorphism,
                                lattice_reduct, mk_algebras, product, product_closure_rows,
                                reflexive_transitive_closure)
@@ -327,6 +327,30 @@ def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, blo
             assert tuple(rows[i]) == tuple(f.consts[sym] for f in factors)
         compared += 1
     assert trips < 40
+
+
+def test_the_closure_guard_trips_inside_a_round(monkeypatch):
+    """At n=2 the round from 875 rows (a 713-row frontier) would add 559: past 900 early."""
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", 1)   # one frontier row per block
+    op_keys, rounds = _PackedKeys.op_keys, []
+
+    def counting(self, left, right):
+        keys, evaluated = op_keys(self, left, right), [left.shape[0], right.shape[0], 0]
+        rounds.append(evaluated)
+
+        def counted(i, j):
+            evaluated[2] += 1
+            return keys(i, j)
+        return counted
+
+    monkeypatch.setattr(_PackedKeys, "op_keys", counting)
+    assert free_algebra_rows(2).shape[0] == 1434
+    assert rounds[-2:] == [[713, 875, 713], [559, 1434, 559]]
+    rounds.clear()
+    with pytest.raises(GuardExceeded, match="closure exceeded 900 elements"):
+        free_algebra_rows(2, max_elements=900)
+    frontier, width, blocks = rounds[-1]
+    assert (frontier, width) == (713, 875) and blocks < frontier
 
 
 @pytest.mark.parametrize("block", [64, algebra.HOM_CHECK_BLOCK])

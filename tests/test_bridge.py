@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilatdual import algebra, multisorted, verify
+from bilatdual import algebra, multisorted, posets, verify
 from bilatdual.algebra import build_jn, build_mk, free_algebra_rows, lattice_reduct
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
@@ -121,6 +121,18 @@ def test_partitioned_count_streams_its_downsets():
     assert (pc.avoiding_top, pc.meeting_top) == (fs.avoiding_top, fs.meeting_top)
     assert pc.by_centre == table_avoiding_expected(6)
     assert pc.by_min_top == table_meeting_expected(6)
+
+
+def test_the_partitioned_count_walks_no_downset(monkeypatch):
+    def refuse(view):
+        raise AssertionError("walked the down-sets")
+
+    monkeypatch.setattr(posets.DownsetView, "__iter__", refuse)
+    pc = partitioned_downset_count(7)
+    fs = free_size_formula(7)
+    assert (pc.avoiding_top, pc.meeting_top) == (fs.avoiding_top, fs.meeting_top)
+    assert pc.by_centre == table_avoiding_expected(7)
+    assert pc.by_min_top == table_meeting_expected(7)
 
 
 def test_tables_suite_compares_every_tally_cell(monkeypatch):

@@ -279,8 +279,20 @@ def test_a_closure_that_outgrows_the_formula_disagrees(monkeypatch, capsys):
     assert code == 1 and doc["agree"] is False and "brute_force_size" not in doc
     # a formula above the guard is still a skip, before any closure
     code, out, _ = run(capsys, ["free-size", "--n", "3", "--method", "generate"])
-    assert code == 0 and "total=5622  agree\n" in out
+    assert code == 0 and "total=5622  unchecked\n" in out
     assert "note: generate skipped: formula size 5622 exceeds guard 2000\n" in out
+
+
+def test_a_run_that_checks_nothing_is_unchecked(capsys):
+    """With no second method finished, nothing agreed with the formula: exit 0, no verdict."""
+    code, out, _ = run(capsys, ["free-size", "--n", "2", "--method", "formula"])
+    assert (code, out) == (0, "n=2  f=710  g=724  total=1434  unchecked\n")
+    code, out, _ = run(capsys, ["free-size", "--n", "2", "--method", "formula", "--format",
+                                "structured"])
+    assert code == 0 and json.loads(out)["agree"] is None
+    code, out, _ = run(capsys, ["free-size", "--n", "1000", "--method", "all"])
+    assert code == 0 and "total=505021051078574036  unchecked\n" in out
+    assert "note: downsets skipped: " in out and "note: generate skipped: " in out
 
 
 def test_a_formula_that_fails_its_self_check_exits_1(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -132,12 +133,41 @@ def test_the_ranking_is_a_linear_extension_of_the_doubled_space():
     for n, inverted in ((1, 20), (2, 43), (3, 74)):
         P = construct_P(build_alter_ego(n)).poset
         assert int(np.tril(P.leq, -1).sum()) == inverted   # the index order is not one
-        up, bit = posets._ranked(P)
+        up, down, bit = posets._ranked(P)
         assert sorted(bit) == [1 << i for i in range(P.n)]
         order = [b.bit_length() - 1 for b in bit]
         ranked = P.leq[np.ix_(order, order)]
         assert not np.tril(ranked, -1).any()
         assert up == [sum(1 << s for s in np.flatnonzero(row)) for row in ranked]
+        assert down == [sum(1 << s for s in np.flatnonzero(col)) for col in ranked.T]
+
+
+def tally_cases():
+    """(poset, key) pairs: P(M~n) with its centre and top blocks, and seeded random posets."""
+    rng = random.Random(17)
+    for n in range(1, 6):
+        space = construct_P(build_alter_ego(n))
+        _, centre, top = space.block_masks()
+        yield space.poset, centre | top
+    for _ in range(30):
+        size = rng.randint(8, 20)
+        mat = np.triu(np.array([[rng.random() < 0.25 for _ in range(size)]
+                                for _ in range(size)]))
+        perm = list(range(size))
+        rng.shuffle(perm)
+        mat = (mat | np.eye(size, dtype=bool))[np.ix_(perm, perm)]
+        for _ in range(size):
+            mat = mat | (mat @ mat)
+        yield Poset([f"e{i}" for i in range(size)], mat), rng.getrandbits(size)
+
+
+def test_the_tally_counts_what_a_walk_would_group():
+    for P, key in tally_cases():
+        view = enumerate_downsets(P)
+        for k in (key, 0, (1 << P.n) - 1):
+            tally = view.tally(k)
+            assert tally == Counter(map(k.__and__, view)), (P, k)
+            assert sum(tally.values()) == count_downsets(P)
 
 
 def test_combinator_count_identities():
@@ -168,6 +198,10 @@ def test_count_budget_guard(monkeypatch):
     with pytest.raises(GuardExceeded, match=r"memo budget of 1040 bytes \(10 entries of 30 bits\)"):
         count_downsets(antichain(30))
     assert count_downsets(antichain(9)) == 512   # 10 entries: the empty mask and 9 suffixes
+    # a tally counts through the same memo, under the same cap
+    P = construct_P(build_alter_ego(2)).poset
+    with pytest.raises(GuardExceeded, match="memo budget of 1040 bytes"):
+        enumerate_downsets(P).tally(P.down_masks()[0])
 
 
 def test_isomorphism_with_witness():
