@@ -38,6 +38,13 @@ class NotALattice(ValueError):
     pass
 
 
+def strict_index(value) -> int:
+    """operator.index, refusing bools: a document's true or false is not the integer 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SignatureN:
     """Signature for priority depth n: four binary ops, negation, and 2n+4 constants."""
@@ -159,7 +166,7 @@ class FiniteAlgebra:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FiniteAlgebra":
-        sig = SignatureN(operator.index(doc["signature"]["n"]))
+        sig = SignatureN(strict_index(doc["signature"]["n"]))
         elements = tuple(doc["elements"])
         index = {name: i for i, name in enumerate(elements)}
         ops = doc["ops"]

@@ -19,7 +19,7 @@ from .algebra import BUILD_GUARD, GuardExceeded
 from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
                           morphism_rows)
 from .piggyback import carrier_map_is_iso, tagged_points
-from .posets import Poset, count_downsets, enumerate_downsets, is_order_preserving
+from .posets import Poset, enumerate_downsets, is_order_preserving
 from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
 
 
@@ -198,14 +198,10 @@ def table_meeting_expected(n: int) -> dict[frozenset[str], int]:
 
 @dataclass
 class PartitionedCount:
-    n: int
     avoiding_top: int
     meeting_top: int
     by_centre: dict[frozenset[str], int]
     by_min_top: dict[frozenset[str], int]
-
-
-DOWNSET_LIMIT = 10**7
 
 
 def partitioned_downset_count(n: int) -> PartitionedCount:
@@ -218,9 +214,6 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     _guard_points(12 * n + 8)   # before the alter ego's n(n - 1)/2 cross slots are built
     space = construct_P(build_alter_ego(n))
     P = space.poset
-    total = count_downsets(P)
-    if total > DOWNSET_LIMIT:
-        raise GuardExceeded(f"{total} down-sets exceed the enumeration limit {DOWNSET_LIMIT}")
     _, centre_mask, top_mask = space.block_masks()
     top_indices = [i for i in range(P.n) if top_mask >> i & 1]
     top_sub = P.restrict(top_indices)
@@ -236,5 +229,5 @@ def partitioned_downset_count(n: int) -> PartitionedCount:
     def named(tally: Counter[int]) -> dict[frozenset[str], int]:
         return {frozenset(P.elements[i] for i in range(P.n) if trace >> i & 1): count
                 for trace, count in tally.items()}
-    return PartitionedCount(n, by_centre.total(), by_min_top.total(),
+    return PartitionedCount(by_centre.total(), by_min_top.total(),
                             named(by_centre), named(by_min_top))

@@ -12,13 +12,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import index
 
 import numpy as np
 
 from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, bool_compose,
                       enumerate_homs, is_homomorphism, mk_algebras, mk_elements,
-                      reflexive_transitive_closure)
+                      reflexive_transitive_closure, strict_index)
 from .posets import check_relation, first_true
 
 DEFAULT_MORPHISM_GUARD = 200_000
@@ -53,7 +52,7 @@ class MultiSortedStructure:
         self.sorts = tuple(tuple(s) for s in self.sorts)
         if len(self.g) != self.n:
             raise ValueError("need one g map per sort k >= 1")
-        self.g = tuple(tuple(map(index, m)) for m in self.g)
+        self.g = tuple(tuple(map(strict_index, m)) for m in self.g)
         for k in range(1, self.n + 1):
             if len(self.g[k - 1]) != len(self.sorts[k]):
                 raise ValueError(f"g_{k} is not total")
@@ -64,7 +63,7 @@ class MultiSortedStructure:
         for j, k in relation_slots(self.n):
             if j == k and (k, k) not in given:
                 raise ValueError(f"need a relation on sort {k}")
-            rel = frozenset((index(a), index(b)) for a, b in given.pop((j, k), ()))
+            rel = frozenset((strict_index(a), strict_index(b)) for a, b in given.pop((j, k), ()))
             for a, b in rel:
                 if not (0 <= a < len(self.sorts[j]) and 0 <= b < len(self.sorts[k])):
                     raise ValueError(f"relation ({j},{k}) pair out of range")
@@ -122,7 +121,7 @@ class MultiSortedStructure:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MultiSortedStructure":
-        n = index(doc["n"])
+        n = strict_index(doc["n"])
         if len(doc["g"]) != n or len(doc["rel_k"]) != n + 1:
             raise ValueError("g must be keyed 1..n and rel_k 0..n")
         rel = {(k, k): doc["rel_k"][str(k)] for k in range(n + 1)}

@@ -6,7 +6,7 @@ import json
 import time
 from pathlib import Path
 
-from bilatdual import algebra, bridge, cli, corpus, verify
+from bilatdual import algebra, bridge, cli, corpus, posets, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
@@ -90,6 +90,12 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
     float_g["g"]["1"][0] = 0.5
     docs += [float_pair, float_g, dict(json.loads(ego), n=1.0),
              dict(json.loads(j1), signature={"n": 1.0})]
+    # JSON true is not the integer 1, wherever a depth, a g value or a pair entry is read
+    bool_pair, bool_g = json.loads(ego), json.loads(ego)
+    bool_pair["rel_k"]["0"].append([True, True])   # (1, 1) is already in the order
+    bool_g["g"]["1"] = [True for _ in bool_g["g"]["1"]]
+    docs += [bool_pair, bool_g, dict(json.loads(ego), n=True),
+             dict(json.loads(j1), signature={"n": True})]
     # keys that name no slot of depth 1: a sort slot or sort 0 among the cross slots,
     # a sort beyond n among the sort relations, sort 0 or a sort beyond n among the g maps
     slots = {}
@@ -306,26 +312,23 @@ def test_a_formula_that_fails_its_self_check_exits_1(monkeypatch, capsys):
         assert err == "error: free-size formula self-check failed: split does not sum to the total\n"
 
 
-def test_downset_guard_counts_before_enumerating(monkeypatch, capsys):
-    def refuse(P):
-        raise AssertionError("enumerated past the down-set limit")
-
-    monkeypatch.setattr(bridge, "DOWNSET_LIMIT", 1000)
-    monkeypatch.setattr(bridge, "enumerate_downsets", refuse)
-    code, out, _ = run(capsys, ["free-size", "--n", "2", "--method", "downsets"])
+def test_downset_memo_budget_trip_is_a_skip(monkeypatch, capsys):
+    monkeypatch.setattr(posets, "COUNT_MEMO_BYTES", 1000)
+    code, out, _ = run(capsys, ["free-size", "--n", "40", "--method", "downsets"])
     assert code == 0
-    assert "note: downsets skipped: 1434 down-sets exceed the enumeration limit 1000\n" in out
+    assert "note: downsets skipped: down-set counting exceeded its memo budget" in out
     assert "counted=" not in out
 
 
 def test_downset_guard_ends_large_n_quickly(capsys):
-    for n, total, skipped in ((40, 2617152596, "2617152596 down-sets"),
-                              (1000, 505021051078574036, "P(X) would have 12008 points")):
+    for n, total, outcome in ((40, 2617152596, "counted=1307836716/1309315880/2617152596"),
+                              (1000, 505021051078574036,
+                               "downsets skipped: P(X) would have 12008 points")):
         start = time.perf_counter()
         code, out, _ = run(capsys, ["free-size", "--n", str(n), "--method", "downsets"])
         assert time.perf_counter() - start < 5.0, n
         assert code == 0
-        assert f"total={total}" in out and f"downsets skipped: {skipped}" in out
+        assert f"total={total}" in out and outcome in out
 
 
 def test_free_size_downsets_n6(capsys):
@@ -335,9 +338,10 @@ def test_free_size_downsets_n6(capsys):
 
 
 def test_verify_text_and_exit(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "tables", "--n", "1"])
-    assert code == 0
-    assert "overall: pass" in out
+    for n in ("1", "16"):   # P(M~16) has 15,237,956 down-sets, every one tallied
+        code, out, _ = run(capsys, ["verify", "--suite", "tables", "--n", n])
+        assert code == 0
+        assert "overall: pass" in out and "SKIP" not in out
 
 
 def test_a_table3_fault_is_a_fail_and_the_tables_suite_runs_on(monkeypatch, capsys):
