@@ -702,45 +702,123 @@ def _product_subalgebra(factors, rows: np.ndarray) -> FiniteAlgebra:
     return FiniteAlgebra(kernel.signature, elements, tables, neg, consts)
 
 
+class _KeySet:
+    """A set of int64 keys >= 0: open addressing, multiplicative hash, linear probing.
+
+    The load stays at or below 1/4, and EMPTY (never a key) marks a free slot. A
+    probe compares the full key, so membership is exact.
+    """
+
+    EMPTY = -1
+    MIX = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self):
+        self.size, self.slots = 0, np.full(16, self.EMPTY, dtype=np.int64)
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """The top bits of key * MIX, as slot numbers."""
+        h = np.multiply(keys.view(np.uint64), self.MIX)
+        np.right_shift(h, np.uint64(65 - self.slots.size.bit_length()), out=h)
+        return h.view(np.int64)
+
+    def _place(self, keys: np.ndarray):
+        """Insert distinct keys that are not in the set."""
+        slot, mask = self._home(keys), self.slots.size - 1
+        while keys.size:
+            free = self.slots[slot] == self.EMPTY
+            self.slots[slot[free]] = keys[free]   # keys racing for one slot: one of them wins
+            free[free] = self.slots[slot[free]] == keys[free]
+            keys, slot = keys[~free], slot[~free]
+            slot += 1
+            slot &= mask
+
+    def admit(self, cand: np.ndarray) -> np.ndarray:
+        """Add the keys of cand that are not in the set; return them, distinct and sorted."""
+        keys, found = cand.ravel(), [np.empty(0, dtype=np.int64)]
+        slot, mask = self._home(keys), self.slots.size - 1
+        while keys.size:
+            held = self.slots[slot]
+            empty = held == self.EMPTY
+            found.append(keys[empty])
+            go = held != keys
+            go ^= empty
+            keys, slot = keys[go], slot[go]
+            slot += 1
+            slot &= mask
+        fresh = np.sort(np.concatenate(found))
+        fresh = fresh[np.diff(fresh, prepend=self.EMPTY) != 0]
+        self.size += fresh.size
+        if 4 * self.size > self.slots.size:
+            old = self.slots[self.slots != self.EMPTY]
+            self.slots = np.full(1 << (4 * self.size - 1).bit_length(), self.EMPTY, dtype=np.int64)
+            self._place(old)
+        self._place(fresh)
+        return fresh
+
+    def sorted(self) -> np.ndarray:
+        return np.sort(self.slots[self.slots != self.EMPTY])
+
+
+NEG_CONJUGATE = (0, 1, 3, 2)   # op* for each op of BINARY_OPS: ¬ swaps meet_t and join_t
+
+
+def _check_negation_symmetry(factors):
+    """ValueError unless on every factor ¬ is an involution and op(¬x, ¬y) = ¬op*(x, y)."""
+    for c, f in enumerate(factors):
+        if not np.array_equal(f.neg[f.neg], np.arange(f.size)):
+            raise ValueError(f"factor {c}: neg is not an involution")
+        held = f.tables[:, f.neg[:, None], f.neg] == f.neg[f.tables[list(NEG_CONJUGATE)]]
+        for op, conj, ok in zip(BINARY_OPS, NEG_CONJUGATE, held):
+            if not ok.all():
+                raise ValueError(f"factor {c}: {op}(neg x, neg y) != neg {BINARY_OPS[conj]}(x, y)")
+
+
 def product_closure_rows(factors, generator_rows,
                          max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.ndarray:
     """Close generator tuples (plus the constant tuples) under pointwise operations.
 
     Returns the closed rows sorted by packed key, without building tables. The
-    ambient product is never materialized; only reachable tuples are kept, and
-    prod(sizes) must stay below 2**62. Each round combines each new row with
-    the rows before it and itself only, which is complete because every binary
-    operation of a FiniteAlgebra is commutative. The guard is checked after each
-    block of a round, so a round stops as soon as its distinct new keys pass it.
+    ambient product is never materialized; only reachable tuples are kept, in a
+    hashed `_KeySet`, and prod(sizes) must stay below 2**62.
+
+    Each round pairs only half of the new rows, by the negation symmetry. On every
+    factor ¬ is an involution and op(¬x, ¬y) = ¬op*(x, y), where op* swaps meet_t
+    and join_t; this is checked first, with ValueError naming the failed law. The
+    seed is closed under ¬, and each block's fresh keys come with their negations,
+    so the rows R and the frontier F of a round are closed under ¬. A frontier row
+    x leads when key(x) <= key(¬x), and each lead row is paired with every row of R.
+    That misses no pair of F x R: if x does not lead, ¬x does, and (¬x, ¬y) is in
+    F x R, so op*(¬x, ¬y) is found and its negation ¬op*(¬x, ¬y) = op(x, y) is
+    admitted with it. Pairs inside the rows before F were combined in earlier
+    rounds, and a pair in R x F is a pair of F x R because every binary operation
+    of a FiniteAlgebra is commutative. The guard is checked after each block of a
+    round, so a round stops as soon as its distinct new keys pass it.
     """
     kernel = _PackedKeys(factors)
-    seed = [tuple(int(v) for v in row) for row in generator_rows]
-    seed += [tuple(row) for row in kernel.const_rows().tolist()]
-    rows = np.array(sorted(set(seed)), dtype=np.int16)
-    known = np.unique(kernel.pack(rows))
-    frontier = rows
+    _check_negation_symmetry(kernel.factors)
+    seen = _KeySet()
 
-    def unseen(cand: np.ndarray) -> np.ndarray:
-        """The distinct keys of cand that are not yet known."""
-        pos = np.minimum(np.searchsorted(known, cand), known.shape[0] - 1)
-        return np.unique(cand[known[pos] != cand])
+    def admit(cand: np.ndarray) -> np.ndarray:
+        """Admit cand's new keys, then their negations; return both, in that order."""
+        fresh = seen.admit(cand)
+        fresh = np.concatenate([fresh, seen.admit(kernel.neg_keys(kernel.unpack(fresh)))])
+        if seen.size > max_elements:
+            raise GuardExceeded(f"closure exceeded {max_elements} elements")
+        return fresh
 
+    seed = np.array([tuple(int(v) for v in row) for row in generator_rows]
+                    + kernel.const_rows().tolist(), dtype=np.int16)
+    if ((seed < 0) | (seed >= kernel.radices)).any():
+        raise ValueError("a generator row is outside the factors")
+    rows = frontier = kernel.unpack(admit(kernel.pack(seed)))
     while frontier.size:
-        fresh_keys = unseen(kernel.neg_keys(frontier))
-        old = rows.shape[0] - frontier.shape[0]
+        lead = frontier[kernel.pack(frontier) <= kernel.neg_keys(frontier)]
         step = _block_rows(rows.shape[0])
-        keys = kernel.op_keys(frontier, rows)
-        for s in range(0, frontier.shape[0], step):
-            fresh_keys = np.union1d(fresh_keys,
-                                    unseen(keys(slice(s, s + step), slice(old + s + step))))
-            if rows.shape[0] + fresh_keys.shape[0] > max_elements:
-                raise GuardExceeded(f"closure exceeded {max_elements} elements")
-        if fresh_keys.size == 0:
-            break
-        known = np.union1d(known, fresh_keys)
-        frontier = kernel.unpack(fresh_keys)
+        keys = kernel.op_keys(lead, rows)
+        frontier = kernel.unpack(np.concatenate(
+            [admit(keys(slice(s, s + step), slice(None))) for s in range(0, lead.shape[0], step)]))
         rows = np.concatenate([rows, frontier], axis=0)
-    return kernel.unpack(known)
+    return kernel.unpack(seen.sorted())
 
 
 def generated_subalgebra_in_product(factors, generator_rows) -> ProductSubalgebra:

@@ -323,6 +323,11 @@ def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
     return [(k, i, kind) for kind in ("gamma", "delta") for k, i in X.points()]
 
 
+def distinct_columns(masks: np.ndarray) -> int:
+    """How many distinct columns a 2-D boolean array has (np.unique would import numpy.ma)."""
+    return len({col.tobytes() for col in np.packbits(masks.T, axis=1)})
+
+
 def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
     """Whether the carriers map `poset` order-isomorphically onto H(A-flat), where |A| = size.
 
@@ -338,7 +343,7 @@ def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
                 for w in all_carriers(len(homs) - 1)}
     masks = np.array([carriers[(k, kind)][np.asarray(homs[k][i])] for k, i, kind in points])
     return (np.array_equal(~bool_compose(masks, ~masks.T), poset.leq)
-            and np.unique(masks, axis=1).shape[1] == size
+            and distinct_columns(masks) == size
             and count_downsets(poset) == size)
 
 

@@ -264,9 +264,13 @@ def _oracle_row(factors, key: int) -> list[int]:
 
 
 def _random_factors(rng):
+    """Up to 24 factors drawn from M_0..M_n and J_n, n = 1..3, whose keys fit in int64."""
     n = rng.randint(1, 3)
-    mks = mk_algebras(n)
-    return [rng.choice(mks) for _ in range(rng.randint(1, 24))]
+    pool = (*mk_algebras(n), build_jn(n))
+    factors = [rng.choice(pool) for _ in range(rng.randint(1, 24))]
+    while math.prod(f.size for f in factors) >= 2**62:
+        factors.pop()
+    return factors
 
 
 def _random_rows(rng, factors, count):
@@ -299,39 +303,71 @@ def test_packed_key_kernel_matches_per_coordinate_packing(block):
             assert np.array_equal(kernel.unpack(kernel.pack(left)), left)
 
 
+def _matches_oracle(factors, gens, limit: int = 400) -> bool:
+    """Closure rows, four tables, neg and constants equal the oracle's; False if both trip."""
+    try:
+        want = _oracle_closure_rows(factors, gens, limit)
+    except GuardExceeded:
+        with pytest.raises(GuardExceeded):
+            product_closure_rows(factors, gens, limit)
+        return False
+    rows = product_closure_rows(factors, gens, limit)
+    assert np.array_equal(rows, want)
+    alg = _product_subalgebra(factors, rows)
+    keys = _oracle_keys(factors, rows)
+    assert np.array_equal(alg.tables, np.searchsorted(keys, _oracle_op_keys(factors, rows, rows)))
+    negs = np.stack([f.neg[rows[:, c]] for c, f in enumerate(factors)], axis=-1)
+    assert np.array_equal(alg.neg, np.searchsorted(keys, _oracle_keys(factors, negs)))
+    for sym, i in alg.consts.items():
+        assert tuple(rows[i]) == tuple(f.consts[sym] for f in factors)
+    return True
+
+
 @pytest.mark.parametrize("block", [7, algebra.HOM_CHECK_BLOCK])
 def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, block):
-    """Closure rows, four tables, neg and constants against per-coordinate packing."""
+    """Random products of M_k and J_n, then the seeded subalgebras of J_n^2 at n = 1..3."""
     monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
     rng = random.Random(4242 + block)
     compared = trips = 0
     while compared < 12:
         factors = _random_factors(rng)
-        gens = _random_rows(rng, factors, rng.randint(1, 2))
-        try:
-            want = _oracle_closure_rows(factors, gens, 400)
-        except GuardExceeded:
-            with pytest.raises(GuardExceeded):
-                product_closure_rows(factors, gens, 400)
+        if _matches_oracle(factors, _random_rows(rng, factors, rng.randint(1, 2))):
+            compared += 1
+        else:
             trips += 1
-            continue
-        rows = product_closure_rows(factors, gens, 400)
-        assert np.array_equal(rows, want)
-        alg = _product_subalgebra(factors, rows)
-        keys = _oracle_keys(factors, rows)
-        assert np.array_equal(alg.tables,
-                              np.searchsorted(keys, _oracle_op_keys(factors, rows, rows)))
-        negs = np.stack([f.neg[rows[:, c]] for c, f in enumerate(factors)], axis=-1)
-        assert np.array_equal(alg.neg, np.searchsorted(keys, _oracle_keys(factors, negs)))
-        for sym, i in alg.consts.items():
-            assert tuple(rows[i]) == tuple(f.consts[sym] for f in factors)
-        compared += 1
     assert trips < 40
+    m0 = mk_algebras(1)[0]
+    assert _matches_oracle([m0, m0], [(1, 2)])   # its last round's new rows all negate to themselves
+    closure, drawn = algebra.product_closure_rows, []
+    monkeypatch.setattr(algebra, "product_closure_rows", lambda factors, gens, limit: (
+        drawn.append((factors, gens)) or closure(factors, gens, limit)))
+    for n in (1, 2, 3):
+        for item in seeded_subalgebras(n, 25, 20260809):
+            assert item.algebra.size   # closed through the recorder
+    assert len(drawn) == 75 and all(_matches_oracle(f, g) for f, g in drawn)
+
+
+def test_the_closure_refuses_factors_without_the_negation_symmetry_and_stray_generators():
+    """Pairing half the rows needs ¬ to be an involution swapping meet_t and join_t."""
+    m1 = build_mk(1, 1)
+    identity = FiniteAlgebra(m1.signature, m1.elements, m1.tables, range(m1.size), m1.consts)
+    cycle = FiniteAlgebra(m1.signature, m1.elements, m1.tables,
+                          [*range(1, m1.size), 0], m1.consts)
+    for bad, law in ((identity, r"meet_t\(neg x, neg y\) != neg join_t\(x, y\)"),
+                     (cycle, "neg is not an involution")):
+        with pytest.raises(ValueError, match=f"factor 1: {law}"):
+            product_closure_rows([m1, bad], [(0, 0)])
+    for gen in ((0, 6), (-1, 0)):   # unpacked, its key would alias another row
+        with pytest.raises(ValueError, match="generator row is outside the factors"):
+            product_closure_rows([m1, m1], [gen])
 
 
 def test_the_closure_guard_trips_inside_a_round(monkeypatch):
-    """At n=2 the round from 875 rows (a 713-row frontier) would add 559: past 900 early."""
-    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", 1)   # one frontier row per block
+    """At n=2 the round from 408 rows (176 lead rows) would reach 1338: past 900 early.
+
+    Each round pairs the lead rows of its frontier, one per negation pair, with every row.
+    """
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", 1)   # one lead row per block
     op_keys, rounds = _PackedKeys.op_keys, []
 
     def counting(self, left, right):
@@ -345,12 +381,13 @@ def test_the_closure_guard_trips_inside_a_round(monkeypatch):
 
     monkeypatch.setattr(_PackedKeys, "op_keys", counting)
     assert free_algebra_rows(2).shape[0] == 1434
-    assert rounds[-2:] == [[713, 875, 713], [559, 1434, 559]]
+    assert rounds == [[6, 10, 6], [25, 58, 25], [176, 408, 176], [465, 1338, 465],
+                      [48, 1434, 48]]
     rounds.clear()
     with pytest.raises(GuardExceeded, match="closure exceeded 900 elements"):
         free_algebra_rows(2, max_elements=900)
-    frontier, width, blocks = rounds[-1]
-    assert (frontier, width) == (713, 875) and blocks < frontier
+    lead, width, blocks = rounds[-1]
+    assert (lead, width) == (176, 408) and blocks < lead
 
 
 @pytest.mark.parametrize("block", [64, algebra.HOM_CHECK_BLOCK])

@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -500,3 +502,16 @@ def test_reports_match_the_benchmark_digests(tmp_path, capsys):
         code, out, _ = run(capsys, ["build", kind, "--n", "1", "--in", str(f1)])
         assert code == 0, invocation
         assert hashlib.sha256(out.encode()).hexdigest() == checks.DIGESTS[invocation], invocation
+
+
+def test_free_size_and_verify_do_not_import_numpy_ma():
+    """No path of these runs needs numpy.ma, whose import costs about 11 ms per process."""
+    script = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1])\n"
+              "from bilatdual.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(['free-size', '--method', 'all', '--n', '2']),\n"
+              "             main(['verify', '--suite', 'all', '--n', '1'])]\n"
+              "print(codes, 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0] False\n", "")

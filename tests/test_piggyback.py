@@ -13,7 +13,7 @@ from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import natural_dual
 from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, build_carriers,
-                                 build_S_relations, carrier_map_is_iso, check_sep,
+                                 build_S_relations, carrier_map_is_iso, check_sep, distinct_columns,
                                  name_relation, piggyback_relations,
                                  preimage_sublattice, subuniverse_pairs, table3_report,
                                  tagged_points, verify_piggyback_iso)
@@ -283,6 +283,14 @@ def test_carrier_space_matches_the_pair_scan():
             space = build_carrier_space(item.dual)
             assert np.array_equal(space.poset.leq, _carrier_matrix_by_pair_scan(space, n)), \
                 item.label
+
+
+def test_distinct_columns_counts_as_np_unique_does():
+    rng = np.random.default_rng(20261020)
+    for rows, cols in [(1, 1), (1, 9), (7, 5), (8, 40), (9, 40), (17, 300), (64, 64)]:
+        for share in (0.05, 0.5, 0.95):
+            masks = rng.random((rows, cols)) < share
+            assert distinct_columns(masks) == np.unique(masks, axis=1).shape[1]
 
 
 def test_carrier_map_verifiers_agree_with_the_search_oracle():
