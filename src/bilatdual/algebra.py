@@ -366,19 +366,6 @@ class _Closure:
             self.order.append(x)
             self.rules[x] = ("seed",)
 
-    def _adopt(self, op: int, left: np.ndarray, right: np.ndarray):
-        """Add the unknown values of table op on left x right, each with its first witness pair."""
-        flat = self.A.tables[op][np.ix_(left, right)].ravel()
-        unknown = np.flatnonzero(~self.known[flat])
-        if not unknown.size:
-            return
-        vals, first = np.unique(flat[unknown], return_index=True)
-        for v, pos in zip(vals.tolist(), unknown[first].tolist()):
-            i, j = divmod(pos, len(right))
-            self.known[v] = True
-            self.order.append(v)
-            self.rules[v] = ("bin", op, int(left[i]), int(right[j]))
-
     def saturate(self):
         """Close under all operations, combining each new element with every member once."""
         A = self.A
@@ -386,8 +373,21 @@ class _Closure:
             members = np.array(self.order, dtype=np.int64)
             fresh = members[self.combined:]
             self.combined = len(self.order)
-            for op in range(len(A.tables)):   # one gather per table keeps the peak small
-                self._adopt(op, fresh, members)
+            step = _block_rows(members.size)
+            for start in range(0, fresh.size, step):   # one gather of the four tables per block
+                left = fresh[start:start + step]
+                flat = A.tables[:, left[:, None], members].ravel()
+                unknown = np.flatnonzero(~self.known[flat])
+                if not unknown.size:
+                    continue
+                vals, first = np.unique(flat[unknown], return_index=True)
+                self.known[vals] = True
+                op, pair = np.divmod(unknown[first], left.size * members.size)
+                i, j = np.divmod(pair, members.size)
+                for v, rule in zip(vals.tolist(), zip(op.tolist(), left[i].tolist(),
+                                                      members[j].tolist())):
+                    self.order.append(v)
+                    self.rules[v] = ("bin", *rule)
             for src, v in zip(fresh.tolist(), A.neg[fresh].tolist()):
                 if not self.known[v]:
                     self.known[v] = True

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BUILD_GUARD, GuardExceeded
-from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, build_alter_ego,
-                          morphism_rows)
+from .multisorted import MultiSortedStructure, NaturalDual, build_alter_ego, morphism_rows
 from .piggyback import carrier_map_is_iso, tagged_points
-from .posets import Poset, enumerate_downsets, is_order_preserving
-from .ranked import RankedPriestleySpace, flat_map_of_multimorphism, functor_F
+from .posets import Poset, enumerate_downsets
+from .ranked import RankedPriestleySpace, functor_F
 
 
 # P(M~n) has 12n + 8 points, and `build` counts 8n^2 + 14n + 18 numbers in the alter ego, so
@@ -71,15 +70,6 @@ def construct_P(X: MultiSortedStructure) -> DoubledSpace:
     names = list(Y.poset.elements) + ["^" + e for e in Y.poset.elements]
     poset = Poset(names, np.block([[plain, across], [np.zeros_like(leq), plain.T]]))
     return DoubledSpace(Y, poset, Y.poset.n)
-
-
-def transport_morphism(phi: MultiMorphism, PX: DoubledSpace, PY: DoubledSpace) -> tuple[int, ...]:
-    """P(phi): plain to plain, hatted to hatted; checked order-preserving."""
-    flat = flat_map_of_multimorphism(phi)
-    full = flat + tuple(PY.m + v for v in flat)
-    if not is_order_preserving(full, PX.poset, PY.poset):
-        raise AssertionError("transported map is not order-preserving")
-    return full
 
 
 def verify_translation(size: int, dual: NaturalDual) -> bool:

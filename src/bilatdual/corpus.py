@@ -7,12 +7,14 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable
 
-from .algebra import (FiniteAlgebra, GuardExceeded, build_jn, generated_subalgebra_in_product,
-                      mk_algebras)
+from . import algebra
+from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, _product_subalgebra,
+                      build_jn, mk_algebras)
 from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, _kernel,
                           build_alter_ego, natural_dual, pointwise_structure, relation_slots)
 
@@ -24,13 +26,16 @@ SAMPLE_PAIR_CAP = 200  # morphisms listed per structure when sampling
 
 @dataclass
 class CorpusAlgebra:
-    """A corpus algebra, labelled at the seeded draw; closed, then dualised, when first read."""
+    """A corpus algebra, labelled at the seeded draw; closed, then dualised, when first read.
+
+    `close` returns the algebra, or the item whose algebra and dual this one shares.
+    """
 
     label: str
-    close: Callable[[], FiniteAlgebra]
+    close: Callable[[], FiniteAlgebra | CorpusAlgebra]
 
     @cached_property
-    def _closed(self) -> FiniteAlgebra | GuardExceeded:
+    def _closed(self) -> FiniteAlgebra | CorpusAlgebra | GuardExceeded:
         try:
             return self.close()
         except GuardExceeded as err:   # kept: every later check of the item skips at once
@@ -40,22 +45,37 @@ class CorpusAlgebra:
     def algebra(self) -> FiniteAlgebra:
         if isinstance(self._closed, GuardExceeded):
             raise self._closed.with_traceback(None)
-        return self._closed
+        return self._closed.algebra if isinstance(self._closed, CorpusAlgebra) else self._closed
 
     @cached_property
     def dual(self) -> NaturalDual:
+        if isinstance(self._closed, CorpusAlgebra):
+            return self._closed.dual
         return natural_dual(self.algebra)
 
 
 def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
-    """Seeded generated subalgebras of J_n squared, closed when read; fewer draws give a prefix."""
+    """Seeded generated subalgebras of J_n squared, closed when read; fewer draws give a prefix.
+
+    Each draw is closed on its own; draws with equal closed rows share one item, which
+    builds the tables and the dual once. The corpus keeps that item only weakly, so it
+    is freed with the last draw that holds it.
+    """
     rng = random.Random(seed)
     size = 2 * n + 4   # |J_n|; J_n is built at the first read, so a fault in it fails the reads
     draws = [sorted(rng.sample(range(size ** 2), rng.choice((1, 1, 2)))) for _ in range(count)]
-    jn = cache(lambda: build_jn(n))
-    return [CorpusAlgebra(f"sub(J{n}^2)#{i}", lambda gens=gens: generated_subalgebra_in_product(
-                [jn(), jn()], [divmod(g, size) for g in gens]).algebra)
-            for i, gens in enumerate(draws)]
+    factors = cache(lambda: (build_jn(n),) * 2)
+    shared = weakref.WeakValueDictionary()   # closed rows' bytes -> the item they share
+
+    def close(label: str, gens: list[int]) -> CorpusAlgebra:
+        rows = algebra.product_closure_rows(factors(), [divmod(g, size) for g in gens],
+                                            DEFAULT_CLOSURE_GUARD)
+        key = rows.tobytes()   # the factors are fixed, so the sorted rows' bytes name the algebra
+        return shared.get(key) or shared.setdefault(
+            key, CorpusAlgebra(label, partial(_product_subalgebra, factors(), rows)))
+
+    labels = [f"sub(J{n}^2)#{i}" for i in range(count)]
+    return [CorpusAlgebra(label, partial(close, label, gens)) for label, gens in zip(labels, draws)]
 
 
 def corpus_algebras(n: int, seed: int = 0, subalgebras: int = 5) -> list[CorpusAlgebra]:

@@ -256,7 +256,7 @@ SUITES = (*SUITE_PARTS, "all")
 
 
 def run_suite(suite: str, n: int, seed: int = DEFAULT_SEED) -> VerificationSuiteResult:
-    """Run one suite, or all of them on one corpus whose items are each closed and dualised once."""
+    """Run one suite, or all of them on one corpus: items closed once, algebras dualised once."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if n < 1:

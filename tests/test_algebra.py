@@ -599,6 +599,47 @@ def test_closure_from_closed_members_matches_closure_indices(free1):
             assert sorted(cl.order) == cl.members() == closure_indices(A, closed + [x])
 
 
+def _fixpoint_oracle(A, seeds):
+    """The least set holding the seeds and closed under neg and the four tables, in pure Python."""
+    tabs, neg, members = A.tables.tolist(), A.neg.tolist(), set(seeds)
+    while True:
+        grown = members | {neg[x] for x in members} | {
+            tab[x][y] for tab in tabs for x in members for y in members}
+        if grown == members:
+            return members
+        members = grown
+
+
+@pytest.mark.parametrize("block", [1, algebra.HOM_CHECK_BLOCK])
+def test_seeded_closures_derive_each_member_from_earlier_ones(monkeypatch, block):
+    """A round's row blocks adopt new values in any order, but each by a valid witness."""
+    monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+    rng = random.Random(29)
+    cases = [product([a, b]) for n in (1, 2) for a in mk_algebras(n) for b in mk_algebras(n)]
+    cases += [build_jn(n) for n in (1, 2, 3)]
+    cases += [item.algebra for item in seeded_subalgebras(1, 8, 20260809)]
+    for A in cases:
+        for _ in range(4):
+            seeds = rng.sample(range(A.size), rng.randint(0, 2))
+            cl = _Closure(A)
+            for x in seeds:
+                cl.add_seed(x)
+            cl.saturate()
+            assert len(set(cl.order)) == len(cl.order)
+            assert set(cl.order) == set(cl.members()) == _fixpoint_oracle(A, seeds)
+            place = {v: i for i, v in enumerate(cl.order)}
+            for v in cl.order:
+                kind, *args = cl.rules[v]
+                if kind == "seed":
+                    assert v in seeds
+                    continue
+                if kind == "neg":
+                    assert place[args[0]] < place[v] and A.neg[args[0]] == v
+                else:
+                    op, a, b = args
+                    assert place[a] < place[v] and place[b] < place[v] and A.tables[op, a, b] == v
+
+
 def test_subuniverse_guard(monkeypatch):
     monkeypatch.setattr(algebra, "DEFAULT_SUBUNIVERSE_GUARD", 10)
     with pytest.raises(GuardExceeded):

@@ -9,14 +9,15 @@ from bilatdual import algebra, multisorted, posets, verify
 from bilatdual.algebra import build_jn, build_mk, free_algebra_rows, lattice_reduct
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
-                              transport_morphism, verify_free_translation, verify_translation)
+                              verify_free_translation, verify_translation)
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
 from bilatdual.multisorted import (MultiMorphism, build_alter_ego,
                                    enumerate_multimorphisms, morphism_rows, natural_dual,
                                    pointwise_structure)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,
-                              disjoint_union, grid, is_order_isomorphism)
+                              disjoint_union, grid, is_order_isomorphism, is_order_preserving)
+from bilatdual.ranked import flat_map_of_multimorphism
 from bilatdual.verify import run_suite
 
 
@@ -241,6 +242,15 @@ def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra
     result = run_suite("translation", 2)
     assert [c.status for c in result.checks if c.id == "translation:F_V2(1)"] == ["pass"]
     assert result.overall == "pass"
+
+
+def transport_morphism(phi, PX, PY) -> tuple[int, ...]:
+    """P(phi): plain to plain, hatted to hatted; checked order-preserving."""
+    flat = flat_map_of_multimorphism(phi)
+    full = flat + tuple(PY.m + v for v in flat)
+    if not is_order_preserving(full, PX.poset, PY.poset):
+        raise AssertionError("transported map is not order-preserving")
+    return full
 
 
 def test_transport_identity_and_composition():

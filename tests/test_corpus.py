@@ -1,11 +1,11 @@
-"""One corpus per verification run: drawn once, each item closed and dualised once."""
+"""One corpus per verification run: drawn once, items closed once, algebras dualised once."""
 
 import gc
 import weakref
 
-from bilatdual import cli, corpus, multisorted, verify
+from bilatdual import algebra, cli, corpus, multisorted, verify
 from bilatdual.algebra import GuardExceeded
-from bilatdual.corpus import corpus_algebras
+from bilatdual.corpus import corpus_algebras, seeded_subalgebras
 from bilatdual.verify import DEFAULT_SEED, run_suite
 
 
@@ -37,18 +37,18 @@ def test_the_run_draws_one_corpus_and_dualises_each_item_once(monkeypatch):
         monkeypatch.setattr(module, "natural_dual", counted_dual)
     assert run_suite("all", 2).overall == "pass"
     assert len(drawn) == 1
-    # M_0..M_2, J_2 and 25 seeded subalgebras, each dualised exactly once
-    assert len(dualised) == len(set(dualised)) == 29
+    # M_0..M_2 and J_2, then the 6 distinct algebras of the 25 seeded draws, each dualised once
+    assert len(dualised) == len(set(dualised)) == 4 + 6
 
 
 def test_a_corpus_guard_trip_skips_the_checks_that_need_the_item(monkeypatch, capsys):
     closures = []
 
-    def refuse(factors, generators):
+    def refuse(factors, generators, limit):
         closures.append(generators)
-        raise GuardExceeded("closure exceeded 10000 elements")
+        raise GuardExceeded(f"closure exceeded {limit} elements")
 
-    monkeypatch.setattr(corpus, "generated_subalgebra_in_product", refuse)
+    monkeypatch.setattr(algebra, "product_closure_rows", refuse)
     assert cli.main(["verify", "--n", "1"]) in (0, 1)
     lines = capsys.readouterr().out.splitlines()
     subs = [line for line in lines if "sub(J1^2)" in line]
@@ -90,3 +90,22 @@ def test_items_no_later_suite_reads_are_freed(monkeypatch):
     monkeypatch.setitem(verify.SUITE_PARTS, "tables", probe)
     run_suite("all", n)
     assert probed == [n + 2 + 25]
+
+
+def test_draws_with_equal_closed_rows_share_one_algebra_and_dual():
+    for n in (1, 2):
+        items = seeded_subalgebras(n, 25, DEFAULT_SEED)
+        distinct = {}   # the closed rows, named by the elements, -> the first draw closing to them
+        for item in items:
+            first = distinct.setdefault(item.algebra.elements, item)
+            assert item.algebra is first.algebra and item.dual is first.dual, (n, item.label)
+        assert len(distinct) == 6, n
+        firsts = list(distinct.values())
+        assert len({id(item.algebra) for item in firsts}) == len(firsts)
+        assert len({id(item.dual) for item in firsts}) == len(firsts)
+        # an algebra that only draws past the fifth close to is freed with them
+        kept = [any(item._closed is other._closed for other in items[:5]) for item in firsts]
+        shared = [weakref.ref(item._closed) for item in firsts]
+        del items[5:], distinct, firsts, first, item
+        gc.collect()
+        assert [ref() is not None for ref in shared] == kept and not all(kept), n

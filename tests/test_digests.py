@@ -21,6 +21,8 @@ DIGESTS = {
         "cbe1433d6e8d82a9fe6cd4ae5722a39dcb59274adae666b60a67a0afaa7bbd15",
     "verify --suite all --n 5":
         "5745b6b53d9d61d6dfb7900fbae0639ea69f8bd3209fc0e2e1540f5099c20603",
+    "verify --suite all --n 8":
+        "16881acc2548b415b447d2d8a60631d6ba0e743b500e726695d424dc0d02ab18",
     "verify --suite duality --n 3":
         "25542d63153251456ce2066fa9bf5df529592aff12edca81957ef24661c72961",
     "verify --suite axioms --n 3":
