@@ -14,9 +14,9 @@ from .bridge import (DoubledSpace, FreeSizes, construct_P, free_size_formula,
                      partitioned_downset_count, verify_translation)
 from .distlat import (Lattice, lattice_of_downsets, lattice_of_upsets,
                       lattices_isomorphic, priestley_dual_of_lattice)
-from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
-                          check_axioms, hom_algebra_E, membership_by_separation,
-                          natural_dual, verify_counit_iso, verify_unit_iso)
+from .multisorted import (MultiSortedStructure, build_alter_ego, check_axioms, hom_algebra_E,
+                          membership_by_separation, natural_dual, verify_counit_iso,
+                          verify_unit_iso)
 from .piggyback import (Carrier, build_carrier_space, build_carriers, check_sep,
                         piggyback_relations, table3_report, verify_piggyback_iso)
 from .posets import (Poset, antichain, chain, check_relation, count_downsets,

@@ -91,7 +91,7 @@ class FiniteAlgebra:
     `tables` is one read-only (4, n, n) int16 array in BINARY_OPS order, kept uncopied if given so.
     """
 
-    __slots__ = ("signature", "elements", "tables", "neg", "consts", "_index")
+    __slots__ = ("signature", "elements", "tables", "neg", "consts")
 
     def __init__(self, signature: SignatureN, elements, tables, neg, consts):
         self.signature = signature
@@ -113,17 +113,13 @@ class FiniteAlgebra:
                 raise ValueError(f"missing constant {sym}")
             if not 0 <= self.consts[sym] < n:
                 raise ValueError(f"constant {sym} out of range")
-        self._index = {name: i for i, name in enumerate(self.elements)}
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def index(self, name: str) -> int:
-        return self._index[name]
-
-    def const(self, symbol: str) -> int:
-        return self.consts[symbol]
+        return self.elements.index(name)
 
     def apply(self, op: str, *args: int) -> int:
         if op in BINARY_OPS:
@@ -540,7 +536,6 @@ class Subalgebra:
     """A generated subalgebra together with its embedding into the ambient algebra."""
 
     algebra: FiniteAlgebra
-    ambient: FiniteAlgebra
     embedding: tuple[int, ...]
 
 
@@ -556,7 +551,7 @@ def generated_subalgebra(A: FiniteAlgebra, generators) -> Subalgebra:
     consts = {sym: pos[i] for sym, i in A.consts.items()}
     elements = tuple(A.elements[m] for m in members)
     sub = FiniteAlgebra(A.signature, elements, tables, neg, consts)
-    return Subalgebra(sub, A, tuple(members))
+    return Subalgebra(sub, tuple(members))
 
 
 @dataclass
@@ -864,7 +859,6 @@ def free_algebra_rows(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.n
 class SubuniverseSet:
     """All subuniverses of a small algebra, with meet-irreducible members marked."""
 
-    ambient: FiniteAlgebra
     members: tuple[frozenset[int], ...]
     meet_irreducible: tuple[bool, ...]
 
@@ -903,7 +897,7 @@ def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
             if other != mk and (other & mk) == mk:
                 inter &= other
         flags.append(inter != mk)
-    return SubuniverseSet(A, members, tuple(flags))
+    return SubuniverseSet(members, tuple(flags))
 
 
 # ----------------------------------------------------------------------------

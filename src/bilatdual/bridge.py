@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import BUILD_GUARD, GuardExceeded
 from .multisorted import MultiSortedStructure, NaturalDual, build_alter_ego, morphism_rows
 from .piggyback import carrier_map_is_iso, tagged_points
-from .posets import Poset, enumerate_downsets
+from .posets import Poset, _row_masks, enumerate_downsets
 from .ranked import RankedPriestleySpace, functor_F
 
 
@@ -35,19 +35,17 @@ def _guard_points(points: int) -> None:
 
 @dataclass
 class DoubledSpace:
-    """X together with a hatted copy; indices [0, m) are plain, [m, 2m) hatted."""
+    """X together with a hatted copy; with m = base.poset.n, [0, m) are plain, [m, 2m) hatted."""
 
     base: RankedPriestleySpace
     poset: Poset
-    m: int
 
     def block_masks(self) -> tuple[int, int, int]:
         """Bit masks of the bottom, centre and top blocks."""
         out = np.array(self.base.rank) >= 1
-        none = np.zeros(self.m, dtype=bool)
-        blocks = ((out, none), (~out, ~out), (none, out))   # (plain half, hatted half)
-        return tuple(int.from_bytes(np.packbits(np.concatenate(b), bitorder="little"), "little")
-                     for b in blocks)
+        none = np.zeros_like(out)
+        # one row a block: its plain half, then its hatted half
+        return tuple(_row_masks(np.block([[out, none], [~out, ~out], [none, out]])))
 
 
 def construct_P(X: MultiSortedStructure) -> DoubledSpace:
@@ -69,7 +67,7 @@ def construct_P(X: MultiSortedStructure) -> DoubledSpace:
     across = (out[:, None] & G.T) | (out[None, :] & G)
     names = list(Y.poset.elements) + ["^" + e for e in Y.poset.elements]
     poset = Poset(names, np.block([[plain, across], [np.zeros_like(leq), plain.T]]))
-    return DoubledSpace(Y, poset, Y.poset.n)
+    return DoubledSpace(Y, poset)
 
 
 def verify_translation(size: int, dual: NaturalDual) -> bool:

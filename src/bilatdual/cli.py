@@ -98,14 +98,12 @@ def cmd_build(args) -> int:
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("priestley")
-        elif args.kind == "carrier-space":
+        else:   # carrier-space, the last of BUILD_KINDS
             space = build_carrier_space(natural_dual(source or build_jn(n)))
             _check_separated(source, space.dual.homs)
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("carrier_space")
-        else:
-            return _fail_usage(f"unknown kind {args.kind}")
     except (ValueError, KeyError, GuardExceeded) as err:
         return _fail_usage(str(err))
     code = _emit(_dump(doc), args.out)
@@ -129,6 +127,8 @@ def cmd_free_size(args) -> int:
     n = args.n
     if n is None or n < 1:
         return _fail_usage("free-size requires --n >= 1")
+    if args.guard_limit < 1:
+        return _fail_usage("free-size requires --guard-limit >= 1")
     method = args.method
     try:
         fs = free_size_formula(n)

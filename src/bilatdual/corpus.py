@@ -15,8 +15,8 @@ from typing import Callable
 from . import algebra
 from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, _product_subalgebra,
                       build_jn, mk_algebras)
-from .multisorted import (MultiMorphism, MultiSortedStructure, NaturalDual, _kernel,
-                          build_alter_ego, natural_dual, pointwise_structure, relation_slots)
+from .multisorted import (MultiSortedStructure, NaturalDual, _kernel, build_alter_ego,
+                          natural_dual, pointwise_structure, relation_slots)
 
 MEMBER_POWER = 2       # member substructures live in this power of the alter ego
 MAX_SORT = 3           # largest sort size drawn for a corpus structure
@@ -143,10 +143,9 @@ def structure_corpus(n: int, count: int, seed: int) -> list[MultiSortedStructure
 
 
 def sample_morphisms(structures, n: int, count: int, seed: int):
-    """Sampled (source, target, morphism) triples, drawn from each structure's first morphisms."""
+    """Sampled (source, target, per-sort maps) triples, from each structure's first morphisms."""
     rng = random.Random(seed)
     ego = build_alter_ego(n)
-    pool = [(X, ego, MultiMorphism(X, ego, maps))
-            for X in structures for maps in _kernel(X, ego)(limit=SAMPLE_PAIR_CAP)]
+    pool = [(X, ego, maps) for X in structures for maps in _kernel(X, ego)(limit=SAMPLE_PAIR_CAP)]
     rng.shuffle(pool)
     return pool[:count]

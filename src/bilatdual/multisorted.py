@@ -170,21 +170,11 @@ def build_alter_ego(n: int) -> MultiSortedStructure:
 # morphisms
 
 
-@dataclass
-class MultiMorphism:
-    source: MultiSortedStructure
-    target: MultiSortedStructure
-    maps: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        self.maps = tuple(tuple(m) for m in self.maps)
-
-
 def is_multimorphism(maps, X: MultiSortedStructure, Y: MultiSortedStructure) -> bool:
-    """Sort-preserving map that commutes with g and preserves the relation of every slot."""
-    if X.n != Y.n:
-        return False
+    """Per-sort maps, one a sort, that commute with g and preserve the relation of every slot."""
     maps = tuple(tuple(m) for m in maps)
+    if X.n != Y.n or len(maps) != X.n + 1:
+        return False
     for k in range(X.n + 1):
         if len(maps[k]) != len(X.sorts[k]):
             return False
@@ -297,9 +287,8 @@ def _kernel(X: MultiSortedStructure, Y: MultiSortedStructure):
     return search
 
 
-def enumerate_multimorphisms(X: MultiSortedStructure,
-                             Y: MultiSortedStructure) -> list[MultiMorphism]:
-    """All morphisms X -> Y in lexicographic order of their per-sort maps.
+def enumerate_multimorphisms(X: MultiSortedStructure, Y: MultiSortedStructure) -> list[tuple]:
+    """All morphisms X -> Y, as per-sort maps in lexicographic order.
 
     Raises GuardExceeded when there are more than DEFAULT_MORPHISM_GUARD.
     """
@@ -309,7 +298,7 @@ def enumerate_multimorphisms(X: MultiSortedStructure,
     morphisms = _kernel(X, Y)(limit=cap + 1)
     if len(morphisms) > cap:
         raise GuardExceeded(f"morphism enumeration exceeded {cap}")
-    return [MultiMorphism(X, Y, maps) for maps in morphisms]
+    return morphisms
 
 
 def _sizes(X: MultiSortedStructure) -> tuple:
@@ -373,8 +362,8 @@ def pointwise_relation(rel, xs, ys) -> frozenset:
                      if all((u, v) in rel for u, v in zip(x, y)))
 
 
-def dual_of_hom(u, dual_B: NaturalDual, dual_A: NaturalDual) -> MultiMorphism:
-    """D(u): D(B) -> D(A) for a homomorphism u: A -> B, by precomposition."""
+def dual_of_hom(u, dual_B: NaturalDual, dual_A: NaturalDual) -> tuple:
+    """D(u): D(B) -> D(A) for a homomorphism u: A -> B, by precomposition, as per-sort maps."""
     u = tuple(int(v) for v in u)
     maps = []
     for k in range(dual_B.structure.n + 1):
@@ -384,7 +373,7 @@ def dual_of_hom(u, dual_B: NaturalDual, dual_A: NaturalDual) -> MultiMorphism:
             composed = tuple(h[v] for v in u)
             layer.append(index_A[composed])
         maps.append(tuple(layer))
-    return MultiMorphism(dual_B.structure, dual_A.structure, tuple(maps))
+    return tuple(maps)
 
 
 # ----------------------------------------------------------------------------
@@ -396,13 +385,12 @@ class HomAlgebra:
     """E(X): all morphisms X -> alter ego, as a subalgebra of the sort-wise power."""
 
     algebra: FiniteAlgebra
-    points: list[tuple[int, int]]
     rows: list[tuple[int, ...]]
 
 
 def morphism_rows(X: MultiSortedStructure) -> list[tuple[int, ...]]:
     """E(X) as rows: the morphisms X -> alter ego as tuples over X.points(), lexicographic."""
-    return [sum(phi.maps, ()) for phi in enumerate_multimorphisms(X, build_alter_ego(X.n))]
+    return [sum(maps, ()) for maps in enumerate_multimorphisms(X, build_alter_ego(X.n))]
 
 
 def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
@@ -413,12 +401,11 @@ def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
     the hom-set, so compatibility is checked while the tables are built.
     """
     mks = mk_algebras(X.n)
-    points = X.points()
     rows = morphism_rows(X)
     if any(a >= b for a, b in zip(rows, rows[1:])):
         raise AssertionError("morphism rows are not strictly increasing")
-    algebra = _product_subalgebra([mks[k] for k, _ in points], np.array(rows, dtype=np.int16))
-    return HomAlgebra(algebra, points, rows)
+    algebra = _product_subalgebra([mks[k] for k in X.point_sorts], np.array(rows, dtype=np.int16))
+    return HomAlgebra(algebra, rows)
 
 
 def verify_unit_iso(size: int, dual: NaturalDual) -> bool:
@@ -444,7 +431,7 @@ def verify_counit_iso(X: MultiSortedStructure) -> bool:
     DE = natural_dual(E.algebra)
     position = [{h: i for i, h in enumerate(homs)} for homs in DE.homs]
     maps = [[] for _ in DE.homs]
-    for (k, _), ev in zip(E.points, zip(*E.rows)):   # evaluation at a point: its column
+    for k, ev in zip(X.point_sorts, zip(*E.rows)):   # evaluation at a point: its column
         if ev not in position[k]:
             return False
         maps[k].append(position[k][ev])

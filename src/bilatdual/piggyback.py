@@ -175,8 +175,6 @@ def name_relation(rel: frozenset, j: int, k: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class PiggybackRelationSet:
-    omega1: Carrier
-    omega2: Carrier
     relations: tuple[frozenset, ...]
     names: tuple[str, ...]
 
@@ -223,12 +221,9 @@ def piggyback_relations(w1: Carrier, w2: Carrier, n: int) -> PiggybackRelationSe
             family.append(pairs)
     maximal = [rel for rel in family
                if not any(rel < other for other in family)]
-    maximal.sort(key=sorted)
     names = tuple(name_relation(rel, w1.sort, w2.sort, n) for rel in maximal)
-    order = sorted(range(len(names)), key=lambda i: names[i])
-    return PiggybackRelationSet(w1, w2,
-                                tuple(maximal[i] for i in order),
-                                tuple(names[i] for i in order))
+    order = sorted(range(len(names)), key=lambda i: names[i])   # the names are distinct
+    return PiggybackRelationSet(tuple(maximal[i] for i in order), tuple(names[i] for i in order))
 
 
 def expected_piggyback_names(w1: Carrier, w2: Carrier) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GuardExceeded, bool_compose, order_from_covers
+from .algebra import GuardExceeded, bool_compose
 
 COUNT_MEMO_BYTES = 2**28   # memory the down-set counting memo may take
 DEFAULT_ISO_GUARD = 64
@@ -73,9 +73,6 @@ class Poset:
     def index(self, name: str) -> int:
         return self.elements.index(name)
 
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
-
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
@@ -126,11 +123,6 @@ class Poset:
 
 # ----------------------------------------------------------------------------
 # constructions
-
-
-def from_covers(elements, covers) -> Poset:
-    names = tuple(elements)
-    return Poset(names, order_from_covers(names, covers))
 
 
 def chain(n: int, prefix: str = "c") -> Poset:

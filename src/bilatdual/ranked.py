@@ -118,10 +118,9 @@ def check_axioms_B(Y: RankedPriestleySpace) -> AxiomReport:
     return AxiomReport(verdicts)
 
 
-def flat_map_of_multimorphism(phi) -> tuple[int, ...]:
-    """A per-sort map as one map between the flat layouts of source and target."""
-    starts = phi.target.starts
-    return tuple(starts[k] + v for k, image in enumerate(phi.maps) for v in image)
+def flat_map_of_multimorphism(maps, Y: MultiSortedStructure) -> tuple[int, ...]:
+    """Per-sort maps into Y as one map between the flat layouts of their source and Y."""
+    return tuple(Y.starts[k] + v for k, image in enumerate(maps) for v in image)
 
 
 def is_ranked_morphism(flat_map, Y1: RankedPriestleySpace, Y2: RankedPriestleySpace) -> bool:

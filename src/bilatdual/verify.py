@@ -16,9 +16,9 @@ from .bridge import (free_size_formula, partitioned_downset_count,
                      table_avoiding_expected, table_meeting_expected,
                      verify_free_translation, verify_translation)
 from .corpus import CorpusAlgebra, corpus_algebras, sample_morphisms, structure_corpus
-from .multisorted import (MultiMorphism, MultiSortedStructure, build_alter_ego,
-                          check_axioms, is_multimorphism, morphism_rows,
-                          membership_by_separation, verify_unit_iso)
+from .multisorted import (MultiSortedStructure, build_alter_ego, check_axioms,
+                          is_multimorphism, morphism_rows, membership_by_separation,
+                          verify_unit_iso)
 from .piggyback import (check_sep, name_relation, subuniverse_pairs,
                         table3_report, verify_piggyback_iso)
 from .posets import count_downsets, enumerate_downsets, grid
@@ -167,19 +167,17 @@ def suite_functors(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> Non
     def transport():
         bad = []
         structures = [*(get() for get in pool), *members()]
-        for idx, (X, Y, phi) in enumerate(sample_morphisms(structures, n, 50, seed)):
+        for idx, (X, Y, maps) in enumerate(sample_morphisms(structures, n, 50, seed)):
             FX, FY = functor_F(X), functor_F(Y)
-            if not is_ranked_morphism(flat_map_of_multimorphism(phi), FX, FY):
+            if not is_ranked_morphism(flat_map_of_multimorphism(maps, Y), FX, FY):
                 bad.append(("morphism-not-transported", idx))
-            mutated = [list(m) for m in phi.maps]
+            mutated = [list(m) for m in maps]
             for k in range(n, -1, -1):
                 if mutated[k]:
                     mutated[k][0] = (mutated[k][0] + 1) % len(Y.sorts[k])
                     break
-            maps = tuple(tuple(m) for m in mutated)
-            as_multi = is_multimorphism(maps, X, Y)
-            as_ranked = is_ranked_morphism(
-                flat_map_of_multimorphism(MultiMorphism(X, Y, maps)), FX, FY)
+            as_multi = is_multimorphism(mutated, X, Y)
+            as_ranked = is_ranked_morphism(flat_map_of_multimorphism(mutated, Y), FX, FY)
             if as_multi != as_ranked:
                 bad.append(("transport-mismatch", idx))
         return not bad, f"failures {bad[:3]}"

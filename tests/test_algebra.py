@@ -69,13 +69,13 @@ def test_jn_order_chains():
 
 def test_mk_constants():
     m = build_mk(3, 2)
-    assert m.elements[m.const("f_1")] == "02"
-    assert m.elements[m.const("f_2")] == "f2"
-    assert m.elements[m.const("t_0")] == "12"
-    assert m.elements[m.const("t_3")] == "t2"
+    assert m.elements[m.consts["f_1"]] == "02"
+    assert m.elements[m.consts["f_2"]] == "f2"
+    assert m.elements[m.consts["t_0"]] == "12"
+    assert m.elements[m.consts["t_3"]] == "t2"
     m0 = build_mk(3, 0)
-    assert m0.elements[m0.const("t_3")] == "t0"
-    assert m0.elements[m0.const("f_0")] == "f0"
+    assert m0.elements[m0.consts["t_3"]] == "t0"
+    assert m0.elements[m0.consts["f_0"]] == "f0"
 
 
 def test_mk_truth_chain():

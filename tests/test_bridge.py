@@ -12,9 +12,8 @@ from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downse
                               verify_free_translation, verify_translation)
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import priestley_dual_of_lattice
-from bilatdual.multisorted import (MultiMorphism, build_alter_ego,
-                                   enumerate_multimorphisms, morphism_rows, natural_dual,
-                                   pointwise_structure)
+from bilatdual.multisorted import (build_alter_ego, enumerate_multimorphisms, morphism_rows,
+                                   natural_dual, pointwise_structure)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,
                               disjoint_union, grid, is_order_isomorphism, is_order_preserving)
 from bilatdual.ranked import flat_map_of_multimorphism
@@ -58,7 +57,7 @@ def test_min_top_block():
 def test_hat_involution_is_an_anti_isomorphism():
     for n in (1, 2):
         sp = construct_P(build_alter_ego(n))
-        P, m = sp.poset, sp.m
+        P, m = sp.poset, sp.base.poset.n
         for a in range(m):
             for b in range(m):
                 assert P.leq[a, b] == P.leq[m + b, m + a]
@@ -66,7 +65,7 @@ def test_hat_involution_is_an_anti_isomorphism():
 
 def test_no_relations_between_plain_and_hatted_centre():
     sp = construct_P(build_alter_ego(1))
-    P, m = sp.poset, sp.m
+    P, m = sp.poset, sp.base.poset.n
     rank = sp.base.rank
     for a in range(m):
         for b in range(m):
@@ -244,10 +243,10 @@ def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra
     assert result.overall == "pass"
 
 
-def transport_morphism(phi, PX, PY) -> tuple[int, ...]:
-    """P(phi): plain to plain, hatted to hatted; checked order-preserving."""
-    flat = flat_map_of_multimorphism(phi)
-    full = flat + tuple(PY.m + v for v in flat)
+def transport_morphism(maps, Y, PX, PY) -> tuple[int, ...]:
+    """P(phi) for per-sort maps phi into Y: plain to plain, hatted to hatted; order-preserving."""
+    flat = flat_map_of_multimorphism(maps, Y)
+    full = flat + tuple(PY.base.poset.n + v for v in flat)
     if not is_order_preserving(full, PX.poset, PY.poset):
         raise AssertionError("transported map is not order-preserving")
     return full
@@ -258,25 +257,21 @@ def test_transport_identity_and_composition():
     dj = natural_dual(build_jn(1), 1)
     PX, PE = construct_P(dj.structure), construct_P(ego)
     morphs = enumerate_multimorphisms(dj.structure, ego)
-    ident = MultiMorphism(ego, ego, tuple(tuple(range(len(s))) for s in ego.sorts))
-    assert transport_morphism(ident, PE, PE) == tuple(range(PE.poset.n))
+    ident = tuple(tuple(range(len(s))) for s in ego.sorts)
+    assert transport_morphism(ident, ego, PE, PE) == tuple(range(PE.poset.n))
     endos = enumerate_multimorphisms(ego, ego)[:6]
     for phi in morphs:
-        t_phi = transport_morphism(phi, PX, PE)
+        t_phi = transport_morphism(phi, ego, PX, PE)
         for psi in endos:
-            comp = MultiMorphism(dj.structure, ego, tuple(
-                tuple(psi.maps[k][phi.maps[k][i]]
-                      for i in range(len(dj.structure.sorts[k])))
-                for k in range(2)))
-            t_psi = transport_morphism(psi, PE, PE)
-            assert transport_morphism(comp, PX, PE) == tuple(t_psi[v] for v in t_phi)
+            comp = tuple(tuple(psi[k][v] for v in phi[k]) for k in range(2))
+            t_psi = transport_morphism(psi, ego, PE, PE)
+            assert transport_morphism(comp, ego, PX, PE) == tuple(t_psi[v] for v in t_phi)
 
 
 def test_constant_to_true_morphism_transports():
     ego = build_alter_ego(1)
     dj = natural_dual(build_jn(1), 1)
     m0, m1 = build_mk(1, 0), build_mk(1, 1)
-    const = MultiMorphism(dj.structure, ego,
-                          ((m0.index("t0"),), (m1.index("t1"),)))
+    const = ((m0.index("t0"),), (m1.index("t1"),))
     PX, PE = construct_P(dj.structure), construct_P(ego)
-    transport_morphism(const, PX, PE)   # raises on failure
+    transport_morphism(const, ego, PX, PE)   # raises on failure

@@ -257,6 +257,16 @@ def test_free_size_generate_stops_at_the_table_ceiling(capsys):
     assert "generated=" not in out
 
 
+def test_a_guard_limit_below_one_is_a_usage_error(capsys):
+    for limit in ("0", "-5"):
+        code, out, err = run(capsys, ["free-size", "--n", "1", "--guard-limit", limit])
+        assert code == 2 and out == "", limit
+        assert "requires --guard-limit >= 1" in err
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate",
+                                "--guard-limit", "1"])
+    assert code == 0 and "generate skipped: formula size 266 exceeds guard 1\n" in out
+
+
 def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
     # generate builds no tables, so only the closure guard can stop it
     monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)

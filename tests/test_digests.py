@@ -5,10 +5,13 @@ says why in CHANGES.md, so every output change is a visible diff.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from bilatdual.cli import main
+from bilatdual.verify import DEFAULT_SEED
 
 DIGESTS = {
     "verify --suite all --n 1":
@@ -101,3 +104,19 @@ def test_stdout_matches_its_pinned_digest(invocation, capsys):
     assert main(invocation.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[invocation]
+
+
+def test_the_benchmark_pins_the_same_digests():
+    """An invocation pinned here and in the benchmark's output checks has one digest in both."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.DEFAULT_SEED == DEFAULT_SEED
+    # the benchmark names the default seed, which the CLI leaves implicit
+    bench = {argv.replace(f" --seed {DEFAULT_SEED}", ""): digest
+             for argv, digest in checks.DIGESTS.items()}
+    shared = bench.keys() & DIGESTS.keys()
+    assert shared >= {"verify --suite all --n 2", "verify --suite axioms --n 4",
+                      "free-size --method all --n 1", "free-size --method all --n 2"}
+    assert {argv: bench[argv] for argv in shared} == {argv: DIGESTS[argv] for argv in shared}

@@ -40,7 +40,7 @@ def test_h_of_two_element_lattice_is_a_point():
 def test_h_of_square_is_antichain():
     sq = lattice_of_downsets(antichain(2))
     H = priestley_dual_of_lattice(sq)
-    assert H.n == 2 and not H.le(0, 1) and not H.le(1, 0)
+    assert H.n == 2 and not H.leq[0, 1] and not H.leq[1, 0]
 
 
 def test_h_representations_agree():
@@ -62,7 +62,7 @@ def test_prime_filter_order_matches():
         assert len(pf) == H.n
         for a in range(H.n):
             for b in range(H.n):
-                assert H.le(a, b) == (pf[a] <= pf[b])
+                assert H.leq[a, b] == (pf[a] <= pf[b])
 
 
 def test_upset_composite_is_identity():

@@ -208,7 +208,7 @@ def test_unnamed_relation_is_a_hard_error():
 def test_carrier_space_m0():
     cs = build_carrier_space(natural_dual(build_mk(1, 0)))
     assert cs.poset.n == 2
-    assert not cs.poset.le(0, 1) and not cs.poset.le(1, 0)
+    assert not cs.poset.leq[0, 1] and not cs.poset.leq[1, 0]
     H = priestley_dual_of_lattice(lattice_reduct(build_mk(1, 0)))
     assert are_isomorphic(H, cs.poset) is not None
 
@@ -249,8 +249,8 @@ def test_eta_naturality_on_a_sample():
             h2 = space_B.dual.homs[k2][i2]
             composed2 = tuple(h2[v] for v in u)
             p2 = pos_A[(k2, index_A[k2][composed2], kind2)]
-            if space_B.poset.le(q, q2):
-                assert space_A.poset.le(p, p2)
+            if space_B.poset.leq[q, q2]:
+                assert space_A.poset.leq[p, p2]
 
 
 def test_piggyback_relations_are_cached_and_frozen():

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from bilatdual import posets
-from bilatdual.algebra import GuardExceeded
+from bilatdual.algebra import GuardExceeded, order_from_covers
 from bilatdual.bridge import construct_P
 from bilatdual.multisorted import build_alter_ego
 from bilatdual.posets import (Poset, antichain, are_isomorphic, chain, check_relation,
                               count_downsets, count_downsets_bruteforce, direct_product,
-                              disjoint_union, dual, enumerate_downsets,
-                              from_covers, grid, is_downset_mask, is_order_isomorphism,
-                              is_order_preserving, linear_sum)
+                              disjoint_union, dual, enumerate_downsets, grid,
+                              is_downset_mask, is_order_isomorphism, is_order_preserving,
+                              linear_sum)
 
 
 def random_poset(rng, max_n=10):
@@ -243,7 +243,7 @@ def test_big_grid_fast_count():
 
 
 def test_interchange_and_dot():
-    P = from_covers("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
+    P = Poset("abcd", order_from_covers("abcd", [("a", "b"), ("b", "c"), ("a", "d")]))
     dot = P.to_dot()
     assert "digraph" in dot and dot.count("->") == 3
     assert set(P.covers()) == {(0, 1), (1, 2), (0, 3)}

@@ -123,15 +123,14 @@ def test_morphism_transport_both_directions():
     for X in pool:
         FX = functor_F(X)
         morphs = enumerate_multimorphisms(X, ego)
-        for phi in morphs[:8]:
-            assert is_ranked_morphism(flat_map_of_multimorphism(phi), FX, FE)
+        for maps in morphs[:8]:
+            assert is_ranked_morphism(flat_map_of_multimorphism(maps, ego), FX, FE)
         # random sort-respecting maps: the two predicates must agree either way
         for _ in range(10):
             maps = tuple(tuple(rng.randrange(len(ego.sorts[k]))
                                for _ in range(len(X.sorts[k])))
                          for k in range(n + 1))
-            from bilatdual.multisorted import MultiMorphism
-            flat = flat_map_of_multimorphism(MultiMorphism(X, ego, maps))
+            flat = flat_map_of_multimorphism(maps, ego)
             assert is_multimorphism(maps, X, ego) == is_ranked_morphism(flat, FX, FE)
 
 
