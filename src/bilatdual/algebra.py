@@ -21,6 +21,7 @@ BINARY_OPS = ("meet_k", "join_k", "meet_t", "join_t")
 DEFAULT_TABLE_GUARD = 10**8   # table entries per operation of a product subalgebra
 DEFAULT_SUBUNIVERSE_GUARD = 64
 DEFAULT_HOM_ORACLE_GUARD = 10**7
+LAW_CHECK_GUARD = 512   # carrier of bilattice_law_violations, which checks every triple
 DEFAULT_CLOSURE_GUARD = 10_000   # the largest carrier whose tables pass DEFAULT_TABLE_GUARD
 BUILD_GUARD = 500_000   # numbers (table cells, pair coordinates) of an object built from --n alone
 HOM_CHECK_BLOCK = 1 << 16   # entries per row block over the four tables: is_homomorphism, keys
@@ -77,6 +78,17 @@ def _table_values(values, shape: tuple, name: str) -> np.ndarray:
     if arr.shape != shape:
         raise ValueError(f"{name} table has wrong shape")
     return arr
+
+
+def _spells_a_bool(text: str) -> bool:
+    """Whether text holds true or false, found from its u or a: a one-letter search is fast."""
+    for word, at in (("true", 2), ("false", 1)):
+        i = text.find(word[at])
+        while i >= 0 and not text.startswith(word, i - at):
+            i = text.find(word[at], i + 1)
+        if i >= 0:
+            return True
+    return False
 
 
 def _as_table(values, shape: tuple, name: str) -> np.ndarray:
@@ -177,7 +189,14 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteAlgebra":
-        return cls.from_dict(json.loads(text))
+        doc = json.loads(text)
+        algebra = cls.from_dict(doc)   # so every table has its shape, and a row is flat
+        if _spells_a_bool(text):   # numpy reads a JSON bool among integers as an integer
+            ops = doc["ops"]
+            rows = [ops["neg"], *(row for op in BINARY_OPS for row in ops[op])]
+            if any(bool in map(type, row) for row in rows):
+                raise ValueError("table entries must be integers")
+        return algebra
 
 
 # ----------------------------------------------------------------------------
@@ -501,12 +520,13 @@ def enumerate_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[tuple[int, ...]]:
     return results
 
 
-def enumerate_homs_bruteforce(A, B, guard: int = DEFAULT_HOM_ORACLE_GUARD):
+def enumerate_homs_bruteforce(A, B):
     """Oracle-grade naive scanner over all |B|^|A| maps; refuses large instances."""
     if A.signature != B.signature:
         raise SignatureMismatch("source and target must share a signature")
-    if B.size ** A.size > guard:
-        raise GuardExceeded(f"{B.size}^{A.size} maps exceed the oracle guard {guard}")
+    if B.size ** A.size > DEFAULT_HOM_ORACLE_GUARD:
+        raise GuardExceeded(f"{B.size}^{A.size} maps exceed the oracle guard "
+                            f"{DEFAULT_HOM_ORACLE_GUARD}")
     out = []
     for h in itertools.product(range(B.size), repeat=A.size):
         if is_homomorphism(h, A, B):
@@ -904,14 +924,14 @@ def enumerate_subuniverses(A: FiniteAlgebra) -> SubuniverseSet:
 # structural checks
 
 
-def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]:
+def bilattice_law_violations(A: FiniteAlgebra) -> list[str]:
     """Violations of the two-lattice-plus-involution laws; empty list means all hold.
 
     Commutativity is not listed: FiniteAlgebra refuses a table that is not
     symmetric. Associativity is checked over all triples, so the carrier is guarded.
     """
-    if A.size > max_size:
-        raise GuardExceeded(f"carrier {A.size} exceeds law-check guard {max_size}")
+    if A.size > LAW_CHECK_GUARD:
+        raise GuardExceeded(f"carrier {A.size} exceeds law-check guard {LAW_CHECK_GUARD}")
     out = []
     rng = np.arange(A.size, dtype=np.int16)
     diag = np.broadcast_to(rng[:, None], (A.size, A.size))
@@ -938,12 +958,3 @@ def bilattice_law_violations(A: FiniteAlgebra, max_size: int = 512) -> list[str]
             out.append(f"neg: does not {law}")
     return out
 
-
-def lattice_reduct(A: FiniteAlgebra):
-    """Bounded-distributive-lattice reduct: the truth order with bounds f_0 and t_0."""
-    from .distlat import Lattice
-    leq = A.order_matrix("t")
-    L = Lattice(A.elements, leq, check=False)
-    if L.bot != A.consts["f_0"] or L.top != A.consts["t_0"]:
-        raise NotALattice("truth bounds do not match the f_0/t_0 constants")
-    return L

@@ -9,27 +9,32 @@ from pathlib import Path
 
 from .algebra import (BUILD_GUARD, DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn,
                       build_mk, free_algebra_rows)
-from .bridge import construct_P, free_size_formula, partitioned_downset_count
+from .bridge import free_size_formula, partitioned_downset_count
 from .multisorted import MultiSortedStructure, build_alter_ego, natural_dual
 from .piggyback import build_carrier_space
-from .ranked import functor_F
+from .ranked import construct_P, functor_F
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 BUILD_KINDS = ("jn", "mk", "alter-ego", "dual", "priestley", "carrier-space")
 
 
-def _built_from_n(kind: str, n: int) -> tuple[str, int]:
-    """The object `build KIND --n N` makes from n alone, and how many numbers it holds.
+def _build_refusal(kind: str, n: int) -> str | None:
+    """Why `build KIND --n N` may not make its object from n alone, or None if it may.
 
-    dual and carrier-space start from J_n, priestley from the alter ego.
+    The object is J_n for jn, dual and carrier-space, and the alter ego for alter-ego and
+    priestley; it is refused when it holds more than BUILD_GUARD numbers.
     """
     if kind == "mk":
-        return "M_k", 4 * 6 * 6 + 2 * n + 4
-    if kind in ("alter-ego", "priestley"):
+        what, numbers = "M_k", 4 * 6 * 6 + 2 * n + 4
+    elif kind in ("alter-ego", "priestley"):
         pairs = 9 + 8 * n + 8 * (n * (n - 1) // 2)
-        return "the alter ego", 2 * pairs + 6 * n
-    m = 2 * n + 4
-    return "J_n", 4 * m * m
+        what, numbers = "the alter ego", 2 * pairs + 6 * n
+    else:
+        m = 2 * n + 4
+        what, numbers = "J_n", 4 * m * m
+    if numbers <= BUILD_GUARD:
+        return None
+    return f"{what} at n={n} holds about {numbers} numbers (build guard {BUILD_GUARD})"
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -61,6 +66,10 @@ def cmd_build(args) -> int:
     source = None
     if args.infile and args.kind not in ("dual", "priestley", "carrier-space"):
         return _fail_usage(f"build {args.kind} takes no --in document")
+    if args.k is not None and args.kind != "mk":
+        return _fail_usage(f"build {args.kind} takes no --k")
+    if args.dot and args.kind in ("jn", "mk"):
+        return _fail_usage(f"build {args.kind} takes no --dot")
     if args.infile:
         decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
         try:
@@ -70,12 +79,9 @@ def cmd_build(args) -> int:
         depth = source.n if args.kind == "priestley" else source.signature.n
         if depth != n:
             return _fail_usage(f"--in document has depth n={depth} but --n is {n}")
+    if source is None and (refusal := _build_refusal(args.kind, n)):
+        return _fail_usage(refusal)
     try:
-        if source is None:
-            what, numbers = _built_from_n(args.kind, n)
-            if numbers > BUILD_GUARD:
-                raise GuardExceeded(f"{what} at n={n} holds about {numbers} numbers "
-                                    f"(build guard {BUILD_GUARD})")
         if args.kind == "jn":
             doc = build_jn(n).to_dict()
         elif args.kind == "mk":
@@ -99,8 +105,9 @@ def cmd_build(args) -> int:
             if args.dot:
                 dot = space.poset.to_dot("priestley")
         else:   # carrier-space, the last of BUILD_KINDS
-            space = build_carrier_space(natural_dual(source or build_jn(n)))
-            _check_separated(source, space.dual.homs)
+            dual = natural_dual(source or build_jn(n))
+            space = build_carrier_space(dual)
+            _check_separated(source, dual.homs)
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("carrier_space")
@@ -182,6 +189,8 @@ def cmd_free_size(args) -> int:
 def cmd_verify(args) -> int:
     if args.n is None or args.n < 1:
         return _fail_usage("verify requires --n >= 1")
+    if refusal := _build_refusal("alter-ego", args.n):   # every suite reads the alter ego
+        return _fail_usage(refusal)
     try:
         result = run_suite(args.suite, args.n, args.seed)
     except ValueError as err:

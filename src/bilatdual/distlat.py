@@ -14,10 +14,12 @@ from collections import Counter
 
 import numpy as np
 
-from .algebra import GuardExceeded, NotALattice, bool_compose, lattice_tables_from_leq
+from .algebra import (FiniteAlgebra, GuardExceeded, NotALattice, bool_compose,
+                      lattice_tables_from_leq)
 from .posets import Poset, are_isomorphic, count_downsets, dual, enumerate_downsets
 
 DEFAULT_HOM_SCAN_GUARD = 20
+TRIPLE_CHECK_GUARD = 512   # elements of distributive_by_triples, which checks every triple
 
 
 class Lattice:
@@ -63,10 +65,18 @@ class Lattice:
         return f"Lattice({self.n} elements)"
 
 
-def distributive_by_triples(L: Lattice, guard: int = 512) -> bool:
+def lattice_reduct(A: FiniteAlgebra) -> Lattice:
+    """Bounded-distributive-lattice reduct: the truth order with bounds f_0 and t_0."""
+    L = Lattice(A.elements, A.order_matrix("t"), check=False)
+    if L.bot != A.consts["f_0"] or L.top != A.consts["t_0"]:
+        raise NotALattice("truth bounds do not match the f_0/t_0 constants")
+    return L
+
+
+def distributive_by_triples(L: Lattice) -> bool:
     """Exhaustive triple check of a meet(b join c) = (a meet b) join (a meet c)."""
-    if L.n > guard:
-        raise GuardExceeded(f"{L.n} elements exceed the triple-check guard {guard}")
+    if L.n > TRIPLE_CHECK_GUARD:
+        raise GuardExceeded(f"{L.n} elements exceed the triple-check guard {TRIPLE_CHECK_GUARD}")
     meet, join = lattice_tables_from_leq(L.leq)
     for a in range(L.n):
         lhs = meet[a, join]
@@ -112,10 +122,10 @@ def priestley_dual_of_lattice(L: Lattice) -> Poset:
     return Poset(names, order.leq.T, check=False)
 
 
-def priestley_dual_by_homs(L: Lattice, guard: int = DEFAULT_HOM_SCAN_GUARD) -> Poset:
+def priestley_dual_by_homs(L: Lattice) -> Poset:
     """Oracle construction of H(L): scan all 0,1-maps for lattice homomorphisms."""
-    if L.n > guard:
-        raise GuardExceeded(f"{L.n} elements exceed the hom-scan guard {guard}")
+    if L.n > DEFAULT_HOM_SCAN_GUARD:
+        raise GuardExceeded(f"{L.n} elements exceed the hom-scan guard {DEFAULT_HOM_SCAN_GUARD}")
     meet, join = lattice_tables_from_leq(L.leq)
     homs = []
     for bits in itertools.product((0, 1), repeat=L.n):

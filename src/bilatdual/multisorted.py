@@ -23,6 +23,7 @@ from .posets import check_relation, first_true
 DEFAULT_MORPHISM_GUARD = 200_000
 SEPARATION_NODE_GUARD = 1_000_000   # kernel nodes over all pinned searches of one structure
 COUNIT_E_GUARD = 500   # largest E(X) whose dual the counit check builds
+A7_FAMILY_GUARD = 2**22   # up-set families a7_by_families may scan
 
 
 def relation_slots(n: int) -> list[tuple[int, int]]:
@@ -538,8 +539,7 @@ def check_axioms(X: MultiSortedStructure) -> AxiomReport:
     return AxiomReport(verdicts)
 
 
-def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
-                   max_space: int = 2**22) -> bool:
+def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int) -> bool:
     """Literal search for mutually increasing up-sets separating x from y.
 
     Brute-forces every family of up-sets U_j..U_k, so it only runs on small
@@ -549,7 +549,7 @@ def a7_by_families(X: MultiSortedStructure, j: int, k: int, x: int, y: int,
     space = 1
     for s in sizes:
         space *= 2 ** s
-    if space > max_space:
+    if space > A7_FAMILY_GUARD:
         raise GuardExceeded("family search space too large")
 
     def upsets(l: int) -> list[int]:

@@ -17,8 +17,10 @@ import numpy as np
 
 from .algebra import (BINARY_OPS, FiniteAlgebra, bool_compose, enumerate_subuniverses, mk_algebras,
                       mk_elements, product)
-from .multisorted import MultiSortedStructure, NaturalDual, build_alter_ego, pointwise_relation
+from .multisorted import (COLLAPSE, MultiSortedStructure, NaturalDual, build_alter_ego,
+                          pointwise_relation)
 from .posets import Poset, check_relation, count_downsets, is_order_isomorphism
+from .ranked import construct_P
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def check_sep(n: int) -> tuple[bool, tuple | None]:
     for k in range(n + 1):
         omega_k = carriers[k]
         omega_0 = carriers[0]
-        g = _g_map(n, k)
+        g = _g_map(k)
         for a in range(mks[k].size):
             for b in range(mks[k].size):
                 if a == b:
@@ -94,9 +96,9 @@ def check_sep(n: int) -> tuple[bool, tuple | None]:
 # named relations on M_j x M_k
 
 
-def _g_map(n: int, k: int) -> tuple[int, ...]:
-    """g_k into M_0, with g_0 the identity."""
-    return build_alter_ego(n).g[k - 1] if k else tuple(range(len(mk_elements(0))))
+def _g_map(k: int) -> tuple[int, ...]:
+    """g_k into M_0, with g_0 the identity: every sort k >= 1 collapses the same way."""
+    return COLLAPSE if k else tuple(range(len(mk_elements(0))))
 
 
 def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
@@ -107,7 +109,7 @@ def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
     """
     mks = mk_algebras(n)
     mj, mk = mks[j], mks[k]
-    gj, gk = _g_map(n, j), _g_map(n, k)
+    gj, gk = _g_map(j), _g_map(k)
     le0 = mks[0].order_matrix("k")
     s_le = frozenset((a, b) for a in range(mj.size) for b in range(mk.size)
                      if le0[gj[a], gk[b]])
@@ -151,10 +153,10 @@ def relation_catalogue(j: int, k: int, n: int) -> dict[str, frozenset]:
     if j == k:
         put(f"diag{k}", frozenset((a, a) for a in range(mj.size)))
     if j == 0 and k >= 1:
-        gk = _g_map(n, k)
+        gk = _g_map(k)
         put(f"cograph_g{k}", frozenset((gk[b], b) for b in range(mk.size)))
     if k == 0 and j >= 1:
-        gj = _g_map(n, j)
+        gj = _g_map(j)
         put(f"graph_g{j}", frozenset((a, gj[a]) for a in range(mj.size)))
     put(f"full{j}_{k}", frozenset(itertools.product(range(mj.size), range(mk.size))))
     return out
@@ -179,16 +181,15 @@ class PiggybackRelationSet:
     names: tuple[str, ...]
 
 
-def preimage_sublattice(w1: Carrier, w2: Carrier, n: int) -> frozenset:
+def preimage_sublattice(w1: Carrier, w2: Carrier) -> frozenset:
     """Pairs (a, b) with w1(a) <= w2(b).
 
     Both carriers are bounded-lattice homs onto {0,1}, checked by `_assert_carrier`
     when they are built, so the relation is closed under truth meet and join and
     holds at the f_0 and t_0 pairs without a check of its own.
     """
-    mks = mk_algebras(n)
-    return frozenset((a, b) for a in range(mks[w1.sort].size) for b in range(mks[w2.sort].size)
-                     if w1(a) <= w2(b))
+    return frozenset((a, b) for a, x in enumerate(w1.values) for b, y in enumerate(w2.values)
+                     if x <= y)
 
 
 _SUB_FAMILIES: dict[tuple, tuple[tuple[frozenset, bool], ...]] = {}
@@ -214,7 +215,7 @@ def subuniverse_pairs(n: int, j: int, k: int) -> tuple[tuple[frozenset, bool], .
 @lru_cache(maxsize=None)
 def piggyback_relations(w1: Carrier, w2: Carrier, n: int) -> PiggybackRelationSet:
     """Maximal subuniverses of M_j x M_k inside the carrier preimage of <=."""
-    preimage = preimage_sublattice(w1, w2, n)
+    preimage = preimage_sublattice(w1, w2)
     family = []
     for pairs, _ in subuniverse_pairs(n, w1.sort, w2.sort):
         if pairs <= preimage:
@@ -278,7 +279,6 @@ def table3_report(n: int) -> list[Table3Row]:
 class CarrierSpace:
     poset: Poset
     points: list[tuple[int, int, str]]   # (sort, hom index, carrier kind)
-    dual: NaturalDual
 
 
 class QuasiOrderNotAntisymmetric(ValueError):
@@ -310,7 +310,7 @@ def build_carrier_space(dual: NaturalDual) -> CarrierSpace:
         raise AssertionError(f"carrier-space relation fails {res.kind} at {res.witness}")
     names = [f"h{k}_{i}:{kind}" for k, i, kind in points]
     poset = Poset(names, mat, check=False)
-    return CarrierSpace(poset, points, dual)
+    return CarrierSpace(poset, points)
 
 
 def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:
@@ -344,7 +344,6 @@ def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
 
 def verify_piggyback_iso(size: int, dual: NaturalDual) -> bool:
     """Hat-to-delta relabelling is an order-iso, and the carriers map onto H(A-flat), |A| = size."""
-    from .bridge import construct_P
     space = build_carrier_space(dual)
     pos = {pt: i for i, pt in enumerate(space.points)}
     eta = [pos[pt] for pt in tagged_points(dual.structure)]

@@ -14,6 +14,7 @@ from .algebra import GuardExceeded, bool_compose
 
 COUNT_MEMO_BYTES = 2**28   # memory the down-set counting memo may take
 DEFAULT_ISO_GUARD = 64
+DOWNSET_ORACLE_GUARD = 20   # points of count_downsets_bruteforce, which scans 2^n masks
 
 
 @dataclass(frozen=True)
@@ -314,9 +315,9 @@ def is_downset_mask(mask: int, down_masks) -> bool:
     return True
 
 
-def count_downsets_bruteforce(P: Poset, max_points: int = 20) -> int:
+def count_downsets_bruteforce(P: Poset) -> int:
     """2^n scan used as a test oracle on small posets."""
-    if P.n > max_points:
+    if P.n > DOWNSET_ORACLE_GUARD:
         raise GuardExceeded(f"{P.n} points exceed the brute-force oracle bound")
     down = P.down_masks()
     return sum(1 for mask in range(1 << P.n) if is_downset_mask(mask, down))

@@ -1,21 +1,24 @@
-"""Single-sorted ranked spaces with a retraction, and the structure functors F and G.
+"""Single-sorted ranked spaces with a retraction, the structure functors F and G, and P(X).
 
 F glues the sorts of a multi-sorted structure into one poset whose order is the
 amalgam of the sort orders and cross relations, extends the g-maps by the
 identity on sort 0, and ranks each point by its sort. G slices a ranked space
-back into sorts. They are mutually inverse on the nose.
+back into sorts. They are mutually inverse on the nose. P(X) doubles F(X): plain
+elements keep the amalgamated order, hatted elements reverse it, and the two
+halves are related through the retraction onto the rank-0 block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import reflexive_transitive_closure
+from .algebra import BUILD_GUARD, GuardExceeded, reflexive_transitive_closure
 from .multisorted import (AxiomReport, AxiomVerdict, MultiSortedStructure, check_axioms,
                           relation_slots)
-from .posets import Poset, check_relation, first_true, is_order_preserving
+from .posets import Poset, _row_masks, check_relation, first_true, is_order_preserving
 
 
 class StructureAxiomError(ValueError):
@@ -135,3 +138,51 @@ def is_ranked_morphism(flat_map, Y1: RankedPriestleySpace, Y2: RankedPriestleySp
         if flat_map[Y1.g[i]] != Y2.g[flat_map[i]]:
             return False
     return is_order_preserving(flat_map, Y1.poset, Y2.poset)
+
+
+# P(M~n) has 12n + 8 points, and `build` counts 8n^2 + 14n + 18 numbers in the alter ego, so
+# every alter ego that the build guard admits has 8n^2 <= BUILD_GUARD and a P(M~n) this small.
+P_POINT_GUARD = 8 + math.isqrt(18 * BUILD_GUARD)   # 3,008 points
+
+
+def _guard_points(points: int) -> None:
+    """Refuse, before anything is built, a P(X) of more than P_POINT_GUARD points."""
+    if points > P_POINT_GUARD:
+        raise GuardExceeded(f"P(X) would have {points} points (point guard {P_POINT_GUARD})")
+
+
+@dataclass
+class DoubledSpace:
+    """X together with a hatted copy; with m = base.poset.n, [0, m) are plain, [m, 2m) hatted."""
+
+    base: RankedPriestleySpace
+    poset: Poset
+
+    def block_masks(self) -> tuple[int, int, int]:
+        """Bit masks of the bottom, centre and top blocks."""
+        out = np.array(self.base.rank) >= 1
+        none = np.zeros_like(out)
+        # one row a block: its plain half, then its hatted half
+        return tuple(_row_masks(np.block([[out, none], [~out, ~out], [none, out]])))
+
+
+def construct_P(X: MultiSortedStructure) -> DoubledSpace:
+    """The doubling of F(X), built from three blocks; the result must already be transitive.
+
+    Let `out` be the points of rank >= 1 and G[x, y] = leq[g(x), g(y)]. Plain points
+    keep the amalgamated order, and an outside x also lies below each rank-0 y above
+    g(x). Hatted points carry the transposed order. A plain x lies below a hatted y when
+    g(y) <= g(x) with x outside, or g(x) <= g(y) with y outside; no hatted point lies
+    below a plain one. No transitive repair is applied: a failure here means the clauses
+    were transcribed wrongly, and surfaces as a hard error from the Poset validator.
+    """
+    _guard_points(2 * X.starts[-1])
+    Y = functor_F(X)
+    leq = Y.poset.leq
+    out = np.array(Y.rank) >= 1
+    G = leq[np.ix_(Y.g, Y.g)]
+    plain = leq | (out[:, None] & ~out[None, :] & G)
+    across = (out[:, None] & G.T) | (out[None, :] & G)
+    names = list(Y.poset.elements) + ["^" + e for e in Y.poset.elements]
+    poset = Poset(names, np.block([[plain, across], [np.zeros_like(leq), plain.T]]))
+    return DoubledSpace(Y, poset)

@@ -9,13 +9,12 @@ import time
 
 from bilatdual.algebra import (bilattice_law_violations, build_jn, build_mk,
                                enumerate_homs, enumerate_homs_bruteforce,
-                               enumerate_subuniverses, free_algebra, lattice_reduct,
-                               mk_algebras, product)
+                               enumerate_subuniverses, free_algebra, mk_algebras, product)
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
                               verify_translation)
 from bilatdual.corpus import corpus_algebras, sample_morphisms, seeded_subalgebras, structure_corpus
-from bilatdual.distlat import (lattice_of_downsets, lattice_of_upsets,
+from bilatdual.distlat import (lattice_of_downsets, lattice_of_upsets, lattice_reduct,
                                lattices_isomorphic, priestley_dual_of_lattice)
 from bilatdual.multisorted import (build_alter_ego, check_axioms, is_multimorphism,
                                    membership_by_separation, natural_dual, verify_unit_iso)
@@ -203,7 +202,7 @@ def test_criterion_11_piggyback_space():
         for item in corpus_algebras(n, SEED):
             # build_carrier_space raises if the quasi-order is not antisymmetric
             space = build_carrier_space(item.dual)
-            assert space.poset.n == sum(2 * len(space.dual.homs[k])
+            assert space.poset.n == sum(2 * len(item.dual.homs[k])
                                         for k in range(n + 1))
             assert verify_piggyback_iso(item.algebra.size, item.dual), item.label
             checked += 1

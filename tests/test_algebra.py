@@ -18,8 +18,9 @@ from bilatdual.algebra import (BINARY_OPS, DEFAULT_CLOSURE_GUARD, DEFAULT_TABLE_
                                enumerate_homs_bruteforce, enumerate_subuniverses,
                                free_algebra, free_algebra_rows, generated_subalgebra,
                                generated_subalgebra_in_product, is_homomorphism,
-                               lattice_reduct, mk_algebras, product, product_closure_rows,
+                               mk_algebras, product, product_closure_rows,
                                reflexive_transitive_closure)
+from bilatdual.distlat import lattice_reduct
 from bilatdual.corpus import seeded_subalgebras
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from bilatdual import algebra, multisorted, posets, verify
-from bilatdual.algebra import build_jn, build_mk, free_algebra_rows, lattice_reduct
+from bilatdual.algebra import build_jn, build_mk, free_algebra_rows
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
                               verify_free_translation, verify_translation)
 from bilatdual.corpus import corpus_algebras
-from bilatdual.distlat import priestley_dual_of_lattice
+from bilatdual.distlat import lattice_reduct, priestley_dual_of_lattice
 from bilatdual.multisorted import (build_alter_ego, enumerate_multimorphisms, morphism_rows,
                                    natural_dual, pointwise_structure)
 from bilatdual.posets import (are_isomorphic, chain, count_downsets, direct_product,

@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from bilatdual import algebra, bridge, cli, corpus, posets, verify
+from bilatdual import algebra, cli, corpus, posets, ranked, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
@@ -127,6 +127,30 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         assert err == f"error: bad --in document: cross relation slot ({key}) out of range\n"
 
 
+def test_json_booleans_in_tables_are_refused(tmp_path, capsys):
+    """numpy reads [1, true] as [1, 1], so a boolean beside integers is looked for in the text."""
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    meet_t, neg = json.loads(j1), json.loads(j1)
+    row = meet_t["ops"]["meet_t"][0]
+    row[row.index(1)] = True   # 1 read as true: the table stays commutative
+    neg["ops"]["neg"][neg["ops"]["neg"].index(0)] = False
+    for name, doc in (("meet_t", meet_t), ("neg", neg)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(doc))
+        for kind in ("dual", "carrier-space"):
+            code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+            assert (code, out) == (2, ""), (name, kind)
+            assert err == "error: bad --in document: table entries must be integers\n", name
+    named = json.loads(j1)   # an element named true is no boolean entry
+    named["elements"][0] = "true"
+    named["ops"]["consts"] = {sym: "true" if e == json.loads(j1)["elements"][0] else e
+                              for sym, e in named["ops"]["consts"].items()}
+    src = tmp_path / "named.json"
+    src.write_text(json.dumps(named))
+    code, _, _ = run(capsys, ["build", "dual", "--n", "1", "--in", str(src)])
+    assert code == 0
+
+
 def test_an_algebra_that_breaks_a_bilattice_law_is_outside_the_class(tmp_path, capsys):
     """No law check is needed on --in: homs into the M_k that separate the points embed the
     algebra in a product of M_k's, so it satisfies every identity they do; any other algebra
@@ -193,6 +217,30 @@ def test_kinds_built_from_n_alone_refuse_an_in_document(tmp_path, capsys):
                                       "--in", str(tmp_path / "absent.json")])
         assert (code, out) == (2, ""), argv
         assert err == f"error: build {argv[0]} takes no --in document\n"
+
+
+def test_build_refuses_options_its_kind_does_not_read(capsys):
+    for argv, option in ((["jn", "--k", "3"], "--k"), (["alter-ego", "--k", "0"], "--k"),
+                         (["dual", "--k", "1"], "--k"), (["priestley", "--k", "1"], "--k"),
+                         (["carrier-space", "--k", "0"], "--k"), (["jn", "--dot"], "--dot"),
+                         (["mk", "--k", "0", "--dot"], "--dot")):
+        code, out, err = run(capsys, ["build", *argv, "--n", "1"])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: build {argv[0]} takes no {option}\n", argv
+    code, out, _ = run(capsys, ["build", "mk", "--n", "1", "--k", "0"])
+    assert code == 0 and len(json.loads(out)["elements"]) == 4
+
+
+def test_verify_refuses_a_depth_whose_alter_ego_build_refuses(capsys):
+    assert cli._build_refusal("alter-ego", 249) is None
+    for suite, n in (("tables", 100_000), ("duality", 100_000), ("axioms", 3000),
+                     ("all", 250)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--n", str(n)])
+        assert time.perf_counter() - t0 < 2, (suite, n)
+        assert (code, out) == (2, ""), (suite, n)
+        assert err.startswith(f"error: the alter ego at n={n} holds about "), (suite, n)
+        assert err.endswith(f" numbers (build guard {cli.BUILD_GUARD})\n"), (suite, n)
 
 
 def test_build_guard_trip_is_a_usage_error(monkeypatch, capsys):
@@ -470,7 +518,7 @@ def test_build_guard_refuses_before_building(tmp_path, capsys):
                                      "g": {"1": []}, "rel_k": {"0": [[i, i] for i in range(3000)],
                                                                "1": []}}))
     build_guard = f"(build guard {cli.BUILD_GUARD})"
-    point_guard = f"(point guard {bridge.P_POINT_GUARD})"
+    point_guard = f"(point guard {ranked.P_POINT_GUARD})"
     for argv, guard in ((["build", "jn", "--n", "100000"], build_guard),
                         (["build", "jn", "--n", "1000"], build_guard),
                         (["build", "alter-ego", "--n", "5000"], build_guard),

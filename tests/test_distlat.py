@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bilatdual.algebra import NotALattice, build_jn, build_mk, lattice_reduct
+from bilatdual.algebra import NotALattice, build_jn, build_mk
 from bilatdual.distlat import (Lattice, distributive_by_triples, is_distributive,
                                join_irreducibles, lattice_of_downsets, lattice_of_upsets,
+                               lattice_reduct,
                                lattices_isomorphic, priestley_dual_by_homs,
                                priestley_dual_of_lattice)
 from bilatdual.posets import (Poset, antichain, are_isomorphic, chain, count_downsets,

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from bilatdual import bridge, piggyback, verify
-from bilatdual.algebra import (build_jn, build_mk, enumerate_subuniverses,
-                               lattice_reduct, mk_algebras, product)
+from bilatdual.algebra import build_jn, build_mk, enumerate_subuniverses, mk_algebras, product
 from bilatdual.bridge import construct_P, verify_free_translation, verify_translation
 from bilatdual.corpus import corpus_algebras
-from bilatdual.distlat import priestley_dual_of_lattice
+from bilatdual.distlat import lattice_reduct, priestley_dual_of_lattice
 from bilatdual.multisorted import natural_dual
 from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, build_carriers,
                                  build_S_relations, carrier_map_is_iso, check_sep, distinct_columns,
@@ -79,17 +78,17 @@ def test_preimage_examples():
     n = 2
     pairs = build_carriers(n)
     m0 = build_mk(n, 0)
-    pre = preimage_sublattice(pairs[0][1], pairs[0][0], n)   # (delta0, gamma0)
+    pre = preimage_sublattice(pairs[0][1], pairs[0][0])   # (delta0, gamma0)
     assert (m0.index("bot0"), m0.index("bot0")) not in pre
     left = {m0.elements[a] for (a, b) in pre}
     assert (m0.index("f0"), m0.index("bot0")) in pre
     m1 = build_mk(n, 1)
-    pre = preimage_sublattice(pairs[1][0], pairs[1][0], n)   # (gamma_k, gamma_k)
+    pre = preimage_sublattice(pairs[1][0], pairs[1][0])   # (gamma_k, gamma_k)
     for a in range(6):
         for b in range(6):
             expected = m1.elements[a] != "11" or m1.elements[b] == "11"
             assert ((a, b) in pre) == expected
-    pre = preimage_sublattice(pairs[1][0], pairs[2][1], n)   # (gamma_j, delta_k), j<k
+    pre = preimage_sublattice(pairs[1][0], pairs[2][1])   # (gamma_j, delta_k), j<k
     m2 = build_mk(n, 2)
     for a in range(6):
         for b in range(6):
@@ -217,7 +216,7 @@ def test_carrier_space_sizes_and_iso_on_corpus():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=19, subalgebras=3):
             space = build_carrier_space(item.dual)
-            expected = sum(2 * len(space.dual.homs[k]) for k in range(n + 1))
+            expected = sum(2 * len(item.dual.homs[k]) for k in range(n + 1))
             assert space.poset.n == expected
             assert verify_piggyback_iso(item.algebra.size, item.dual), item.label
 
@@ -234,19 +233,19 @@ def test_eta_naturality_on_a_sample():
     n = 1
     A, B = build_jn(1), build_mk(1, 1)
     u = enumerate_homs(A, B)[0]
-    space_A = build_carrier_space(natural_dual(A))
-    space_B = build_carrier_space(natural_dual(B))
+    dual_A, dual_B = natural_dual(A), natural_dual(B)
+    space_A, space_B = build_carrier_space(dual_A), build_carrier_space(dual_B)
     pos_A = {pt: i for i, pt in enumerate(space_A.points)}
     pos_B = {pt: i for i, pt in enumerate(space_B.points)}
-    index_A = [{h: i for i, h in enumerate(space_A.dual.homs[k])} for k in range(n + 1)]
+    index_A = [{h: i for i, h in enumerate(dual_A.homs[k])} for k in range(n + 1)]
     # carrier-space action: (x, w) -> (x . u, w)
     for q, (k, i, kind) in enumerate(space_B.points):
-        h = space_B.dual.homs[k][i]
+        h = dual_B.homs[k][i]
         composed = tuple(h[v] for v in u)
         p = pos_A[(k, index_A[k][composed], kind)]
         # order must be preserved: compare all comparabilities through the map
         for q2, (k2, i2, kind2) in enumerate(space_B.points):
-            h2 = space_B.dual.homs[k2][i2]
+            h2 = dual_B.homs[k2][i2]
             composed2 = tuple(h2[v] for v in u)
             p2 = pos_A[(k2, index_A[k2][composed2], kind2)]
             if space_B.poset.leq[q, q2]:
@@ -261,16 +260,16 @@ def test_piggyback_relations_are_cached_and_frozen():
         first.names = ()
 
 
-def _carrier_matrix_by_pair_scan(space, n):
+def _carrier_matrix_by_pair_scan(space, homs, n):
     """Per pair of points: related when some piggyback relation holds at every element."""
     carriers = build_carriers(n)
     m = len(space.points)
     mat = np.zeros((m, m), dtype=bool)
     for p, (j, i1, kind1) in enumerate(space.points):
-        x = space.dual.homs[j][i1]
+        x = homs[j][i1]
         w1 = carriers[j][kind1 == "delta"]
         for q, (k, i2, kind2) in enumerate(space.points):
-            y = space.dual.homs[k][i2]
+            y = homs[k][i2]
             w2 = carriers[k][kind2 == "delta"]
             mat[p, q] = any(all((x[a], y[a]) in rel for a in range(len(x)))
                             for rel in piggyback_relations(w1, w2, n).relations)
@@ -281,8 +280,8 @@ def test_carrier_space_matches_the_pair_scan():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=23):
             space = build_carrier_space(item.dual)
-            assert np.array_equal(space.poset.leq, _carrier_matrix_by_pair_scan(space, n)), \
-                item.label
+            scan = _carrier_matrix_by_pair_scan(space, item.dual.homs, n)
+            assert np.array_equal(space.poset.leq, scan), item.label
 
 
 def test_distinct_columns_counts_as_np_unique_does():
