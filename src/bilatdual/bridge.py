@@ -10,7 +10,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .multisorted import NaturalDual, build_alter_ego, morphism_rows
+from .algebra import GuardExceeded
+from .multisorted import DEFAULT_MORPHISM_GUARD, NaturalDual, build_alter_ego, morphism_rows
 from .piggyback import carrier_map_is_iso, tagged_points
 from .posets import enumerate_downsets
 from .ranked import _guard_points, construct_P
@@ -36,6 +37,10 @@ def verify_free_translation(n: int) -> bool:
     preserves M~'s relations, so those are related in every row, and commutes with g,
     so g maps column (k, a) to column (0, g_k(a)).
     """
+    size = free_size_formula(n).total   # the rows morphism_rows would list
+    if size > DEFAULT_MORPHISM_GUARD:
+        raise GuardExceeded(f"F_V{n}(1) has {size} elements "
+                            f"(morphism guard {DEFAULT_MORPHISM_GUARD})")
     ego = build_alter_ego(n)
     rows = morphism_rows(ego)
     if tuple(i for _, i in ego.points()) not in rows:

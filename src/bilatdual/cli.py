@@ -93,24 +93,23 @@ def cmd_build(args) -> int:
             doc = ego.to_dict()
             if args.dot:
                 dot = functor_F(ego).to_dot("alter_ego")
-        elif args.kind == "dual":
-            dual = natural_dual(source or build_jn(n))
-            _check_separated(source, dual.homs)
-            doc = dual.structure.to_dict()
-            if args.dot:
-                dot = functor_F(dual.structure).to_dot("dual")
         elif args.kind == "priestley":
             space = construct_P(source or build_alter_ego(n))
             doc = space.poset.to_dict()
             if args.dot:
                 dot = space.poset.to_dot("priestley")
-        else:   # carrier-space, the last of BUILD_KINDS
+        else:   # dual or carrier-space: D(A), whose homs must separate A before it is used
             dual = natural_dual(source or build_jn(n))
-            space = build_carrier_space(dual)
             _check_separated(source, dual.homs)
-            doc = space.poset.to_dict()
-            if args.dot:
-                dot = space.poset.to_dot("carrier_space")
+            if args.kind == "dual":
+                doc = dual.structure.to_dict()
+                if args.dot:
+                    dot = functor_F(dual.structure).to_dot("dual")
+            else:
+                space = build_carrier_space(dual).poset
+                doc = space.to_dict()
+                if args.dot:
+                    dot = space.to_dot("carrier_space")
     except (ValueError, KeyError, GuardExceeded) as err:
         return _fail_usage(str(err))
     code = _emit(_dump(doc), args.out)

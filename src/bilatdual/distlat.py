@@ -25,14 +25,14 @@ TRIPLE_CHECK_GUARD = 512   # elements of distributive_by_triples, which checks e
 class Lattice:
     """Bounded lattice on an indexed carrier, stored as its order matrix."""
 
-    __slots__ = ("elements", "leq", "bot", "top", "_irreducibles")
+    __slots__ = ("poset", "elements", "leq", "bot", "top", "_irreducibles")
 
-    def __init__(self, elements, leq, check: bool = True):
-        poset = Poset(elements, leq, check=check)
-        self.elements = poset.elements
-        self.leq = poset.leq
-        mins = poset.minimal_elements()
-        maxs = poset.maximal_elements()
+    def __init__(self, elements, leq):
+        self.poset = Poset(elements, leq)
+        self.elements = self.poset.elements
+        self.leq = self.poset.leq
+        mins = self.poset.minimal_elements()
+        maxs = self.poset.maximal_elements()
         if len(mins) != 1 or len(maxs) != 1:
             raise NotALattice("carrier is not bounded")
         self.bot = mins[0]
@@ -43,16 +43,12 @@ class Lattice:
     def n(self) -> int:
         return len(self.elements)
 
-    def poset(self) -> Poset:
-        return Poset(self.elements, self.leq, check=False)
-
     def _irreducible_order(self) -> tuple[list[int], Poset]:
         """J(L) and its induced order (points named by position), computed once."""
         if self._irreducibles is None:
             ji = join_irreducibles(self)
             sel = np.asarray(ji, dtype=np.int64)
-            order = Poset([str(i) for i in range(len(ji))], self.leq[np.ix_(sel, sel)],
-                          check=False)
+            order = Poset([str(i) for i in range(len(ji))], self.leq[np.ix_(sel, sel)])
             self._irreducibles = (ji, order)
         return self._irreducibles
 
@@ -67,7 +63,7 @@ class Lattice:
 
 def lattice_reduct(A: FiniteAlgebra) -> Lattice:
     """Bounded-distributive-lattice reduct: the truth order with bounds f_0 and t_0."""
-    L = Lattice(A.elements, A.order_matrix("t"), check=False)
+    L = Lattice(A.elements, A.order_matrix("t"))
     if L.bot != A.consts["f_0"] or L.top != A.consts["t_0"]:
         raise NotALattice("truth bounds do not match the f_0/t_0 constants")
     return L
@@ -104,7 +100,7 @@ def is_distributive(L: Lattice) -> bool:
 
 def join_irreducibles(L: Lattice) -> list[int]:
     """Elements with exactly one lower cover (the bottom is excluded)."""
-    lower = Counter(j for _, j in L.poset().covers())
+    lower = Counter(j for _, j in L.poset.covers())
     return [j for j in range(L.n) if lower[j] == 1]
 
 
@@ -119,7 +115,7 @@ def priestley_dual_of_lattice(L: Lattice) -> Poset:
         raise NotALattice("input is not a distributive lattice")
     ji, order = L._irreducible_order()
     names = [f"pf_{L.elements[j]}" for j in ji]
-    return Poset(names, order.leq.T, check=False)
+    return Poset(names, order.leq.T)
 
 
 def priestley_dual_by_homs(L: Lattice) -> Poset:
@@ -158,7 +154,7 @@ def _family_lattice(masks: list[int], n_points: int, tag: str) -> Lattice:
     for m in masks:
         bits = ",".join(str(i) for i in range(n_points) if m >> i & 1)
         names.append(f"{tag}{{{bits}}}")
-    return Lattice(names, leq, check=False)
+    return Lattice(names, leq)
 
 
 def lattice_of_downsets(P: Poset) -> Lattice:

@@ -19,7 +19,7 @@ from .algebra import (BINARY_OPS, FiniteAlgebra, bool_compose, enumerate_subuniv
                       mk_elements, product)
 from .multisorted import (COLLAPSE, MultiSortedStructure, NaturalDual, build_alter_ego,
                           pointwise_relation)
-from .posets import Poset, check_relation, count_downsets, is_order_isomorphism
+from .posets import Poset, count_downsets, is_order_isomorphism
 from .ranked import construct_P
 
 
@@ -129,17 +129,15 @@ def build_S_relations(j: int, k: int, n: int) -> tuple[frozenset, frozenset]:
 
 
 @lru_cache(maxsize=None)
-def relation_catalogue(j: int, k: int, n: int) -> dict[str, frozenset]:
-    """Named binary relations from M_j to M_k, first match wins on coincidences."""
+def relation_catalogue(j: int, k: int, n: int) -> dict[frozenset, str]:
+    """Named binary relations from M_j to M_k, each under the first name it is given."""
     mks = mk_algebras(n)
     mj, mk = mks[j], mks[k]
     ego = build_alter_ego(n)
-    out: dict[str, frozenset] = {}
+    out: dict[frozenset, str] = {}
 
     def put(name, rel):
-        rel = frozenset(rel)
-        if rel not in out.values():
-            out[name] = rel
+        out.setdefault(frozenset(rel), name)
 
     tag = k if j == k else f"{j}_{k}"
     if (j, k) in ego.rel:
@@ -163,12 +161,9 @@ def relation_catalogue(j: int, k: int, n: int) -> dict[str, frozenset]:
 
 
 def name_relation(rel: frozenset, j: int, k: int, n: int) -> str:
-    catalogue = relation_catalogue(j, k, n)
-    for name, known in catalogue.items():
-        if known == rel:
-            return name
-    raise AssertionError(
-        f"unnamed subuniverse of M_{j} x M_{k}: {sorted(rel)}")
+    if (name := relation_catalogue(j, k, n).get(rel)) is None:
+        raise AssertionError(f"unnamed subuniverse of M_{j} x M_{k}: {sorted(rel)}")
+    return name
 
 
 # ----------------------------------------------------------------------------
@@ -281,15 +276,11 @@ class CarrierSpace:
     points: list[tuple[int, int, str]]   # (sort, hom index, carrier kind)
 
 
-class QuasiOrderNotAntisymmetric(ValueError):
-    pass
-
-
 def build_carrier_space(dual: NaturalDual) -> CarrierSpace:
     """The hom-sets of D(A) tagged by carriers, ordered by pointwise piggyback relations.
 
-    Antisymmetry is asserted rather than quotiented: its failure would signal
-    an implementation bug, not a mathematical possibility.
+    The relation must already be a partial order: it is not quotiented, and a failure
+    (a fault in the implementation, not a mathematical possibility) is the Poset's ValueError.
     """
     n = dual.structure.n
     homs = dual.homs
@@ -303,14 +294,8 @@ def build_carrier_space(dual: NaturalDual) -> CarrierSpace:
             for rel in piggyback_relations(w1, w2, n).relations:
                 for a, b in pointwise_relation(rel, homs[w1.sort], homs[w2.sort]):
                     mat[pos[(w1.sort, a, w1.kind)], pos[(w2.sort, b, w2.kind)]] = True
-    res = check_relation(mat)
-    if not res.ok:
-        if res.kind == "antisymmetry":
-            raise QuasiOrderNotAntisymmetric(f"witness {res.witness}")
-        raise AssertionError(f"carrier-space relation fails {res.kind} at {res.witness}")
     names = [f"h{k}_{i}:{kind}" for k, i, kind in points]
-    poset = Poset(names, mat, check=False)
-    return CarrierSpace(poset, points)
+    return CarrierSpace(Poset(names, mat), points)
 
 
 def tagged_points(X: MultiSortedStructure) -> list[tuple[int, int, str]]:

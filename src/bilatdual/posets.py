@@ -37,32 +37,31 @@ def check_relation(rel) -> PosetCheck:
     diagonal = mat.diagonal()
     if not diagonal.all():
         return PosetCheck(False, "reflexivity", first_true(~diagonal))
-    both = mat & mat.T & ~np.eye(mat.shape[0], dtype=bool)
-    if both.any():
+    both = mat & mat.T
+    if np.count_nonzero(both) > mat.shape[0]:   # more than the diagonal
+        np.fill_diagonal(both, False)
         return PosetCheck(False, "antisymmetry", first_true(both))
     closure = bool_compose(mat, mat)
-    bad = closure & ~mat
-    if bad.any():
-        i, k = first_true(bad)
+    if (closure != mat).any():   # a reflexive relation lies inside its square
+        i, k = first_true(closure & ~mat)
         j = int(np.flatnonzero(mat[i] & mat[:, k])[0])
         return PosetCheck(False, "transitivity", (i, j, k))
     return PosetCheck(True)
 
 
 class Poset:
-    """Finite poset over named elements; `leq` is a read-only boolean matrix."""
+    """Finite poset over named elements; `leq` is a read-only boolean matrix, always an order."""
 
     __slots__ = ("elements", "leq", "_downsets")
 
-    def __init__(self, elements, leq, check: bool = True):
+    def __init__(self, elements, leq):
         self.elements = tuple(elements)
         mat = np.array(leq, dtype=bool)
         if mat.shape != (len(self.elements),) * 2:
             raise ValueError("leq matrix shape does not match the carrier")
-        if check:
-            res = check_relation(mat)
-            if not res.ok:
-                raise ValueError(f"not a partial order: {res.kind} fails at {res.witness}")
+        res = check_relation(mat)
+        if not res.ok:
+            raise ValueError(f"not a partial order: {res.kind} fails at {res.witness}")
         mat.setflags(write=False)
         self.leq = mat
         self._downsets = None   # the DownsetView, made on first use
@@ -104,7 +103,7 @@ class Poset:
 
     def restrict(self, indices) -> "Poset":
         sel = np.asarray(sorted(indices), dtype=np.int64)
-        return Poset([self.elements[i] for i in sel], self.leq[np.ix_(sel, sel)], check=False)
+        return Poset([self.elements[i] for i in sel], self.leq[np.ix_(sel, sel)])
 
     # -- interchange --------------------------------------------------------
 
@@ -128,15 +127,15 @@ class Poset:
 
 def chain(n: int, prefix: str = "c") -> Poset:
     mat = np.triu(np.ones((n, n), dtype=bool))
-    return Poset([f"{prefix}{i}" for i in range(n)], mat, check=False)
+    return Poset([f"{prefix}{i}" for i in range(n)], mat)
 
 
 def antichain(n: int, prefix: str = "a") -> Poset:
-    return Poset([f"{prefix}{i}" for i in range(n)], np.eye(n, dtype=bool), check=False)
+    return Poset([f"{prefix}{i}" for i in range(n)], np.eye(n, dtype=bool))
 
 
 def dual(P: Poset) -> Poset:
-    return Poset(P.elements, P.leq.T, check=False)
+    return Poset(P.elements, P.leq.T)
 
 
 def disjoint_union(P: Poset, Q: Poset) -> Poset:
@@ -145,7 +144,7 @@ def disjoint_union(P: Poset, Q: Poset) -> Poset:
     mat[:n, :n] = P.leq
     mat[n:, n:] = Q.leq
     names = [f"L.{e}" for e in P.elements] + [f"R.{e}" for e in Q.elements]
-    return Poset(names, mat, check=False)
+    return Poset(names, mat)
 
 
 def linear_sum(P: Poset, Q: Poset) -> Poset:
@@ -156,13 +155,13 @@ def linear_sum(P: Poset, Q: Poset) -> Poset:
     mat[n:, n:] = Q.leq
     mat[:n, n:] = True
     names = [f"L.{e}" for e in P.elements] + [f"R.{e}" for e in Q.elements]
-    return Poset(names, mat, check=False)
+    return Poset(names, mat)
 
 
 def direct_product(P: Poset, Q: Poset) -> Poset:
     names = [f"({a},{b})" for a in P.elements for b in Q.elements]
     mat = np.kron(P.leq, Q.leq)
-    return Poset(names, mat, check=False)
+    return Poset(names, mat)
 
 
 def grid(a: int, b: int) -> Poset:

@@ -188,8 +188,7 @@ def suite_translation(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> 
     for item in corpus:
         check(f"translation:{item.label}",
               lambda item=item: verify_translation(item.algebra.size, item.dual))
-    if n <= 3:
-        check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))
+    check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))   # skips past n = 6
 
 
 def suite_piggyback(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
@@ -239,9 +238,10 @@ def suite_tables(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     def grid_counts():
         for m in range(1, 51):
             expected = (m + 1) * (m + 2) // 2
-            if m <= 12 and len(enumerate_downsets(grid(2, m))) != expected:
+            P = grid(2, m)
+            if m <= 12 and len(enumerate_downsets(P)) != expected:
                 return False, f"direct enumeration disagrees at {m}"
-            if count_downsets(grid(2, m)) != expected:
+            if count_downsets(P) != expected:
                 return False, f"memoized count disagrees at {m}"
         return True, None
     check("two-by-m-grid-counts", grid_counts)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilatdual import algebra, multisorted, posets, verify
+from bilatdual import algebra, bridge, multisorted, posets, verify
 from bilatdual.algebra import build_jn, build_mk, free_algebra_rows
 from bilatdual.bridge import (construct_P, free_size_formula, partitioned_downset_count,
                               table_avoiding_expected, table_meeting_expected,
@@ -213,6 +213,21 @@ def test_the_translation_suite_checks_F_V3():
     result = run_suite("translation", 3)
     assert [c.status for c in result.checks if c.id == "translation:F_V3(1)"] == ["pass"]
     assert result.overall == "pass"
+
+
+def test_the_free_translation_is_refused_by_its_size_estimate(monkeypatch):
+    """End(M~) lists one row per element of F_V(n)(1), so n <= 6 runs and n = 7 is refused
+    before the alter ego is built."""
+    assert free_size_formula(6).total <= multisorted.DEFAULT_MORPHISM_GUARD
+    assert free_size_formula(7).total > multisorted.DEFAULT_MORPHISM_GUARD
+
+    def refuse(n):
+        raise AssertionError("the alter ego was built")
+
+    monkeypatch.setattr(bridge, "build_alter_ego", refuse)
+    with pytest.raises(algebra.GuardExceeded,
+                       match=r"^F_V7\(1\) has 215174 elements \(morphism guard 200000\)$"):
+        verify_free_translation(7)
 
 
 def test_the_translation_suite_builds_no_tables_and_no_homs_for_the_free_algebra(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from bilatdual import algebra, cli, corpus, posets, ranked, verify
+from bilatdual import algebra, cli, corpus, piggyback, posets, ranked, verify
 from bilatdual.algebra import GuardExceeded
 from bilatdual.bridge import FreeSizes
 from bilatdual.cli import main
@@ -185,17 +185,57 @@ def test_an_algebra_outside_the_class_names_its_empty_dual(tmp_path, capsys):
                        "so it lies outside the class\n"), kind
 
 
-def test_an_algebra_whose_homs_do_not_separate_its_points_is_outside_the_class(tmp_path, capsys):
+def _unseparated_document(tmp_path) -> Path:
+    """F_V1(1) with one join_k entry changed: 266 elements, 198 distinct evaluation rows."""
     doc = json.loads(algebra.free_algebra(1).algebra.to_json())
     join_k = doc["ops"]["join_k"]
-    join_k[0][1] = join_k[1][0] = join_k[0][2]   # 266 elements, 198 distinct evaluation rows
+    join_k[0][1] = join_k[1][0] = join_k[0][2]
     src = tmp_path / "unseparated.json"
     src.write_text(json.dumps(doc))
+    return src
+
+
+def test_an_algebra_whose_homs_do_not_separate_its_points_is_outside_the_class(tmp_path, capsys):
+    src = _unseparated_document(tmp_path)
     for kind in ("dual", "carrier-space"):
         code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
         assert (code, out) == (2, ""), kind
         assert err.startswith("error: no homomorphism into any M_k separates "), kind
         assert err.endswith(", so the algebra lies outside the class\n"), kind
+
+
+def test_an_unseparated_algebra_is_refused_before_its_carrier_space_is_built(
+        tmp_path, monkeypatch, capsys):
+    def refuse(dual):
+        raise AssertionError("the carrier space was built")
+
+    monkeypatch.setattr(cli, "build_carrier_space", refuse)
+    code, out, err = run(capsys, ["build", "carrier-space", "--n", "1",
+                                  "--in", str(_unseparated_document(tmp_path))])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no homomorphism into any M_k separates ")
+
+
+def test_a_carrier_space_order_fault_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A lifted relation that breaks transitivity is refused by the Poset: exit 2, no traceback.
+
+    J_1 has one hom into each M_k, so every relation lifted on its hom-sets is {(0, 0)}; the
+    fault goes into F_V1(1)'s carrier space instead, whose first lifted relation, the
+    pointwise order on its four homs into M_0, gains the pair (1, 2) of incomparable homs.
+    """
+    lifted, calls = piggyback.pointwise_relation, []
+
+    def faulty(rel, homs1, homs2):
+        calls.append(list(lifted(rel, homs1, homs2)))
+        return calls[-1] + ([(1, 2)] if len(calls) == 1 else [])
+
+    monkeypatch.setattr(piggyback, "pointwise_relation", faulty)
+    src = tmp_path / "F1.json"
+    src.write_text(algebra.free_algebra(1).algebra.to_json())
+    code, out, err = run(capsys, ["build", "carrier-space", "--n", "1", "--in", str(src)])
+    assert not {(1, 2), (2, 1)} & set(calls[0])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not a partial order: transitivity fails at (")
 
 
 def test_a_non_commutative_document_is_refused_at_parse(tmp_path, capsys):

@@ -21,11 +21,11 @@ DIGESTS = {
     "verify --suite all --n 3":
         "a9d9d1e5ba282992e540124dda2757f409edbb02d299fd5075f5d392ec9749e1",
     "verify --suite all --n 4":
-        "cbe1433d6e8d82a9fe6cd4ae5722a39dcb59274adae666b60a67a0afaa7bbd15",
+        "8775745df666517d363144c1d5aa69e65085bd3f5f4a142a31365ed891212196",
     "verify --suite all --n 5":
-        "5745b6b53d9d61d6dfb7900fbae0639ea69f8bd3209fc0e2e1540f5099c20603",
+        "2ace445bb4f33bcfb75365285a42b008d85a1fec49a96b4bcaf681642bc923ae",
     "verify --suite all --n 8":
-        "16881acc2548b415b447d2d8a60631d6ba0e743b500e726695d424dc0d02ab18",
+        "15e7415f18c3f8ebd62d26ff9dfb6fdf2e1c43663a68920fed2a65fb38bd8af2",
     "verify --suite duality --n 3":
         "25542d63153251456ce2066fa9bf5df529592aff12edca81957ef24661c72961",
     "verify --suite axioms --n 3":

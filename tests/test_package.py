@@ -2,9 +2,12 @@
 
 import ast
 import graphlib
+import inspect
 from pathlib import Path
 
 import bilatdual
+from bilatdual.distlat import Lattice
+from bilatdual.posets import Poset
 
 LINE_BUDGET = 3600
 SOURCES = sorted(Path(bilatdual.__file__).parent.glob("*.py"))
@@ -52,3 +55,29 @@ def test_the_package_imports_in_one_order():
     assert late == []
     assert "ranked" in graph["piggyback"] and "bridge" not in graph["piggyback"]
     graphlib.TopologicalSorter(graph).prepare()   # raises CycleError on a cycle
+
+
+def _calls(node, scope=""):
+    """(dotted name of the enclosing class or def, call node) for each call under the node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _calls(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+
+def test_one_order_validator():
+    """check_relation runs in Poset.__init__, and for check_axioms' A6 verdict on the sort
+    relations, which need not be orders; nothing can ask Poset or Lattice to skip it, so a
+    second private order check fails here instead of creeping back."""
+    callers, switches = set(), []
+    for path in SOURCES:
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if callee == "check_relation":
+                callers.add(f"{path.stem}.{scope}")
+            if callee in ("Poset", "Lattice") and any(kw.arg == "check" for kw in call.keywords):
+                switches.append((path.name, call.lineno))
+    assert callers == {"posets.Poset.__init__", "multisorted.check_axioms"}
+    assert switches == []
+    assert all("check" not in inspect.signature(cls).parameters for cls in (Poset, Lattice))
