@@ -46,6 +46,13 @@ def strict_index(value) -> int:
     return operator.index(value)
 
 
+def name_list(value, what: str) -> tuple[str, ...]:
+    """A document's names, refusing anything but a JSON array of strings ("ab" is no list)."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise TypeError(f"{what} must be a JSON array of strings")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SignatureN:
     """Signature for priority depth n: four binary ops, negation, and 2n+4 constants."""
@@ -175,7 +182,7 @@ class FiniteAlgebra:
     @classmethod
     def from_dict(cls, doc: dict) -> "FiniteAlgebra":
         sig = SignatureN(strict_index(doc["signature"]["n"]))
-        elements = tuple(doc["elements"])
+        elements = name_list(doc["elements"], "elements")
         index = {name: i for i, name in enumerate(elements)}
         ops = doc["ops"]
         consts = {sym: index[name] for sym, name in ops["consts"].items()}
@@ -788,8 +795,7 @@ def _check_negation_symmetry(factors):
                 raise ValueError(f"factor {c}: {op}(neg x, neg y) != neg {BINARY_OPS[conj]}(x, y)")
 
 
-def product_closure_rows(factors, generator_rows,
-                         max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.ndarray:
+def product_closure_rows(factors, generator_rows) -> np.ndarray:
     """Close generator tuples (plus the constant tuples) under pointwise operations.
 
     Returns the closed rows sorted by packed key, without building tables. The
@@ -817,8 +823,8 @@ def product_closure_rows(factors, generator_rows,
         """Admit cand's new keys, then their negations; return both, in that order."""
         fresh = seen.admit(cand)
         fresh = np.concatenate([fresh, seen.admit(kernel.neg_keys(kernel.unpack(fresh)))])
-        if seen.size > max_elements:
-            raise GuardExceeded(f"closure exceeded {max_elements} elements")
+        if seen.size > DEFAULT_CLOSURE_GUARD:
+            raise GuardExceeded(f"closure exceeded {DEFAULT_CLOSURE_GUARD} elements")
         return fresh
 
     seed = np.array([tuple(int(v) for v in row) for row in generator_rows]
@@ -839,7 +845,7 @@ def product_closure_rows(factors, generator_rows,
 def generated_subalgebra_in_product(factors, generator_rows) -> ProductSubalgebra:
     """The closure of the generator tuples, with tables on its rows."""
     factors = tuple(factors)
-    rows = product_closure_rows(factors, generator_rows, DEFAULT_CLOSURE_GUARD)
+    rows = product_closure_rows(factors, generator_rows)
     alg = _product_subalgebra(factors, rows)
     row_tuples = tuple(tuple(int(v) for v in row) for row in rows)
     row_pos = {t: i for i, t in enumerate(row_tuples)}
@@ -865,10 +871,10 @@ def free_algebra(n: int) -> ProductSubalgebra:
     return generated_subalgebra_in_product(factors, [gen])
 
 
-def free_algebra_rows(n: int, max_elements: int = DEFAULT_CLOSURE_GUARD) -> np.ndarray:
+def free_algebra_rows(n: int) -> np.ndarray:
     """Rows of the one-generated free algebra in `free_algebra` order, by closure alone."""
     factors, gen = _free_generator(n)
-    return product_closure_rows(factors, [gen], max_elements)
+    return product_closure_rows(factors, [gen])
 
 
 # ----------------------------------------------------------------------------

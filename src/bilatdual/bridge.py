@@ -17,10 +17,10 @@ from .posets import enumerate_downsets
 from .ranked import _guard_points, construct_P
 
 
-def verify_translation(size: int, dual: NaturalDual) -> bool:
-    """H(A-flat) ≅ P(D(A)) by the carrier map (|A| = size): plain via gamma, hatted via delta."""
+def verify_translation(dual: NaturalDual) -> bool:
+    """H(A-flat) ≅ P(D(A)) by the carrier map: plain via gamma, hatted via delta."""
     P = construct_P(dual.structure)
-    return carrier_map_is_iso(size, dual.homs, tagged_points(dual.structure), P.poset)
+    return carrier_map_is_iso(dual.homs, tagged_points(dual.structure), P.poset)
 
 
 def verify_free_translation(n: int) -> bool:
@@ -47,7 +47,7 @@ def verify_free_translation(n: int) -> bool:
         raise AssertionError("the identity of the alter ego is not among its endomorphisms")
     columns = [*zip(*rows)]
     homs = tuple(tuple(columns[s:e]) for s, e in itertools.pairwise(ego.starts))
-    return verify_translation(len(rows), NaturalDual(ego, homs))
+    return verify_translation(NaturalDual(ego, homs))
 
 
 # ----------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import (BUILD_GUARD, DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, build_jn,
-                      build_mk, free_algebra_rows)
+from . import algebra
+from .algebra import BUILD_GUARD, FiniteAlgebra, GuardExceeded, build_jn, build_mk, free_algebra_rows
 from .bridge import free_size_formula, partitioned_downset_count
 from .multisorted import MultiSortedStructure, build_alter_ego, natural_dual
 from .piggyback import build_carrier_space
@@ -133,8 +133,6 @@ def cmd_free_size(args) -> int:
     n = args.n
     if n is None or n < 1:
         return _fail_usage("free-size requires --n >= 1")
-    if args.guard_limit < 1:
-        return _fail_usage("free-size requires --guard-limit >= 1")
     method = args.method
     try:
         fs = free_size_formula(n)
@@ -155,12 +153,11 @@ def cmd_free_size(args) -> int:
         except GuardExceeded as err:
             notices.append(f"downsets skipped: {err}")
     if method in ("generate", "all"):
-        limit = min(args.guard_limit, DEFAULT_CLOSURE_GUARD)   # the largest tabled carrier
-        if fs.total > limit:
+        if fs.total > (limit := algebra.DEFAULT_CLOSURE_GUARD):   # the largest tabled carrier
             notices.append(f"generate skipped: formula size {fs.total} exceeds guard {limit}")
         else:
             try:
-                row["brute_force_size"] = free_algebra_rows(n, max_elements=limit).shape[0]
+                row["brute_force_size"] = free_algebra_rows(n).shape[0]
                 verdicts.append(row["brute_force_size"] == fs.total)
             except GuardExceeded as err:   # the closure outgrew the formula's total
                 verdicts.append(False)
@@ -221,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_free.add_argument("--n", type=int, default=None)
     p_free.add_argument("--method", choices=("formula", "downsets", "generate", "all"),
                         default="all")
-    p_free.add_argument("--guard-limit", type=int, default=2000,
-                        help="largest carrier the generate method may build "
-                        f"(capped at {DEFAULT_CLOSURE_GUARD})")
     p_free.add_argument("--format", choices=("text", "structured"), default="text")
     p_free.add_argument("--out", default=None)
     p_free.set_defaults(func=cmd_free_size)

@@ -13,8 +13,7 @@ from functools import cache, cached_property, partial
 from typing import Callable
 
 from . import algebra
-from .algebra import (DEFAULT_CLOSURE_GUARD, FiniteAlgebra, GuardExceeded, _product_subalgebra,
-                      build_jn, mk_algebras)
+from .algebra import FiniteAlgebra, GuardExceeded, _product_subalgebra, build_jn, mk_algebras
 from .multisorted import (MultiSortedStructure, NaturalDual, _kernel, build_alter_ego,
                           natural_dual, pointwise_structure, relation_slots)
 
@@ -68,8 +67,7 @@ def seeded_subalgebras(n: int, count: int, seed: int) -> list[CorpusAlgebra]:
     shared = weakref.WeakValueDictionary()   # closed rows' bytes -> the item they share
 
     def close(label: str, gens: list[int]) -> CorpusAlgebra:
-        rows = algebra.product_closure_rows(factors(), [divmod(g, size) for g in gens],
-                                            DEFAULT_CLOSURE_GUARD)
+        rows = algebra.product_closure_rows(factors(), [divmod(g, size) for g in gens])
         key = rows.tobytes()   # the factors are fixed, so the sorted rows' bytes name the algebra
         return shared.get(key) or shared.setdefault(
             key, CorpusAlgebra(label, partial(_product_subalgebra, factors(), rows)))

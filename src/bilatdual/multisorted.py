@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import (FiniteAlgebra, GuardExceeded, _product_subalgebra, bool_compose,
                       enumerate_homs, is_homomorphism, mk_algebras, mk_elements,
-                      reflexive_transitive_closure, strict_index)
+                      name_list, reflexive_transitive_closure, strict_index)
 from .posets import check_relation, first_true
 
 DEFAULT_MORPHISM_GUARD = 200_000
@@ -134,7 +134,9 @@ class MultiSortedStructure:
             if key != f"{j},{k}" or j >= k:   # a sort slot here would overwrite rel_k
                 raise ValueError(f"cross relation slot ({key}) out of range")
             rel[(j, k)] = pairs
-        return cls(n, tuple(tuple(s) for s in doc["sorts"]),
+        if not isinstance(doc["sorts"], list):
+            raise TypeError("sorts must be a JSON array of name arrays")
+        return cls(n, tuple(name_list(s, f"sort {k}") for k, s in enumerate(doc["sorts"])),
                    tuple(doc["g"][str(k)] for k in range(1, n + 1)), rel)
 
     def to_json(self) -> str:
@@ -409,19 +411,20 @@ def hom_algebra_E(X: MultiSortedStructure) -> HomAlgebra:
     return HomAlgebra(algebra, rows)
 
 
-def verify_unit_iso(size: int, dual: NaturalDual) -> bool:
-    """Evaluation e_A: A -> E(D(A)), a -> (h(a))_h, where |A| = size: true iff an isomorphism.
+def verify_unit_iso(dual: NaturalDual) -> bool:
+    """Evaluation e_A: A -> E(D(A)), a -> (h(a))_h: true iff an isomorphism.
 
     A certificate on rows, with no table of E(D(A)) built. The evaluation row of a
-    lists h(a) over the points h of D(A), sort by sort. Every such h is a
-    homomorphism A -> M_k that `enumerate_homs` verified, so e_A is a homomorphism
-    into the power. Distinct evaluation rows make it injective, and evaluation rows
-    equal as a set to the morphism rows D(A) -> alter ego make it onto E(D(A)),
-    which as the image of a homomorphism is then a subuniverse. Both conditions
-    are also necessary.
+    lists h(a) over the points h of D(A), sort by sort: |A| rows, none if D(A) has no
+    point. Every such h is a homomorphism A -> M_k that `enumerate_homs` verified, so
+    e_A is a homomorphism into the power. Distinct evaluation rows make it injective,
+    and evaluation rows equal as a set to the morphism rows D(A) -> alter ego make it
+    onto E(D(A)), which as the image of a homomorphism is then a subuniverse. Both
+    conditions are also necessary.
     """
-    evaluations = set(zip(*(h for homs in dual.homs for h in homs)))
-    return len(evaluations) == size and evaluations == set(morphism_rows(dual.structure))
+    rows = list(zip(*(h for homs in dual.homs for h in homs)))
+    evaluations = set(rows)
+    return 0 < len(evaluations) == len(rows) and evaluations == set(morphism_rows(dual.structure))
 
 
 def verify_counit_iso(X: MultiSortedStructure) -> bool:

@@ -308,13 +308,14 @@ def distinct_columns(masks: np.ndarray) -> int:
     return len({col.tobytes() for col in np.packbits(masks.T, axis=1)})
 
 
-def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
-    """Whether the carriers map `poset` order-isomorphically onto H(A-flat), where |A| = size.
+def carrier_map_is_iso(homs, points, poset: Poset) -> bool:
+    """Whether the carriers map `poset` order-isomorphically onto H(A-flat).
 
     Point (k, i, kind) gets the mask of the kind's carrier at sort k composed with
-    the homomorphism homs[k][i]: a prime filter of A-flat. Certificate: the masks
-    are ordered by inclusion as `poset` is, give `size` distinct columns, and
-    `poset` has `size` down-sets. Then a -> {points whose mask holds a} embeds
+    the homomorphism homs[k][i]: a prime filter of A-flat, one column per element
+    of A, so with no point there is nothing to certify. Certificate: the masks
+    are ordered by inclusion as `poset` is, give |A| distinct columns, and
+    `poset` has |A| down-sets. Then a -> {points whose mask holds a} embeds
     A-flat into the up-sets of `poset` (prime filters turn joins into unions),
     onto by the count; by Birkhoff's theorem each prime filter of A-flat is then
     the mask of exactly one point, so the carrier map is the iso onto H(A-flat).
@@ -322,15 +323,14 @@ def carrier_map_is_iso(size: int, homs, points, poset: Poset) -> bool:
     carriers = {(w.sort, w.kind): np.asarray(w.values, dtype=bool)
                 for w in all_carriers(len(homs) - 1)}
     masks = np.array([carriers[(k, kind)][np.asarray(homs[k][i])] for k, i, kind in points])
-    return (np.array_equal(~bool_compose(masks, ~masks.T), poset.leq)
-            and distinct_columns(masks) == size
-            and count_downsets(poset) == size)
+    return (masks.ndim == 2 and np.array_equal(~bool_compose(masks, ~masks.T), poset.leq)
+            and distinct_columns(masks) == masks.shape[1]
+            and count_downsets(poset) == masks.shape[1])
 
 
-def verify_piggyback_iso(size: int, dual: NaturalDual) -> bool:
-    """Hat-to-delta relabelling is an order-iso, and the carriers map onto H(A-flat), |A| = size."""
+def verify_piggyback_iso(dual: NaturalDual) -> bool:
+    """Hat-to-delta relabelling is an order-iso from P(D(A)) onto the carrier space of D(A)."""
     space = build_carrier_space(dual)
     pos = {pt: i for i, pt in enumerate(space.points)}
     eta = [pos[pt] for pt in tagged_points(dual.structure)]
-    return (is_order_isomorphism(eta, construct_P(dual.structure).poset, space.poset)
-            and carrier_map_is_iso(size, dual.homs, space.points, space.poset))
+    return is_order_isomorphism(eta, construct_P(dual.structure).poset, space.poset)

@@ -93,8 +93,7 @@ class VerificationSuiteResult:
 
 def suite_duality(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     for item in corpus:
-        check(f"unit-iso:{item.label}",
-              lambda item=item: verify_unit_iso(item.algebra.size, item.dual))
+        check(f"unit-iso:{item.label}", lambda item=item: verify_unit_iso(item.dual))
     check("dual-sorts:M0", lambda: ([len(s) for s in corpus[0].dual.structure.sorts]
                                     == [1] + [0] * n, "unexpected sort sizes"))
     check("E-size:one-point",
@@ -186,8 +185,7 @@ def suite_functors(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> Non
 
 def suite_translation(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:
     for item in corpus:
-        check(f"translation:{item.label}",
-              lambda item=item: verify_translation(item.algebra.size, item.dual))
+        check(f"translation:{item.label}", lambda item=item: verify_translation(item.dual))
     check(f"translation:F_V{n}(1)", lambda: verify_free_translation(n))   # skips past n = 6
 
 
@@ -195,7 +193,7 @@ def suite_piggyback(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> No
     check("separation-condition", lambda: check_sep(n))
     for item in corpus:
         check(f"carrier-space:{item.label}",
-              lambda item=item: (verify_piggyback_iso(item.algebra.size, item.dual), "iso failed"))
+              lambda item=item: (verify_piggyback_iso(item.dual), "iso failed"))
 
 
 def suite_tables(check, n: int, seed: int, corpus: list[CorpusAlgebra]) -> None:

@@ -304,15 +304,15 @@ def test_packed_key_kernel_matches_per_coordinate_packing(block):
             assert np.array_equal(kernel.unpack(kernel.pack(left)), left)
 
 
-def _matches_oracle(factors, gens, limit: int = 400) -> bool:
+def _matches_oracle(factors, gens) -> bool:
     """Closure rows, four tables, neg and constants equal the oracle's; False if both trip."""
     try:
-        want = _oracle_closure_rows(factors, gens, limit)
+        want = _oracle_closure_rows(factors, gens, algebra.DEFAULT_CLOSURE_GUARD)
     except GuardExceeded:
         with pytest.raises(GuardExceeded):
-            product_closure_rows(factors, gens, limit)
+            product_closure_rows(factors, gens)
         return False
-    rows = product_closure_rows(factors, gens, limit)
+    rows = product_closure_rows(factors, gens)
     assert np.array_equal(rows, want)
     alg = _product_subalgebra(factors, rows)
     keys = _oracle_keys(factors, rows)
@@ -328,6 +328,7 @@ def _matches_oracle(factors, gens, limit: int = 400) -> bool:
 def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, block):
     """Random products of M_k and J_n, then the seeded subalgebras of J_n^2 at n = 1..3."""
     monkeypatch.setattr(algebra, "HOM_CHECK_BLOCK", block)
+    monkeypatch.setattr(algebra, "DEFAULT_CLOSURE_GUARD", 400)   # a random product trips it early
     rng = random.Random(4242 + block)
     compared = trips = 0
     while compared < 12:
@@ -340,8 +341,8 @@ def test_product_closure_and_tables_match_per_coordinate_oracle(monkeypatch, blo
     m0 = mk_algebras(1)[0]
     assert _matches_oracle([m0, m0], [(1, 2)])   # its last round's new rows all negate to themselves
     closure, drawn = algebra.product_closure_rows, []
-    monkeypatch.setattr(algebra, "product_closure_rows", lambda factors, gens, limit: (
-        drawn.append((factors, gens)) or closure(factors, gens, limit)))
+    monkeypatch.setattr(algebra, "product_closure_rows", lambda factors, gens: (
+        drawn.append((factors, gens)) or closure(factors, gens)))
     for n in (1, 2, 3):
         for item in seeded_subalgebras(n, 25, 20260809):
             assert item.algebra.size   # closed through the recorder
@@ -385,8 +386,9 @@ def test_the_closure_guard_trips_inside_a_round(monkeypatch):
     assert rounds == [[6, 10, 6], [25, 58, 25], [176, 408, 176], [465, 1338, 465],
                       [48, 1434, 48]]
     rounds.clear()
+    monkeypatch.setattr(algebra, "DEFAULT_CLOSURE_GUARD", 900)
     with pytest.raises(GuardExceeded, match="closure exceeded 900 elements"):
-        free_algebra_rows(2, max_elements=900)
+        free_algebra_rows(2)
     lead, width, blocks = rounds[-1]
     assert (lead, width) == (176, 408) and blocks < lead
 

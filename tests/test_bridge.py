@@ -162,7 +162,7 @@ def test_specific_table_cells_n2():
 def test_translation_on_corpus():
     for n in (1, 2):
         for item in corpus_algebras(n, seed=77, subalgebras=4):
-            assert verify_translation(item.algebra.size, item.dual), item.label
+            assert verify_translation(item.dual), item.label
 
 
 def test_translation_on_m0_two_antichain():
@@ -175,7 +175,7 @@ def test_translation_on_m0_two_antichain():
 
 
 def test_translation_free_algebra(free1):
-    assert verify_translation(free1.algebra.size, natural_dual(free1.algebra))
+    assert verify_translation(natural_dual(free1.algebra))
     H = priestley_dual_of_lattice(lattice_reduct(free1.algebra))
     P = construct_P(build_alter_ego(1))
     assert H.n == 20 and P.poset.n == 20
@@ -187,7 +187,7 @@ def test_the_rows_route_agrees_with_the_table_route(free1, free2):
     for n, F in ((1, free1), (2, free2)):
         assert np.array_equal(free_algebra_rows(n), np.array(F.rows))
         assert verify_free_translation(n)
-        assert verify_translation(F.algebra.size, natural_dual(F.algebra))
+        assert verify_translation(natural_dual(F.algebra))
 
 
 def test_the_kernel_rows_are_the_closure_rows():

@@ -3,10 +3,13 @@
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from bilatdual import algebra, cli, corpus, piggyback, posets, ranked, verify
 from bilatdual.algebra import GuardExceeded
@@ -125,6 +128,32 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         src.write_text(json.dumps(slots[key]))
         _, _, err = run(capsys, ["build", "priestley", "--n", "1", "--in", str(src)])
         assert err == f"error: bad --in document: cross relation slot ({key}) out of range\n"
+
+
+def test_name_lists_must_be_json_arrays_of_strings(tmp_path, capsys):
+    """A string is no list of names: "abcd" is not four one-letter elements, nor "ab" two sorts."""
+    _, m0, _ = run(capsys, ["build", "mk", "--n", "1", "--k", "0"])
+    algebra_doc = json.loads(m0)
+    letters = dict(zip(algebra_doc["elements"], "abcd"))
+    consts = algebra_doc["ops"]["consts"]
+    algebra_doc["ops"]["consts"] = {sym: letters[e] for sym, e in consts.items()}
+    points = {"n": 1, "g": {"1": [0]}, "rel_k": {"0": [[0, 0]], "1": [[0, 0]]}}
+    good = [("dual", dict(algebra_doc, elements=list("abcd"))),
+            ("priestley", dict(points, sorts=[["a"], ["b"]]))]
+    bad = [("dual", dict(algebra_doc, elements="abcd"), "elements must be"),
+           ("dual", dict(algebra_doc, elements=["a", "b", "c", 3]), "elements must be"),
+           ("priestley", dict(points, sorts="ab"), "sorts must be"),
+           ("priestley", dict(points, sorts=["a", "b"]), "sort 0 must be"),
+           ("priestley", dict(points, sorts=[["a"], [1]]), "sort 1 must be")]
+    src = tmp_path / "doc.json"
+    for kind, doc in good:
+        src.write_text(json.dumps(doc))
+        assert run(capsys, ["build", kind, "--n", "1", "--in", str(src)])[0] == 0, kind
+    for kind, doc, message in bad:
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+        assert (code, out) == (2, ""), doc
+        assert err.startswith(f"error: bad --in document: {message} a JSON array"), err
 
 
 def test_json_booleans_in_tables_are_refused(tmp_path, capsys):
@@ -328,31 +357,46 @@ def test_free_size_all_methods(capsys):
     assert doc["agree"] is True
 
 
-def test_free_size_generate_guard(capsys):
+def test_free_size_generate_guard(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "DEFAULT_CLOSURE_GUARD", 5621)   # read at call time
     code, out, _ = run(capsys, ["free-size", "--n", "3", "--method", "all"])
     assert code == 0
-    assert "generate skipped" in out
-    assert "total=5622" in out
+    assert "note: generate skipped: formula size 5622 exceeds guard 5621\n" in out
+    assert "total=5622" in out and "generated=" not in out
 
 
 def test_free_size_generate_stops_at_the_table_ceiling(capsys):
     start = time.perf_counter()
-    code, out, _ = run(capsys, ["free-size", "--n", "4", "--method", "generate",
-                                "--guard-limit", "20000"])
+    code, out, _ = run(capsys, ["free-size", "--n", "4", "--method", "generate"])
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "note: generate skipped: formula size 17396 exceeds guard 10000\n" in out
     assert "generated=" not in out
 
 
-def test_a_guard_limit_below_one_is_a_usage_error(capsys):
-    for limit in ("0", "-5"):
-        code, out, err = run(capsys, ["free-size", "--n", "1", "--guard-limit", limit])
-        assert code == 2 and out == "", limit
-        assert "requires --guard-limit >= 1" in err
-    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate",
-                                "--guard-limit", "1"])
-    assert code == 0 and "generate skipped: formula size 266 exceeds guard 1\n" in out
+def test_free_size_takes_only_its_four_options(capsys):
+    """The closure's budget is the formula's size, so no option sets it."""
+    args = cli.build_parser().parse_args(["free-size", "--n", "1"])
+    assert set(vars(args)) == {"command", "func", "n", "method", "format", "out"}
+    with pytest.raises(SystemExit) as exit_:
+        main(["free-size", "--n", "1", "--guard-limit", "10000"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --guard-limit 10000" in capsys.readouterr().err
+
+
+def test_every_readme_command_parses():
+    """Each `bilatdual ...` line of README's sh blocks parses, so no removed option lingers there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line.partition("#")[0].split() for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["bilatdual"]]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: bilatdual {' '.join(argv)}")
 
 
 def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
@@ -360,10 +404,10 @@ def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "DEFAULT_TABLE_GUARD", 1000)
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate"])
     assert code == 0 and "generated=266  agree" in out
-    # a formula below the limit lets the closure itself meet the guard: it outgrew the formula
+    # a formula below the guard lets the closure itself meet the guard: it outgrew the formula
     monkeypatch.setattr(cli, "free_size_formula", lambda n: FreeSizes(0, 10, 10))
-    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate",
-                                "--guard-limit", "100"])
+    monkeypatch.setattr(algebra, "DEFAULT_CLOSURE_GUARD", 100)
+    code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate"])
     assert code == 1 and "DISAGREE" in out
     assert "note: generate disagrees: closure exceeded 100 elements, but the formula gives 10\n" in out
     assert "generated=" not in out
@@ -371,22 +415,22 @@ def test_free_size_generate_closure_guard_is_a_notice(monkeypatch, capsys):
 
 def test_a_closure_that_outgrows_the_formula_disagrees(monkeypatch, capsys):
     """Under the guard the closure runs only when the formula fits, so a trip is a disagreement."""
-    def outgrow(n, max_elements):
-        raise GuardExceeded(f"closure exceeded {max_elements} elements")
+    def outgrow(n):
+        raise GuardExceeded(f"closure exceeded {algebra.DEFAULT_CLOSURE_GUARD} elements")
 
     monkeypatch.setattr(cli, "free_algebra_rows", outgrow)
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "all"])
     assert code == 1
     assert "total=266  counted=147/119/266  DISAGREE\n" in out
-    assert "note: generate disagrees: closure exceeded 2000 elements, but the formula gives 266\n" in out
+    assert "note: generate disagrees: closure exceeded 10000 elements, but the formula gives 266\n" in out
     code, out, _ = run(capsys, ["free-size", "--n", "1", "--method", "generate", "--format",
                                 "structured"])
     doc = json.loads(out)
     assert code == 1 and doc["agree"] is False and "brute_force_size" not in doc
     # a formula above the guard is still a skip, before any closure
-    code, out, _ = run(capsys, ["free-size", "--n", "3", "--method", "generate"])
-    assert code == 0 and "total=5622  unchecked\n" in out
-    assert "note: generate skipped: formula size 5622 exceeds guard 2000\n" in out
+    code, out, _ = run(capsys, ["free-size", "--n", "4", "--method", "generate"])
+    assert code == 0 and "total=17396  unchecked\n" in out
+    assert "note: generate skipped: formula size 17396 exceeds guard 10000\n" in out
 
 
 def test_a_run_that_checks_nothing_is_unchecked(capsys):

@@ -42,13 +42,14 @@ def test_the_run_draws_one_corpus_and_dualises_each_item_once(monkeypatch):
 
 
 def test_a_corpus_guard_trip_skips_the_checks_that_need_the_item(monkeypatch, capsys):
-    closures = []
+    closures, close = [], algebra.product_closure_rows
 
-    def refuse(factors, generators, limit):
+    def counted(factors, generators):
         closures.append(generators)
-        raise GuardExceeded(f"closure exceeded {limit} elements")
+        return close(factors, generators)
 
-    monkeypatch.setattr(algebra, "product_closure_rows", refuse)
+    monkeypatch.setattr(algebra, "product_closure_rows", counted)
+    monkeypatch.setattr(algebra, "DEFAULT_CLOSURE_GUARD", 1)   # read by the closure at call time
     assert cli.main(["verify", "--n", "1"]) in (0, 1)
     lines = capsys.readouterr().out.splitlines()
     subs = [line for line in lines if "sub(J1^2)" in line]

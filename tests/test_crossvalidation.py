@@ -108,7 +108,7 @@ def test_grid_counts_are_binomials():
 
 def test_unit_iso_holds_at_depth_three():
     for A in (*(build_mk(3, k) for k in range(4)), build_jn(3)):
-        assert verify_unit_iso(A.size, natural_dual(A))
+        assert verify_unit_iso(natural_dual(A))
 
 
 def damaged_m1():
@@ -136,7 +136,7 @@ def test_unit_iso_rejects_a_non_injective_evaluation():
     evaluations = set(zip(*(h for homs in dual.homs for h in homs)))
     assert (A.size, len(evaluations)) == (24, 4)
     assert evaluations == set(morphism_rows(dual.structure))
-    assert not verify_unit_iso(A.size, dual)
+    assert not verify_unit_iso(dual)
 
 
 def test_hom_counts_add_over_direct_factors():

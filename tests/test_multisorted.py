@@ -344,13 +344,13 @@ def test_E_checks_the_rows_it_is_handed(monkeypatch):
 def test_unit_iso_on_generators():
     for n in (1, 2):
         for A in (*(build_mk(n, k) for k in range(n + 1)), build_jn(n)):
-            assert verify_unit_iso(A.size, natural_dual(A))
+            assert verify_unit_iso(natural_dual(A))
 
 
 def test_unit_iso_on_two_generated_subalgebra():
     sq = product([build_jn(1)] * 2)
     sub = generated_subalgebra(sq, [1, 8])
-    assert verify_unit_iso(sub.algebra.size, natural_dual(sub.algebra))
+    assert verify_unit_iso(natural_dual(sub.algebra))
 
 
 def test_unit_iso_rejects_rows_that_miss_a_morphism(monkeypatch):
@@ -358,7 +358,7 @@ def test_unit_iso_rejects_rows_that_miss_a_morphism(monkeypatch):
     full = enumerate_multimorphisms
     monkeypatch.setattr(multisorted, "enumerate_multimorphisms", lambda X, Y: full(X, Y)[:-1])
     m1 = build_mk(1, 1)
-    assert not verify_unit_iso(m1.size, natural_dual(m1))
+    assert not verify_unit_iso(natural_dual(m1))
 
 
 def test_duality_suite_builds_no_E_tables(monkeypatch):

@@ -3,6 +3,9 @@
 import ast
 import graphlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bilatdual
@@ -81,3 +84,12 @@ def test_one_order_validator():
     assert callers == {"posets.Poset.__init__", "multisorted.check_axioms"}
     assert switches == []
     assert all("check" not in inspect.signature(cls).parameters for cls in (Poset, Lattice))
+
+
+def test_the_command_loads_no_test_oracle():
+    """The package root re-exports nothing, so importing the command leaves distlat unloaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bilatdual.__file__).parents[1]))
+    probe = "import sys, bilatdual.cli; print(sorted(m for m in sys.modules if 'distlat' in m))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n"

@@ -10,7 +10,7 @@ from bilatdual.algebra import build_jn, build_mk, enumerate_subuniverses, mk_alg
 from bilatdual.bridge import construct_P, verify_free_translation, verify_translation
 from bilatdual.corpus import corpus_algebras
 from bilatdual.distlat import lattice_reduct, priestley_dual_of_lattice
-from bilatdual.multisorted import natural_dual
+from bilatdual.multisorted import NaturalDual, natural_dual, verify_unit_iso
 from bilatdual.piggyback import (Carrier, all_carriers, build_carrier_space, build_carriers,
                                  build_S_relations, carrier_map_is_iso, check_sep, distinct_columns,
                                  name_relation, piggyback_relations,
@@ -218,7 +218,7 @@ def test_carrier_space_sizes_and_iso_on_corpus():
             space = build_carrier_space(item.dual)
             expected = sum(2 * len(item.dual.homs[k]) for k in range(n + 1))
             assert space.poset.n == expected
-            assert verify_piggyback_iso(item.algebra.size, item.dual), item.label
+            assert verify_piggyback_iso(item.dual), item.label
 
 
 def test_carrier_space_of_free_algebra(free1):
@@ -296,8 +296,8 @@ def test_carrier_map_verifiers_agree_with_the_search_oracle():
     for n in (1, 2, 3, 4):
         for item in corpus_algebras(n, seed=3, subalgebras=5):
             A = item.algebra
-            assert verify_translation(A.size, item.dual), item.label
-            assert verify_piggyback_iso(A.size, item.dual), item.label
+            assert verify_translation(item.dual), item.label
+            assert verify_piggyback_iso(item.dual), item.label
             H = priestley_dual_of_lattice(lattice_reduct(A))
             assert are_isomorphic(H, construct_P(item.dual.structure).poset) is not None
 
@@ -308,9 +308,9 @@ def test_swapping_gamma_and_delta_at_one_sort_fails(free1, monkeypatch, sort):
                     if k == sort else (g, d) for k, (g, d) in enumerate(build_carriers(1)))
     monkeypatch.setattr(piggyback, "build_carriers", lambda n: swapped)
     dual = natural_dual(free1.algebra)
-    assert not verify_translation(free1.algebra.size, dual)
+    assert not verify_translation(dual)
     assert not verify_free_translation(1)
-    assert not verify_piggyback_iso(free1.algebra.size, dual)
+    assert not verify_piggyback_iso(dual)
 
 
 def test_a_non_prime_filter_fails_the_carrier_map():
@@ -318,11 +318,11 @@ def test_a_non_prime_filter_fails_the_carrier_map():
     d = natural_dual(A)
     P = construct_P(d.structure).poset
     points = tagged_points(d.structure)
-    assert carrier_map_is_iso(A.size, d.homs, points, P)
+    assert carrier_map_is_iso(d.homs, points, P)
     # a constant map sends every element to one value: the whole carrier or nothing
     top0 = build_mk(1, 0).index("top0")
     homs = ((tuple([top0] * A.size),) + tuple(d.homs[0][1:]),) + tuple(d.homs[1:])
-    assert not carrier_map_is_iso(A.size, homs, points, P)
+    assert not carrier_map_is_iso(homs, points, P)
 
 
 def test_each_certificate_condition_fails_alone():
@@ -330,15 +330,14 @@ def test_each_certificate_condition_fails_alone():
     d = natural_dual(A)
     P = construct_P(d.structure).poset
     points = tagged_points(d.structure)
-    assert carrier_map_is_iso(A.size, d.homs, points, P)
-    assert not carrier_map_is_iso(A.size + 1, d.homs, points, P)
+    assert carrier_map_is_iso(d.homs, points, P)
     # every hom sends f1 where it sends bot1: the masks keep their order and P
     # keeps its 6 down-sets, but the columns number only 5
     bot, f = A.index("bot1"), A.index("f1")
     glued = tuple(tuple(tuple(h[bot] if v == f else h[v] for v in range(A.size)) for h in hk)
                   for hk in d.homs)
     assert count_downsets(P) == A.size
-    assert not carrier_map_is_iso(A.size, glued, points, P)
+    assert not carrier_map_is_iso(glued, points, P)
     # a sort-0 map that is no hom: its masks separate M_1 and are ordered as Q,
     # but Q has 8 down-sets, so the columns are not all of its up-sets
     m0 = build_mk(1, 0)
@@ -348,7 +347,14 @@ def test_each_certificate_condition_fails_alone():
     masks = np.array([carriers[(k, kind)][list(homs[k][i])] for k, i, kind in points])
     Q = Poset([str(p) for p in points], np.all(~masks[:, None, :] | masks[None, :, :], axis=2))
     assert count_downsets(Q) == 8
-    assert not carrier_map_is_iso(A.size, homs, points, Q)
+    assert not carrier_map_is_iso(homs, points, Q)
+
+
+def test_a_dual_with_no_hom_certifies_nothing():
+    """|A| is read off the homs, so with none there is no carrier to match."""
+    d = natural_dual(build_mk(1, 1))
+    assert not verify_unit_iso(NaturalDual(d.structure, ((), ())))
+    assert not carrier_map_is_iso(((), ()), [], Poset([], np.zeros((0, 0), dtype=bool)))
 
 
 def test_verifiers_bind_no_isomorphism_search():
