@@ -76,8 +76,9 @@ def _block_rows(width: int) -> int:
 
 
 def _table_values(values, shape: tuple, name: str) -> np.ndarray:
-    """The values as an integer array of the given shape, each indexing a carrier of shape[-1]."""
-    arr = np.asarray(values)
+    """The values as an integer array of the given shape, each indexing a carrier of shape[-1];
+    a list stays Python objects until each entry is known to be an int: numpy reads true as 1."""
+    arr = np.asarray(values, dtype=object if isinstance(values, list) else None)
     if arr.dtype.kind not in "iu" and not all(type(v) is int for v in arr.flat):
         raise ValueError("table entries must be integers")
     if arr.min(initial=0) < 0 or (arr.size and arr.max() >= shape[-1]):
@@ -87,15 +88,62 @@ def _table_values(values, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-def _spells_a_bool(text: str) -> bool:
-    """Whether text holds true or false, found from its u or a: a one-letter search is fast."""
-    for word, at in (("true", 2), ("false", 1)):
-        i = text.find(word[at])
-        while i >= 0 and not text.startswith(word, i - at):
-            i = text.find(word[at], i + 1)
-        if i >= 0:
-            return True
-    return False
+_JSON_SPACE = b" \t\n\r"
+_JSON_SCAN = json.JSONDecoder().scan_once   # json's own scanner, for every other array
+
+
+def _digit_runs(text: bytes) -> tuple[int, bool]:
+    """How many runs of digits text, opening with [, holds, and whether one touches a ] before
+    it or a [ after, read in blocks so that the masks stay small."""
+    byte, runs, touch = np.frombuffer(text, dtype=np.uint8), 0, False
+    for at in range(0, len(byte), HOM_CHECK_BLOCK):
+        block = byte[at:at + HOM_CHECK_BLOCK + 1]
+        digit = block - ord("0") < 10
+        start = digit[1:] > digit[:-1]
+        runs += np.count_nonzero(start)
+        touch = touch or np.any(start & (block[:-1] == ord("]"))) or np.any(
+            digit[:-1] & (block[1:] == ord("[")))
+    return runs, bool(touch)
+
+
+def _naturals(s: str, end: int):
+    """The rectangular 1-D or 2-D array of JSON naturals below 2**15 opening at s[end - 1], as
+    int16 with the index past it, or None. Without digits and space its text reads [,...,] or
+    [[,...,],...,[,...,]]; each slot holds one run of digits, none after ] or before [ or split
+    by space, and a leading zero or an overflow shows as fewer digits than the text holds."""
+    # the text runs to the next quote, or short of the document's closing brace
+    text = s[end - 1:s.find('"', end)].encode("ascii", "replace").rstrip(_JSON_SPACE + b",}")
+    stop, tight = end - 1 + len(text), text.translate(None, _JSON_SPACE)
+    skeleton = tight.translate(None, b"0123456789")
+    two_d = skeleton.startswith(b"[[")
+    row = skeleton[1:skeleton.find(b"]") + 1] if two_d else skeleton
+    cols, rows = len(row) - 1, two_d and len(skeleton) // (len(row) + 1)
+    if cols < 1 or row != b"[" + b"," * (cols - 1) + b"]" or (
+            rows and skeleton != b"[" + b",".join([row] * rows) + b"]"):
+        return None
+    count = max(rows, 1) * cols
+    if _digit_runs(tight) != (count, False) or tight is not text and _digit_runs(text)[0] != count:
+        return None
+    digits, numbers = len(tight) - len(skeleton), tight.translate(None, b"[]")
+    del text, tight   # the text goes before numpy parses: one table's bytes at a time
+    values = np.fromstring(numbers, dtype=np.int32, sep=",")   # int32 holds 9 digits exactly
+    if values.min() < 0 or values.max() >= 1 << 15 or digits != values.size + sum(
+            np.count_nonzero(values >= 10**p) for p in range(1, 5)):
+        return None
+    return values.astype(np.int16).reshape((rows, cols) if rows else (cols,)), stop
+
+
+class _TableReader(json.JSONDecoder):
+    """json, except that an array of naturals under a table's key is read at once into int16;
+    one anywhere else is handed on as json's list, so a misplaced one fails as json's would."""
+
+    def __init__(self):
+        super().__init__(object_pairs_hook=lambda pairs: {
+            key: value.tolist() if isinstance(value, np.ndarray) and key not in (*BINARY_OPS, "neg")
+            else value for key, value in pairs})
+        self.parse_array = lambda s_and_end, _: _naturals(*s_and_end) or json.decoder.JSONArray(
+            s_and_end, _JSON_SCAN)
+        self.scan_once = json.scanner.py_make_scanner(self)   # the C scanner calls no parse_array
 
 
 def _as_table(values, shape: tuple, name: str) -> np.ndarray:
@@ -196,14 +244,13 @@ class FiniteAlgebra:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteAlgebra":
-        doc = json.loads(text)
-        algebra = cls.from_dict(doc)   # so every table has its shape, and a row is flat
-        if _spells_a_bool(text):   # numpy reads a JSON bool among integers as an integer
-            ops = doc["ops"]
-            rows = [ops["neg"], *(row for op in BINARY_OPS for row in ops[op])]
-            if any(bool in map(type, row) for row in rows):
-                raise ValueError("table entries must be integers")
-        return algebra
+        """from_dict(json.loads(text)), with each table and neg read straight into int16."""
+        try:
+            doc = _TableReader().decode(text)
+        except (ValueError, RecursionError):
+            doc = None
+        # json reads what is no object or what the reader refuses, so a refusal is json's own
+        return cls.from_dict(doc if isinstance(doc, dict) else json.loads(text))
 
 
 # ----------------------------------------------------------------------------

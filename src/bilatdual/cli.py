@@ -16,6 +16,7 @@ from .ranked import construct_P, functor_F
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 BUILD_KINDS = ("jn", "mk", "alter-ego", "dual", "priestley", "carrier-space")
+IN_DOCUMENT_BYTES = 10**8   # reading an algebra takes about 2.2 bytes a byte: under 2**28
 
 
 def _build_refusal(kind: str, n: int) -> str | None:
@@ -72,7 +73,9 @@ def cmd_build(args) -> int:
         return _fail_usage(f"build {args.kind} takes no --dot")
     if args.infile:
         decoder = MultiSortedStructure if args.kind == "priestley" else FiniteAlgebra
-        try:
+        try:   # the size is checked before a byte is read
+            if (size := Path(args.infile).stat().st_size) > IN_DOCUMENT_BYTES:
+                raise ValueError(f"{size} bytes exceeds the budget of {IN_DOCUMENT_BYTES}")
             source = decoder.from_json(Path(args.infile).read_text(encoding="utf-8"))
         except (OSError, AttributeError, TypeError, KeyError, ValueError, RecursionError) as err:
             return _fail_usage(f"bad --in document: {err}")

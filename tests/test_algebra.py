@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +109,103 @@ def test_interchange_roundtrip():
         doc = alg.to_json()
         assert FiniteAlgebra.from_json(doc) == alg
         assert FiniteAlgebra.from_json(doc).to_json() == doc
+
+
+def _read_both(text: str):
+    """from_json(text) and the oracle from_dict(json.loads(text)): an algebra, or the
+    exception's type and message."""
+    results = []
+    for read in (FiniteAlgebra.from_json, lambda t: FiniteAlgebra.from_dict(json.loads(t))):
+        try:
+            results.append(read(text))
+        except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as err:
+            results.append((type(err), str(err)))
+    return results
+
+
+def _spaced(text: str, rng: random.Random) -> str:
+    """The compact text with 0-2 random JSON whitespace characters between its tokens."""
+    tokens = [t for t in re.split(r'("[^"]*"|[,:\[\]{}])', text) if t]
+    pads = np.array(["".join(pad) for k in range(3)
+                     for pad in itertools.product(" \t\n\r", repeat=k)], dtype=object)
+    picks = np.random.default_rng(rng.getrandbits(32)).integers(len(pads), size=len(tokens))
+    return "".join(itertools.chain(*zip(tokens, pads[picks].tolist())))
+
+
+MUTATIONS = ("01", "-0", "-1", "1.0", "1e0", "true", "null", '"1"', "[1]", "32768",
+             "12345678901234567890", "{size}", "{value}\x0b", "\xa0{value}", "{value},")
+
+
+def test_the_table_reader_agrees_with_json_and_from_dict(free1):
+    """Each document, serialised four ways and mutated at one table or neg entry or one row,
+    reads to an == algebra, or to the same exception and message, as the oracle
+    from_dict(json.loads(text)); "{value}," ends a row with a trailing comma. So does J_1 with
+    an array of naturals in the place of a name list, a mapping or the signature."""
+    rng = random.Random(20261022)
+    algebras = [build_jn(n) for n in range(4)] + [build_mk(2, k) for k in range(3)]
+    for alg in algebras + [free1.algebra]:
+        compact = alg.to_json()
+        for text in (compact, json.dumps(alg.to_dict(), indent=2),
+                     json.dumps(alg.to_dict(), separators=(", ", ": ")), _spaced(compact, rng)):
+            assert _read_both(text) == [alg, alg]
+        for mutation in MUTATIONS + ("dropped entry", "empty row"):
+            doc = json.loads(compact)
+            name = rng.choice(BINARY_OPS + ("neg",))
+            row = doc["ops"][name] if name == "neg" else rng.choice(doc["ops"][name])
+            at = len(row) - 1 if mutation == "{value}," else rng.randrange(len(row))
+            if mutation == "dropped entry":
+                del row[at]
+            elif mutation == "empty row":
+                doc["ops"][name].append([])
+            else:   # the entry is marked, and the mark replaced by the token in the text
+                token, row[at] = mutation.format(size=alg.size, value=row[at]), "@"
+            text = json.dumps(doc, separators=(",", ":")).replace('"@"', token)
+            text = _spaced(text, rng) if rng.random() < 0.5 and alg.size < 100 else text
+            got, expected = _read_both(text)
+            assert got == expected, (mutation, name, got, expected)
+    for path in (("signature",), ("elements",), ("ops",), ("ops", "consts")):
+        doc = build_jn(1).to_dict()   # an array of naturals where no table is read
+        part = doc
+        for key in path[:-1]:
+            part = part[key]
+        part[path[-1]] = [[0, 1]] if path == ("ops",) else [1, 0]
+        got, expected = _read_both(json.dumps(doc))
+        assert got == expected and isinstance(got, tuple), path
+
+
+def test_each_array_the_table_reader_takes_is_read_so_by_json():
+    """Small grids of naturals, each edited at up to two random characters: every array the
+    table reader takes, json reads to the same values, ending at the same index."""
+    rng = random.Random(20261023)
+    taken = 0
+    for _ in range(20_000):
+        grid = [[rng.choice((0, 7, 10, 265, 32767)) for _ in range(rng.randrange(1, 4))]
+                for _ in range(rng.randrange(1, 4))]
+        text = json.dumps(grid if rng.random() < 0.7 else grid[0],
+                          separators=rng.choice(((",", ":"), (", ", ": "))))
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(1, len(text) + 1)
+            text = text[:at] + rng.choice("[], 0123\n\x0b-") + text[at + rng.randrange(2):]
+        got = algebra._naturals(text + '"', 1)
+        if got is not None:
+            values, end = json.JSONDecoder().raw_decode(text)
+            assert (got[0].tolist(), got[1]) == (values, end), text
+            taken += 1
+    assert taken > 5_000
+
+
+LIST_READER_PEAK = 4_172_886   # tracemalloc bytes of from_json(F_V1(1)) via json's int lists
+
+
+def test_the_table_reader_peaks_at_half_the_list_reader(free1):
+    text = free1.algebra.to_json()
+    tracemalloc.start()
+    try:
+        FiniteAlgebra.from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LIST_READER_PEAK // 2, peak
 
 
 def test_bool_compose_matches_an_integer_product():

@@ -110,17 +110,21 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         doc[table][key] = [[0, 0]] if table != "g" else [0]
         slots[name] = doc
     docs += [*slots.values(), dict(json.loads(ego), rel_jk=[[0, 0]])]
-    # constants that are no mapping, a constant outside the signature, and a document nested
-    # past the decoder's recursion limit
+    # constants that are no mapping, a constant outside the signature, a document nested
+    # past the decoder's recursion limit, and 50,000 arrays that never close a row twice: each
+    # is refused within a second, so no array's text is scanned past the next quote
     ops = json.loads(j1)["ops"]
     docs += [dict(json.loads(j1), ops=dict(ops, consts=[])),
              dict(json.loads(j1), ops=dict(ops, consts=dict(ops["consts"], foo="bot"))),
-             "[" * 100_000 + "]" * 100_000]
+             "[" * 100_000 + "]" * 100_000,
+             '{"ops": {' + ",".join(f'"k{i}": [[{i}],"x"]' for i in range(50_000)) + "}}"]
     for i, doc in enumerate(docs):
         src = tmp_path / f"doc{i}.json"
         src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for kind in ("dual", "priestley", "carrier-space"):
+            start = time.perf_counter()
             code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+            assert time.perf_counter() - start < 1, (i, kind)
             assert (code, out) == (2, ""), (doc, kind)
             assert err.startswith("error: bad --in document: "), (doc, kind)
     for key in ("1,1", "0,1"):
@@ -128,6 +132,22 @@ def test_malformed_in_documents_are_usage_errors(tmp_path, capsys):
         src.write_text(json.dumps(slots[key]))
         _, _, err = run(capsys, ["build", "priestley", "--n", "1", "--in", str(src)])
         assert err == f"error: bad --in document: cross relation slot ({key}) out of range\n"
+
+
+def test_an_in_document_past_the_byte_budget_is_refused_before_it_is_read(
+        tmp_path, monkeypatch, capsys):
+    assert cli.IN_DOCUMENT_BYTES > 33_144_099   # F_V2(1)'s compact document is admitted
+    _, j1, _ = run(capsys, ["build", "jn", "--n", "1"])
+    src = tmp_path / "j1.json"
+    src.write_text(j1)
+    monkeypatch.setattr(cli, "IN_DOCUMENT_BYTES", len(j1) - 1)
+    for kind in ("dual", "priestley", "carrier-space"):
+        code, out, err = run(capsys, ["build", kind, "--n", "1", "--in", str(src)])
+        assert (code, out) == (2, ""), kind
+        assert err == (f"error: bad --in document: {len(j1)} bytes exceeds the budget of "
+                       f"{len(j1) - 1}\n"), kind
+    monkeypatch.setattr(cli, "IN_DOCUMENT_BYTES", len(j1))
+    assert run(capsys, ["build", "dual", "--n", "1", "--in", str(src)])[0] == 0
 
 
 def test_name_lists_must_be_json_arrays_of_strings(tmp_path, capsys):
